@@ -326,7 +326,3 @@ def where(mask, a, b):
 def sqrt(x):
     """Square root dispatching on tensor vs ndarray."""
     return x.sqrt() if isinstance(x, Tensor) else np.sqrt(x)
-
-
-def as_tensor(x, requires_grad=False):
-    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=requires_grad)

@@ -38,9 +38,7 @@ class ConvergenceRow:
 
 
 def _terminal_weights(scheme, draws, u, sign):
-    if scheme == "cub3":
-        return draws.eta_tilde[:, :, 0].sum(axis=1)
-    if scheme in ("em", "nv"):
+    if scheme != "nn":
         return draws.eta[:, :, 0].sum(axis=1)
     _, _, r11, r22, r12 = nn_constants(u, sign)
     zeta = (r12 / np.sqrt(r11)) * draws.eta + np.sqrt(r22 - r12 * r12 / r11) * draws.xi

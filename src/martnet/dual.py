@@ -2,9 +2,11 @@
 Brownian-bridge supremum correction, the dual loss, and the training loop.
 
 The martingale candidate M is driven by mlp-backed fields V^M_j(t, X_t, M_t)
-through the same step kernel and the same Brownian draws as the asset path,
-as one coupled system. Its drift field is structurally zero; the centering
-surrogate removes what drift the discretisation leaks in. Losses are
+as one more state component of the asset's step kernel: one kernel table
+(``schemes.simulate``) serves plain and coupled simulation, and one pass of
+it advances (X, M) with the same Brownian draws. Its drift field is
+structurally zero; the centering surrogate removes what drift the
+discretisation leaks in. Losses are
 evaluated over a batch as the sample mean of per-path suprema of Z - M,
 optionally refined by sampling the within-interval supremum of a pinned
 bridge with volatility estimated from pilot paths.
@@ -16,22 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols, sqrt as ad_sqrt, where as ad_where
+from .autodiff import Tensor, concat_cols
 from .errors import InvalidParameterError, NumericError, ShapeError
 from .fields import payoff_eval
-from .mlp import (
-    mlp_forward,
-    mlp_forward_t,
-    param_arrays,
-    params_to_tensors,
-    rebuild_params,
-    save_checkpoint,
-    tensor_arrays,
-)
+from .mlp import grad, mlp_forward, mlp_forward_t, param_arrays, rebuild_params, save_checkpoint
 from .mlp import AdamState, adam_update, init_adam  # noqa: F401  (re-exported for callers)
 from .qmc import draws_for
-from .rk5 import A as _RKA, B as _RKB, flow
-from .schemes import PathBatch, nn_constants, simulate
+# Not called here: the benchmark's layer tracer rebinds martnet.dual.flow and
+# fails at import when the name is missing.
+from .rk5 import flow  # noqa: F401
+from .schemes import PathBatch, simulate, step_kernel
 
 PILOT_PATHS = 10
 SIGMA_FLOOR = 1e-8
@@ -47,14 +43,14 @@ class MartingaleNetConfig:
     the number of diffusion fields V^M_1..V^M_d and must match the asset
     model's driving dimension (the Brownians are shared); batch is the
     number of QMC paths per update. The drift field V^M_0 is identically
-    zero by construction in surrogate mode.
+    zero by construction; centering removes what drift the discretisation
+    leaks in.
     """
 
     scheme: str
     d_M: int
     partition: object
     batch: int
-    centering: str = "surrogate"
     u: float = 0.5
     sign: int = 1
     substeps: int = 1
@@ -175,38 +171,22 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
 # -- coupled (X, M) simulation ----------------------------------------------
 
 
-def _unit_scales(model):
-    """Dimensionless encoding: state in units of x0, value in strike units.
+def _bind_nets(nets, taped, model, partition):
+    """Callable net(j, t, x, m) = V^M_j(t, x, m) in a dimensionless encoding.
 
-    Networks see O(1) features and produce O(1) outputs regardless of the
-    currency scale of the model, which keeps the He-initialised layers well
-    conditioned and the output head within a few optimiser steps of the
-    magnitudes the martingale increments need.
+    Time is in units of the horizon, state in units of x0 and value in
+    strike units. Networks see O(1) features and produce O(1) outputs
+    regardless of the currency scale of the model, which keeps the
+    He-initialised layers well conditioned and the output head within a few
+    optimiser steps of the magnitudes the martingale increments need.
     """
     sx = np.abs(np.asarray(model.x0, dtype=np.float64))
     sx = np.where(sx > 0, sx, 1.0)[None, :]
     sm = float(model.payoff.strike)
-    return sx, sm
+    T = partition.T if partition.T > 0 else 1.0
 
-
-def _unit_scales(model):
-    """Dimensionless encoding: state in units of x0, value in strike units.
-
-    Networks see O(1) features and produce O(1) outputs regardless of the
-    currency scale of the model, which keeps the He-initialised layers well
-    conditioned and the output head within a few optimiser steps of the
-    magnitudes the martingale increments need.
-    """
-    sx = np.abs(np.asarray(model.x0, dtype=np.float64))
-    sx = np.where(sx > 0, sx, 1.0)[None, :]
-    sm = float(model.payoff.strike)
-    return sx, sm
-
-
-def _bind_nets(nets, taped, sx, sm):
-    """Closure evaluating V^M_j(t, x, m) with the unit encoding applied."""
-
-    def net_fn(j, tcol, X, m):
+    def net_fn(j, t, X, m):
+        tcol = np.full((X.shape[0], 1), t / T)
         if taped:
             cp = np.concatenate([tcol, X / sx], axis=1)
             ms = m * (1.0 / sm)
@@ -221,155 +201,18 @@ def _bind_nets(nets, taped, sx, sm):
     return net_fn
 
 
-def _joint_rk5_flow(vfield, net_j, net_fn, X, m, duration, substeps, t_field, tcol):
-    """RK5 flow of the joint field (V_j^X(x), V^M_j(t, x, m)).
+def _simulate_coupled(config, nets, model, draws, taped):
+    """Asset paths and provisional martingale columns M'_{t_k} in one pass.
 
-    X advances in plain numpy; the M component rides the tape. ``duration``
-    may be a per-path column.
+    The martingale rides the configured scheme's kernel as one more state
+    component, so both see the same draws and the same within-step asset
+    trajectory; returns (paths, cols) with one (batch, 1) column per knot.
     """
-    h = duration / substeps if substeps > 1 else duration
-    for _ in range(substeps):
-        zx_stages, zm_stages = [], []
-        for i in range(len(_RKB)):
-            yx, ym = X, m
-            for jj, aij in enumerate(_RKA[i]):
-                if aij != 0.0:
-                    yx = yx + (h * aij) * zx_stages[jj]
-                    ym = ym + (h * aij) * zm_stages[jj]
-            zx = vfield.eval(t_field, yx)
-            if not np.all(np.isfinite(zx)):
-                raise NumericError(f"joint flow stage {i + 1} produced non-finite asset values")
-            zx_stages.append(zx)
-            zm_stages.append(net_fn(net_j, tcol, yx, ym))
-        new_x, new_m = X, m
-        for jj, bj in enumerate(_RKB):
-            if bj != 0.0:
-                new_x = new_x + (h * bj) * zx_stages[jj]
-                new_m = new_m + (h * bj) * zm_stages[jj]
-        X, m = new_x, new_m
-    return X, m
-
-
-def _frozen_joint_flow(model, net_fn, X, m, coeff0, weights, substeps, t_field, tcol):
-    """Unit-time RK5 flow of (coeff0 V_0 + sum_i w_i V_i, sum_i w_i V^M_i)."""
-    v0 = model.stratonovich_fields[0]
-    diffusions = model.stratonovich_fields[1:]
-    h = 1.0 / substeps
-    for _ in range(substeps):
-        zx_stages, zm_stages = [], []
-        for i in range(len(_RKB)):
-            yx, ym = X, m
-            for jj, aij in enumerate(_RKA[i]):
-                if aij != 0.0:
-                    yx = yx + (h * aij) * zx_stages[jj]
-                    ym = ym + (h * aij) * zm_stages[jj]
-            zx = coeff0 * v0.eval(t_field, yx)
-            zm = None
-            for idx, vi in enumerate(diffusions):
-                zx = zx + weights[:, idx : idx + 1] * vi.eval(t_field, yx)
-                term = weights[:, idx : idx + 1] * net_fn(idx, tcol, yx, ym)
-                zm = term if zm is None else zm + term
-            if not np.all(np.isfinite(zx)):
-                raise NumericError(f"joint flow stage {i + 1} produced non-finite asset values")
-            zx_stages.append(zx)
-            zm_stages.append(zm)
-        new_x, new_m = X, m
-        for jj, bj in enumerate(_RKB):
-            if bj != 0.0:
-                new_x = new_x + (h * bj) * zx_stages[jj]
-                new_m = new_m + (h * bj) * zm_stages[jj]
-        X, m = new_x, new_m
-    return X, m
-
-
-def _nv_joint_step(model, net_fn, X, m, dt, eta_k, lam_k, substeps, t_field, tcol, taped):
-    v0 = model.stratonovich_fields[0]
-    d = model.d
-    sdt = np.sqrt(dt)
-    X = flow(v0, t_field, X, dt / 2.0, substeps)
-
-    def one_order(descending, X, m):
-        order = range(d - 1, -1, -1) if descending else range(d)
-        for i in order:
-            tau = sdt * eta_k[:, i : i + 1]
-            X, m = _joint_rk5_flow(
-                model.stratonovich_fields[1 + i], i, net_fn, X, m, tau, substeps, t_field, tcol
-            )
-        return X, m
-
-    if d == 1:
-        X, m = one_order(True, X, m)
-    else:
-        xp, mp = one_order(True, X, m)
-        xm, mm = one_order(False, X, m)
-        mask = (lam_k > 0)[:, None]
-        X = np.where(mask, xp, xm)
-        if taped and (isinstance(mp, Tensor) or isinstance(mm, Tensor)):
-            m = ad_where(mask, mp, mm)
-        else:
-            m = np.where(mask, mp, mm)
-    X = flow(v0, t_field, X, dt / 2.0, substeps)
-    return X, m
-
-
-def _nn_joint_step(model, net_fn, X, m, dt, eta_k, xi_k, u, sign, substeps, t_field, tcol):
-    c1, c2, r11, r22, r12 = nn_constants(u, sign)
-    zeta = (r12 / np.sqrt(r11)) * eta_k + np.sqrt(r22 - r12 * r12 / r11) * xi_k
-    sdt = np.sqrt(dt)
-    X, m = _frozen_joint_flow(model, net_fn, X, m, c2 * dt, sdt * zeta, substeps, t_field, tcol)
-    X, m = _frozen_joint_flow(
-        model, net_fn, X, m, c1 * dt, np.sqrt(r11) * sdt * eta_k, substeps, t_field, tcol
+    net = _bind_nets(nets, taped, model, config.partition)
+    return simulate(
+        model, _ASSET_TAG[config.scheme], config.partition, draws,
+        substeps=config.substeps, u=config.u, sign=config.sign, net=net,
     )
-    return X, m
-
-
-def _mart_cols(config, nets, model, asset_paths, draws, taped):
-    """Provisional martingale columns M'_{t_k}, one (batch, 1) entry per knot.
-
-    The asset coordinate is re-advanced through each step with the same
-    draws that produced asset_paths (the kernels are deterministic, so the
-    knots coincide); the schemes need the within-step asset trajectory,
-    which the stored path does not carry.
-    """
-    part = config.partition
-    times, deltas = part.times, part.deltas
-    n = part.steps
-    T = part.T if part.T > 0 else 1.0
-    states = asset_paths.states
-    B = states.shape[0]
-    eta = draws.eta if hasattr(draws, "eta") else draws.eta_tilde
-    xi = getattr(draws, "xi", None)
-    if xi is None:
-        xi = getattr(draws, "xi_tilde", None)
-    lam = draws.lam
-    sx, sm = _unit_scales(model)
-    net_fn = _bind_nets(nets, taped, sx, sm)
-    m = np.zeros((B, 1))
-    cols = [m]
-    X = states[:, 0, :]
-    for k in range(n):
-        dt = float(deltas[k])
-        tk = float(times[k])
-        tcol = np.full((B, 1), tk / T)
-        if config.scheme == "resnet-em":
-            sdt = np.sqrt(dt)
-            acc = None
-            for j in range(config.d_M):
-                term = (sdt * eta[:, k, j : j + 1]) * net_fn(j, tcol, X, m)
-                acc = term if acc is None else acc + term
-            m = m + acc
-            X = states[:, k + 1, :]
-        elif config.scheme == "nvnet":
-            X, m = _nv_joint_step(
-                model, net_fn, X, m, dt, eta[:, k], lam[:, k], config.substeps, tk, tcol, taped
-            )
-        else:
-            X, m = _nn_joint_step(
-                model, net_fn, X, m, dt, eta[:, k], xi[:, k], config.u, config.sign,
-                config.substeps, tk, tcol,
-            )
-        cols.append(m)
-    return cols
 
 
 def _validate_setup(config, mlps, model, asset_paths, draws):
@@ -377,7 +220,7 @@ def _validate_setup(config, mlps, model, asset_paths, draws):
         raise ShapeError("d_M must match the asset model's driving dimension (shared Brownians)")
     if len(mlps) != config.d_M:
         raise ShapeError(f"expected {config.d_M} networks, got {len(mlps)}")
-    eta = draws.eta if hasattr(draws, "eta") else draws.eta_tilde
+    eta = draws.eta
     n = config.partition.steps
     if eta.shape[1] != n or eta.shape[2] != model.d:
         raise ShapeError("draws do not match the partition and model dimension")
@@ -391,12 +234,14 @@ def _validate_setup(config, mlps, model, asset_paths, draws):
 def mart_paths(config, mlps, model, asset_paths, draws):
     """Simulate provisional martingale paths M' along given asset paths.
 
-    Returns a PathBatch with state dimension 1 and M'_0 = 0. The model is
-    needed because the flow-composition schemes advance the asset
-    coordinate through the step interior with the same draws.
+    Returns a PathBatch with state dimension 1 and M'_0 = 0. asset_paths
+    must be the paths the draws produce under the configured scheme; they
+    are checked against the draws, and the coupled pass advances them again
+    beside M because the flow-composition schemes need the within-step
+    asset trajectory.
     """
     _validate_setup(config, mlps, model, asset_paths, draws)
-    cols = _mart_cols(config, mlps, model, asset_paths, draws, taped=False)
+    _, cols = _simulate_coupled(config, mlps, model, draws, taped=False)
     states = np.concatenate(cols, axis=1)[:, :, None]
     return PathBatch(states=states, partition=config.partition, scheme=config.scheme)
 
@@ -414,44 +259,21 @@ def canonical_center(config, mlps, K, draws, asset_path, model=None):
     part = config.partition
     times, deltas = part.times, part.deltas
     n = part.steps
-    T = part.T if part.T > 0 else 1.0
     states = asset_path.states if isinstance(asset_path, PathBatch) else np.asarray(asset_path, dtype=np.float64)
     grid = states[0] if states.ndim == 3 else states
-    eta = draws.eta if hasattr(draws, "eta") else draws.eta_tilde
-    if eta.shape[0] != K or eta.shape[1] != n:
+    if draws.eta.shape[0] != K or draws.eta.shape[1] != n:
         raise ShapeError("draws must carry K paths over the partition")
-    xi = getattr(draws, "xi", None)
-    if xi is None:
-        xi = getattr(draws, "xi_tilde", None)
-    lam = draws.lam
     if model is None:
         raise InvalidParameterError("canonical centering needs the asset model")
-    sx, sm = _unit_scales(model)
-    net_fn = _bind_nets(mlps, False, sx, sm)
+    step = step_kernel(
+        model, _ASSET_TAG[config.scheme], draws, config.substeps, config.u, config.sign,
+        _bind_nets(mlps, False, model, part),
+    )
     out = [0.0]
     for k in range(n):
-        dt = float(deltas[k])
-        tk = float(times[k])
-        tcol = np.full((K, 1), tk / T)
         X = np.broadcast_to(grid[k], (K, grid.shape[1])).copy()
         m = np.full((K, 1), out[-1])
-        if config.scheme == "resnet-em":
-            sdt = np.sqrt(dt)
-            acc = np.zeros((K, 1))
-            for j in range(config.d_M):
-                acc += (sdt * eta[:, k, j : j + 1]) * net_fn(j, tcol, X, m)
-            cand = m + acc
-        elif config.scheme == "nvnet":
-            _, cand = _nv_joint_step(
-                model, net_fn, X, m, dt, eta[:, k], lam[:, k],
-                config.substeps, tk, tcol, False,
-            )
-        else:
-            _, cand = _nn_joint_step(
-                model, net_fn, X, m, dt, eta[:, k], xi[:, k], config.u, config.sign,
-                config.substeps, tk, tcol,
-            )
-        cand = np.asarray(cand, dtype=np.float64)
+        _, cand = step(X, m, k, float(times[k]), float(deltas[k]))
         out.append(float(cand[0, 0] - cand.mean()))
     return np.array(out)
 
@@ -464,9 +286,9 @@ def _bridge_uniforms(seed, iteration, batch, steps):
     return rng.random((batch, steps))
 
 
-def _loss_core(config, nets, model, asset_paths, draws, bridge, uniforms, sigma_hat, taped):
+def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, taped):
+    asset_paths, cols = _simulate_coupled(config, nets, model, draws, taped)
     Z = payoff_eval(model.payoff, asset_paths.states)
-    cols = _mart_cols(config, nets, model, asset_paths, draws, taped)
     if taped:
         mmat = concat_cols(cols)
     else:
@@ -499,30 +321,24 @@ def simulate_assets(config, model, draws):
 
 def loss_value(config, mlps, model, draws, bridge=True, uniforms=None, sigma_hat=None):
     """Plain numpy evaluation of one iteration's loss; returns a float."""
-    asset_paths = simulate_assets(config, model, draws)
-    _validate_setup(config, mlps, model, asset_paths, draws)
-    loss, _, _ = _loss_core(config, mlps, model, asset_paths, draws, bridge, uniforms, sigma_hat, False)
+    _validate_setup(config, mlps, model, None, draws)
+    loss, _, _ = _loss_core(config, mlps, model, draws, bridge, uniforms, sigma_hat, False)
     return loss
 
 
 def loss_and_grads(config, mlps, model, draws, bridge=True, uniforms=None, sigma_hat=None):
     """Taped evaluation; returns (loss, gradient lists congruent to params)."""
-    asset_paths = simulate_assets(config, model, draws)
-    _validate_setup(config, mlps, model, asset_paths, draws)
-    tensors = [params_to_tensors(p) for p in mlps]
-    loss, _, _ = _loss_core(config, tensors, model, asset_paths, draws, bridge, uniforms, sigma_hat, True)
-    loss.backward()
-    grads = []
-    for ts in tensors:
-        arrs = tensor_arrays(ts)
-        grads.append([a.grad if a.grad is not None else np.zeros_like(a.data) for a in arrs])
-    return float(loss.data), grads
+    _validate_setup(config, mlps, model, None, draws)
+    return grad(
+        lambda tensors: _loss_core(config, tensors, model, draws, bridge, uniforms, sigma_hat, True)[0],
+        mlps,
+    )
 
 
-def evaluate_loss(config, mlps, model, batch=5000, seed=0, bridge=True, source="qmc"):
+def evaluate_loss(config, mlps, model, batch=5000, seed=0, bridge=True):
     """Out-of-training loss of the current networks over a fresh QMC batch."""
     n = config.partition.steps
-    draws = draws_for(_ASSET_TAG[config.scheme], model.d, n, batch, seed=seed, source=source)
+    draws = draws_for(_ASSET_TAG[config.scheme], model.d, n, batch, seed=seed)
     uniforms = _bridge_uniforms(seed, 0, batch, n) if bridge else None
     return loss_value(config, mlps, model, draws, bridge=bridge, uniforms=uniforms)
 
@@ -548,7 +364,6 @@ def train(
     adam_opts=None,
     out_dir=None,
     checkpoint_every=100,
-    source="qmc",
 ):
     """Adam-train the martingale networks on the dual loss.
 
@@ -571,27 +386,25 @@ def train(
     losses, wall, resid = [], [], []
     for it in range(iterations):
         t0 = time.perf_counter()
-        draws = draws_for(_ASSET_TAG[config.scheme], model.d, n, B, seed=seed + it, source=source)
-        asset_paths = simulate_assets(config, model, draws)
-        tensors = [params_to_tensors(p) for p in current]
+        draws = draws_for(_ASSET_TAG[config.scheme], model.d, n, B, seed=seed + it)
         uniforms = _bridge_uniforms(seed, it, B, n) if bridge else None
-        loss, M, _ = _loss_core(config, tensors, model, asset_paths, draws, bridge, uniforms, None, True)
-        resid.append(float(np.abs(M.data.mean(axis=0)).max()))
-        if not np.isfinite(loss.data):
-            if out_dir:
-                save_checkpoint(os.path.join(out_dir, f"diagnostic_iter{it:05d}.ckpt"), current)
-            raise NumericError(f"training loss non-finite at iteration {it}")
-        loss.backward()
-        grads = []
-        for ts in tensors:
-            for a in tensor_arrays(ts):
-                grads.append(a.grad if a.grad is not None else np.zeros_like(a.data))
-        state, all_arrays = adam_update(state, all_arrays, grads)
+
+        def loss_fn(tensors):
+            loss, M, _ = _loss_core(config, tensors, model, draws, bridge, uniforms, None, True)
+            resid.append(float(np.abs(M.data.mean(axis=0)).max()))
+            if not np.isfinite(loss.data):
+                if out_dir:
+                    save_checkpoint(os.path.join(out_dir, f"diagnostic_iter{it:05d}.ckpt"), current)
+                raise NumericError(f"training loss non-finite at iteration {it}")
+            return loss
+
+        value, grads = grad(loss_fn, current)
+        state, all_arrays = adam_update(state, all_arrays, [g for per_net in grads for g in per_net])
         pos = 0
         for idx, cnt in enumerate(counts):
             current[idx] = rebuild_params(current[idx], all_arrays[pos : pos + cnt])
             pos += cnt
-        losses.append(float(loss.data))
+        losses.append(value)
         wall.append((time.perf_counter() - t0) * 1000.0)
         if out_dir and checkpoint_every and (it + 1) % checkpoint_every == 0:
             save_checkpoint(os.path.join(out_dir, f"iter{it + 1:05d}.ckpt"), current)

@@ -28,8 +28,11 @@ SQRT3 = float(np.sqrt(3.0))
 
 @dataclass(frozen=True)
 class DrawBlock:
-    """Gaussian draws shaped [batch, steps, d] plus scheme extras.
+    """Draws shaped [batch, steps, d] plus scheme extras.
 
+    eta (and xi) hold standard normals, or in cubature mode the discrete
+    third-order cubature values {-sqrt(3), 0, +sqrt(3)} with masses
+    (1/6, 2/3, 1/6), which match standard normal moments through order 5.
     xi is present for the two-family scheme only; lam holds the +-1 signs
     for the flow-reversal scheme. Entries of lam are exactly -1.0 or +1.0.
     """
@@ -37,25 +40,9 @@ class DrawBlock:
     eta: np.ndarray
     xi: np.ndarray = None
     lam: np.ndarray = None
-    source: str = "qmc"
 
 
-@dataclass(frozen=True)
-class CubatureDraws:
-    """Discrete third-order cubature draws valued in {-sqrt(3), 0, +sqrt(3)}.
-
-    Marginals put mass 1/6 on each of +-sqrt(3) and 2/3 on 0, matching
-    standard normal moments through order 5. lam is carried for the
-    flow-reversal scheme exactly as in DrawBlock.
-    """
-
-    eta_tilde: np.ndarray
-    xi_tilde: np.ndarray = None
-    lam: np.ndarray = None
-    source: str = "qmc"
-
-
-def sobol_points(dim, n, scramble_seed=None, skip=0):
+def sobol_points(dim, n, scramble_seed=None):
     """First ``n`` digitally-shifted Sobol' points in (0,1)^dim.
 
     Parameters
@@ -67,8 +54,6 @@ def sobol_points(dim, n, scramble_seed=None, skip=0):
     scramble_seed : int, optional
         Seed of the digital shift. None applies no shift, exposing the raw
         sequence (first coordinate 0.5, 0.75, 0.25, ...).
-    skip : int
-        Extra points to drop after the origin (default none).
     """
     if dim < 1 or dim > _MAXDIM:
         raise UnsupportedDimensionError(f"sobol dimension {dim} outside [1, {_MAXDIM}]")
@@ -77,7 +62,7 @@ def sobol_points(dim, n, scramble_seed=None, skip=0):
     if n == 0:
         return np.empty((0, dim))
     eng = _scipy_qmc.Sobol(d=dim, scramble=False)
-    eng.fast_forward(1 + skip)
+    eng.fast_forward(1)
     pts = eng.random(n)
     if scramble_seed is None:
         return pts
@@ -152,7 +137,7 @@ def dims_for(scheme, d, steps):
     raise UnknownSchemeError(f"unknown scheme tag: {scheme!r}")
 
 
-def draws_for(scheme, d, steps, batch, mode="gaussian", seed=None, source="qmc", skip=0):
+def draws_for(scheme, d, steps, batch, mode="gaussian", seed=None, source="qmc"):
     """Generate the per-path randomness a scheme consumes.
 
     Coordinates are allocated per step: the flow-reversal scheme takes d
@@ -168,13 +153,10 @@ def draws_for(scheme, d, steps, batch, mode="gaussian", seed=None, source="qmc",
     scheme = scheme.lower()
     dim = dims_for(scheme, d, steps)
     if steps == 0:
-        empty = np.empty((batch, 0, d))
-        if mode == "cubature":
-            return CubatureDraws(eta_tilde=empty, source=source)
-        return DrawBlock(eta=empty, source=source)
+        return DrawBlock(eta=np.empty((batch, 0, d)))
 
     if source == "qmc":
-        u = sobol_points(dim, batch, scramble_seed=seed, skip=skip)
+        u = sobol_points(dim, batch, scramble_seed=seed)
     elif source == "pseudo":
         rng = np.random.Generator(np.random.Philox(seed))
         u = rng.random((batch, dim))
@@ -195,11 +177,10 @@ def draws_for(scheme, d, steps, batch, mode="gaussian", seed=None, source="qmc",
         u_eta, u_xi, lam = u, None, None
 
     if mode == "gaussian":
-        eta = inv_normal_cdf(u_eta)
-        xi = inv_normal_cdf(u_xi) if u_xi is not None else None
-        return DrawBlock(eta=eta, xi=xi, lam=lam, source=source)
-    if mode == "cubature":
-        eta = _cubature_map(u_eta)
-        xi = _cubature_map(u_xi) if u_xi is not None else None
-        return CubatureDraws(eta_tilde=eta, xi_tilde=xi, lam=lam, source=source)
-    raise InvalidParameterError(f"unknown draw mode: {mode!r}")
+        transform = inv_normal_cdf
+    elif mode == "cubature":
+        transform = _cubature_map
+    else:
+        raise InvalidParameterError(f"unknown draw mode: {mode!r}")
+    xi = transform(u_xi) if u_xi is not None else None
+    return DrawBlock(eta=transform(u_eta), xi=xi, lam=lam)

@@ -4,7 +4,9 @@ Used to realise the frozen-field flows exp(V)x that the splitting schemes
 compose. The step kernel is generic over the state container: plain
 ndarrays (possibly batched) and autodiff Tensors both work, and the step
 length may be a per-path column so a whole batch of flows with different
-durations integrates in one call.
+durations integrates in one call. A joint state is a tuple of parts, for
+example (X, m) with the martingale beside the asset; its field returns one
+derivative per part and the stages combine the parts one by one.
 """
 
 import numpy as np
@@ -28,16 +30,18 @@ B = (7 / 90, 0.0, 32 / 90, 12 / 90, 32 / 90, 7 / 90)
 STAGES = len(B)
 
 
-class RK5Tableau:
-    """Coefficient table of the explicit 6-stage method."""
-
-    a = A
-    b = B
-
-
 def _finite(z):
+    if isinstance(z, tuple):
+        return all(_finite(part) for part in z)
     data = z.data if isinstance(z, Tensor) else z
     return np.all(np.isfinite(data))
+
+
+def _axpy(y, c, z):
+    """y + c * z, part by part for a joint state."""
+    if isinstance(y, tuple):
+        return tuple(a + c * b for a, b in zip(y, z))
+    return y + c * z
 
 
 def rk5_step(f, x, h):
@@ -47,8 +51,9 @@ def rk5_step(f, x, h):
     ----------
     f : callable
         Maps a state to its derivative; time is already bound.
-    x : ndarray or Tensor
-        State, shaped (..., N) or scalar-like.
+    x : ndarray, Tensor, or a tuple of them
+        State, shaped (..., N) or scalar-like; a tuple is a joint state and
+        ``f`` then returns a tuple of congruent derivatives.
     h : float or ndarray
         Step length; may be negative, and may be a (batch, 1) column to
         advance each row by its own duration.
@@ -62,7 +67,7 @@ def rk5_step(f, x, h):
         y = x
         for j, aij in enumerate(A[i]):
             if aij != 0.0:
-                y = y + (h * aij) * stages[j]
+                y = _axpy(y, h * aij, stages[j])
         z = f(y)
         if not _finite(z):
             raise NumericError(f"rk5 stage {i + 1} produced non-finite values")
@@ -70,7 +75,7 @@ def rk5_step(f, x, h):
     out = x
     for j, bj in enumerate(B):
         if bj != 0.0:
-            out = out + (h * bj) * stages[j]
+            out = _axpy(out, h * bj, stages[j])
     return out
 
 
@@ -83,8 +88,8 @@ def flow(field, t_eval, x, total_time, substeps=1):
         Evaluated as ``field.eval(t_eval, z)`` (or ``field(t_eval, z)``).
     t_eval : float
         Time label passed through to the field.
-    x : ndarray or Tensor
-        Starting state.
+    x : ndarray, Tensor, or a tuple of them
+        Starting state; a tuple is a joint state (see ``rk5_step``).
     total_time : float or ndarray
         Flow duration, possibly per-path (batch, 1).
     substeps : int

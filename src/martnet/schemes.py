@@ -4,16 +4,20 @@ Four kernels: the Euler update on the Ito form, and three compositions of
 frozen-field flows (single-flow third-order cubature, the flow-reversal
 splitting, and the two-family splitting). Flow-based kernels accept batched
 states and integrate every path's flow duration in one vectorised RK5 pass.
+
+The same kernels drive the coupled (X, M) system of the dual pricer: the
+Euler, flow-reversal and two-family kernels take an optional martingale
+state and its network fields, and ``simulate`` returns the martingale's
+knots beside the asset paths in a single pass.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, where as ad_where
 from .errors import InvalidParameterError, ShapeError, UnknownSchemeError
 from .fields import ito_drift
-from .qmc import CubatureDraws, DrawBlock
 from .rk5 import flow
 
 
@@ -72,30 +76,63 @@ def _rows(x):
     return x, False
 
 
-def _frozen_field(model, coeff0, weights):
-    """Field z -> coeff0 * V_0(t,z) + sum_i weights[:, i] * V_i(t,z)."""
+def _frozen_field(model, coeff0, weights, net=None):
+    """Field z -> coeff0 * V_0(t,z) + sum_i weights[:, i] * V_i(t,z).
+
+    With ``net`` the state is (x, m) and the martingale part of the field is
+    sum_i weights[:, i] * net(i, t, x, m).
+    """
     v0 = model.stratonovich_fields[0]
     diffusions = model.stratonovich_fields[1:]
 
     def ev(t, z):
-        out = coeff0 * v0.eval(t, z)
+        x, m = (z, None) if net is None else z
+        out, zm = coeff0 * v0.eval(t, x), None
         for i, vi in enumerate(diffusions):
-            out = out + weights[:, i : i + 1] * vi.eval(t, z)
-        return out
+            out = out + weights[:, i : i + 1] * vi.eval(t, x)
+            if net is not None:
+                term = weights[:, i : i + 1] * net(i, t, x, m)
+                zm = term if zm is None else zm + term
+        return out if net is None else (out, zm)
 
     return ev
 
 
-def em_step(model, x, dt, eta_row, t=0.0):
-    """One Euler step x + dt * V~_0(x) + sqrt(dt) sum_i V_i(x) eta^i."""
+def _coupled(field, net, j):
+    """Field of the joint state (x, m): V(x) beside the martingale's net(j, t, x, m)."""
+    if net is None:
+        return field
+    return lambda t, z: (field.eval(t, z[0]), net(j, t, z[0], z[1]))
+
+
+def _select(mask, a, b):
+    """Per-row choice between two states; taped parts keep their gradients."""
+    if isinstance(a, tuple):
+        return tuple(_select(mask, pa, pb) for pa, pb in zip(a, b))
+    if isinstance(a, Tensor) or isinstance(b, Tensor):
+        return ad_where(mask, a, b)
+    return np.where(mask, a, b)
+
+
+def em_step(model, x, dt, eta_row, t=0.0, m=None, net=None):
+    """One Euler step x + dt * V~_0(x) + sqrt(dt) sum_i V_i(x) eta^i.
+
+    The martingale advances by sqrt(dt) sum_i eta^i net(i, t, x, m) at the
+    pre-step state.
+    """
     x2, single = _rows(x)
     eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
     drift = ito_drift(model)
     out = x2 + dt * drift.eval(t, x2)
     sdt = np.sqrt(dt)
+    acc = None
     for i, vi in enumerate(model.stratonovich_fields[1:]):
         out = out + sdt * eta2[:, i : i + 1] * vi.eval(t, x2)
-    return out[0] if single else out
+        if m is not None:
+            term = (sdt * eta2[:, i : i + 1]) * net(i, t, x2, m)
+            acc = term if acc is None else acc + term
+    out = out[0] if single else out
+    return out if m is None else (out, m + acc)
 
 
 def cub3_step(model, x, dt, eta_row, substeps=1, t=0.0):
@@ -107,45 +144,46 @@ def cub3_step(model, x, dt, eta_row, substeps=1, t=0.0):
     return out[0] if single else out
 
 
-def _nv_compose(model, x, dt, eta2, descending, substeps, t):
-    v0 = model.stratonovich_fields[0]
-    diffusions = model.stratonovich_fields[1:]
-    sdt = np.sqrt(dt)
-    x = flow(v0, t, x, dt / 2.0, substeps)
-    order = range(len(diffusions) - 1, -1, -1) if descending else range(len(diffusions))
+def _nv_diffusions(model, state, net, tau, descending, substeps, t):
+    order = range(model.d - 1, -1, -1) if descending else range(model.d)
     for i in order:
-        x = flow(diffusions[i], t, x, sdt * eta2[:, i : i + 1], substeps)
-    return flow(v0, t, x, dt / 2.0, substeps)
+        field = _coupled(model.stratonovich_fields[1 + i], net, i)
+        state = flow(field, t, state, tau[:, i : i + 1], substeps)
+    return state
 
 
-def nv_step(model, x, dt, eta_row, lam, substeps=1, t=0.0):
+def nv_step(model, x, dt, eta_row, lam, substeps=1, t=0.0, m=None, net=None):
     """Flow-reversal splitting step.
 
     lam = +1 runs the half drift flow, then the diffusion flows from V_d
     down to V_1, then the half drift flow; lam = -1 reverses the diffusion
-    order. lam may be a per-path array for batched states.
+    order. lam may be a per-path array for batched states: with more than
+    one diffusion field both orders then run on every path and each path
+    keeps the one its sign selects. The martingale rides the diffusion
+    flows only, its drift being zero.
     """
-    tensor_state = isinstance(x, Tensor)
-    x2, single = (x, False) if tensor_state else _rows(x)
+    x2, single = (x, False) if isinstance(x, Tensor) else _rows(x)
     eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
-    if np.ndim(lam) == 0:
-        if lam not in (-1, 1):
-            raise InvalidParameterError("lam must be +1 or -1")
-        out = _nv_compose(model, x2, dt, eta2, lam > 0, substeps, t)
-        return out[0] if single else out
-    if tensor_state:
-        raise InvalidParameterError("per-path lam with a taped state is not supported here")
-    lam = np.asarray(lam)
-    if model.d == 1:
-        # single diffusion field: both orders coincide
-        out = _nv_compose(model, x2, dt, eta2, True, substeps, t)
-        return out[0] if single else out
-    out = np.empty_like(x2)
-    for value, descending in ((1.0, True), (-1.0, False)):
-        mask = lam == value
-        if np.any(mask):
-            out[mask] = _nv_compose(model, x2[mask], dt, eta2[mask], descending, substeps, t)
-    return out[0] if single else out
+    if np.ndim(lam) == 0 and lam not in (-1, 1):
+        raise InvalidParameterError("lam must be +1 or -1")
+    v0 = model.stratonovich_fields[0]
+    tau = np.sqrt(dt) * eta2
+    x2 = flow(v0, t, x2, dt / 2.0, substeps)
+    state = x2 if m is None else (x2, m)
+    if np.ndim(lam) == 0 or model.d == 1:
+        # a single diffusion field makes both orders coincide
+        state = _nv_diffusions(model, state, net, tau, model.d == 1 or lam > 0, substeps, t)
+    else:
+        mask = (np.asarray(lam) > 0)[:, None]
+        state = _select(
+            mask,
+            _nv_diffusions(model, state, net, tau, True, substeps, t),
+            _nv_diffusions(model, state, net, tau, False, substeps, t),
+        )
+    x2, m = (state, None) if m is None else state
+    out = flow(v0, t, x2, dt / 2.0, substeps)
+    out = out[0] if single else out
+    return out if m is None else (out, m)
 
 
 def nn_constants(u, sign=1):
@@ -165,52 +203,75 @@ def nn_constants(u, sign=1):
     return c1, c2, r11, r22, r12
 
 
-def nn_step(model, x, dt, eta_row, xi_row, u=0.5, sign=1, substeps=1, t=0.0):
+def nn_step(model, x, dt, eta_row, xi_row, u=0.5, sign=1, substeps=1, t=0.0, m=None, net=None):
     """Two-family splitting step of Gaussian pairs (eta, zeta).
 
     zeta = (R12/sqrt(R11)) eta + sqrt(R22 - R12^2/R11) xi; the step flows
     unit time along c2*dt*V_0 + sqrt(dt) sum zeta^i V_i, then along
-    c1*dt*V_0 + sqrt(R11*dt) sum eta^i V_i.
+    c1*dt*V_0 + sqrt(R11*dt) sum eta^i V_i. The martingale's field carries
+    the same diffusion weights and no drift.
     """
     c1, c2, r11, r22, r12 = nn_constants(u, sign)
-    tensor_state = isinstance(x, Tensor)
-    x2, single = (x, False) if tensor_state else _rows(x)
+    x2, single = (x, False) if isinstance(x, Tensor) else _rows(x)
     eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
     xi2 = np.atleast_2d(np.asarray(xi_row, dtype=np.float64))
     zeta = (r12 / np.sqrt(r11)) * eta2 + np.sqrt(r22 - r12 * r12 / r11) * xi2
     sdt = np.sqrt(dt)
-    f_second = _frozen_field(model, c2 * dt, sdt * zeta)
-    f_first = _frozen_field(model, c1 * dt, np.sqrt(r11) * sdt * eta2)
-    out = flow(f_second, t, x2, 1.0, substeps)
-    out = flow(f_first, t, out, 1.0, substeps)
-    return out[0] if single else out
+    f_second = _frozen_field(model, c2 * dt, sdt * zeta, net)
+    f_first = _frozen_field(model, c1 * dt, np.sqrt(r11) * sdt * eta2, net)
+    state = flow(f_second, t, x2 if m is None else (x2, m), 1.0, substeps)
+    state = flow(f_first, t, state, 1.0, substeps)
+    x2, m = (state, None) if m is None else state
+    out = x2[0] if single else x2
+    return out if m is None else (out, m)
 
 
-def _unpack_draws(draws):
-    if isinstance(draws, DrawBlock):
-        return draws.eta, draws.xi, draws.lam
-    if isinstance(draws, CubatureDraws):
-        return draws.eta_tilde, draws.xi_tilde, draws.lam
-    raise ShapeError("draws must be a DrawBlock or CubatureDraws")
+def step_kernel(model, scheme, draws, substeps=1, u=0.5, sign=1, net=None):
+    """The scheme's one-step map step(x, m, k, t, dt) over step k of ``draws``.
+
+    The Euler, flow-reversal and two-family kernels take an optional
+    martingale state m, shaped (batch, 1), and the network callable
+    net(j, t, x, m) giving its diffusion fields V^M_j. Given m, a step
+    returns (x, m) advanced with the same draws, the martingale riding along
+    as one more state component; otherwise it returns x alone. No network
+    scheme composes the cubature kernel, so it takes no martingale.
+    """
+    eta, xi, lam = draws.eta, draws.xi, draws.lam
+    kernels = {
+        "em": lambda x, m, k, t, dt: em_step(model, x, dt, eta[:, k], t=t, m=m, net=net),
+        "cub3": lambda x, m, k, t, dt: cub3_step(model, x, dt, eta[:, k], substeps=substeps, t=t),
+        "nv": lambda x, m, k, t, dt: nv_step(
+            model, x, dt, eta[:, k], lam[:, k], substeps=substeps, t=t, m=m, net=net
+        ),
+        "nn": lambda x, m, k, t, dt: nn_step(
+            model, x, dt, eta[:, k], xi[:, k], u=u, sign=sign, substeps=substeps, t=t, m=m, net=net
+        ),
+    }
+    if scheme not in kernels:
+        raise UnknownSchemeError(f"unknown scheme tag: {scheme!r}")
+    if scheme == "cub3" and net is not None:
+        raise InvalidParameterError("the cubature kernel carries no martingale")
+    return kernels[scheme]
 
 
-def simulate(model, scheme, partition, draws, batch=None, substeps=1, u=0.5, sign=1):
+def simulate(model, scheme, partition, draws, substeps=1, u=0.5, sign=1, net=None):
     """Run the chosen kernel across the partition for every path.
 
     Shapes are validated before any computation: eta must be
     (batch, steps, model.d), the flow-reversal scheme needs lam of shape
     (batch, steps), and the two-family scheme needs xi congruent to eta.
+
+    Given ``net``, the martingale M (M_0 = 0) rides the same kernel as one
+    more state component, and the result is (paths, cols) with cols the
+    (batch, 1) values M_{t_0}, ..., M_{t_n}; a taped net makes them Tensors.
     """
     scheme = scheme.lower()
-    if scheme not in ("em", "cub3", "nv", "nn"):
-        raise UnknownSchemeError(f"unknown scheme tag: {scheme!r}")
-    eta, xi, lam = _unpack_draws(draws)
+    step = step_kernel(model, scheme, draws, substeps, u, sign, net)
+    eta, xi, lam = draws.eta, draws.xi, draws.lam
     steps = partition.steps
     if eta.ndim != 3 or eta.shape[1] != steps or eta.shape[2] != model.d:
         raise ShapeError(f"eta shaped {eta.shape}, expected (batch, {steps}, {model.d})")
     nb = eta.shape[0]
-    if batch is not None and batch != nb:
-        raise ShapeError(f"draws carry batch {nb}, expected {batch}")
     if scheme == "nv":
         if lam is None or lam.shape != (nb, steps):
             raise ShapeError("flow-reversal scheme needs lam shaped (batch, steps)")
@@ -222,22 +283,14 @@ def simulate(model, scheme, partition, draws, batch=None, substeps=1, u=0.5, sig
     deltas = partition.deltas
     states = np.empty((nb, steps + 1, model.N))
     states[:, 0, :] = model.x0
-    drift = ito_drift(model) if scheme == "em" else None
-    diffusions = model.stratonovich_fields[1:]
+    m = None if net is None else np.zeros((nb, 1))
+    cols = [m]
     for k in range(steps):
-        x = states[:, k, :]
-        tk = float(times[k])
-        dt = float(deltas[k])
-        if scheme == "em":
-            out = x + dt * drift.eval(tk, x)
-            sdt = np.sqrt(dt)
-            for i, vi in enumerate(diffusions):
-                out = out + sdt * eta[:, k, i : i + 1] * vi.eval(tk, x)
-        elif scheme == "cub3":
-            out = cub3_step(model, x, dt, eta[:, k], substeps=substeps, t=tk)
-        elif scheme == "nv":
-            out = nv_step(model, x, dt, eta[:, k], lam[:, k], substeps=substeps, t=tk)
+        out = step(states[:, k, :], m, k, float(times[k]), float(deltas[k]))
+        if m is None:
+            states[:, k + 1, :] = out
         else:
-            out = nn_step(model, x, dt, eta[:, k], xi[:, k], u=u, sign=sign, substeps=substeps, t=tk)
-        states[:, k + 1, :] = out
-    return PathBatch(states=states, partition=partition, scheme=scheme)
+            states[:, k + 1, :], m = out
+            cols.append(m)
+    paths = PathBatch(states=states, partition=partition, scheme=scheme)
+    return paths if net is None else (paths, cols)

@@ -6,6 +6,7 @@ import pytest
 import martnet as mn
 from martnet.autodiff import Tensor
 from martnet.dual import (
+    _simulate_coupled,
     MartingaleNetConfig,
     BridgeParams,
     bridge_sup,
@@ -20,7 +21,7 @@ from martnet.dual import (
     evaluate_loss,
     train,
 )
-from martnet.mlp import init_mlp
+from martnet.mlp import init_mlp, params_to_tensors
 from martnet.qmc import draws_for
 from martnet.oracles import binomial_american_put
 from martnet.errors import InvalidParameterError, ShapeError
@@ -216,6 +217,25 @@ def test_mart_paths_shape_checks(bsm):
         mart_paths(cfg, [init_mlp(bsm.N + 2, 1, 0)], bsm, assets, bad)
 
 
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("scheme,tag", [("resnet-em", "em"), ("nvnet", "nv"), ("nnet", "nn")])
+def test_coupled_pass_assets_match_plain(heston, scheme, tag, taped):
+    # the martingale rides the asset kernel without feeding back into X
+    p = mn.uniform_partition(1.0, 4)
+    cfg = MartingaleNetConfig(scheme=scheme, d_M=2, partition=p, batch=64)
+    nets = [init_mlp(heston.N + 2, 1, seed=j) for j in range(2)]
+    rng = np.random.default_rng(12)
+    for net in nets:
+        net.proj[:] = 0.05 * rng.standard_normal(net.proj.shape)
+    if taped:
+        nets = [params_to_tensors(net) for net in nets]
+    draws = draws_for(tag, 2, 4, 64, seed=13)
+    paths, cols = _simulate_coupled(cfg, nets, heston, draws, taped)
+    np.testing.assert_array_equal(paths.states, simulate_assets(cfg, heston, draws).states)
+    last = cols[-1].data if taped else cols[-1]
+    assert len(cols) == 5 and np.abs(last).max() > 0.0
+
+
 # -- canonical centering --------------------------------------------------------
 
 
@@ -249,6 +269,33 @@ def test_canonical_center_martingale_mean(bsm):
     out = canonical_center(cfg, [constant_field_mlp(bsm, c)], K, draws, grid, model=bsm)
     band = 3.0 * abs(c) * math.sqrt(1.0)
     assert abs(out[1]) < band
+
+
+def _one_step_center(bsm, scheme, tag, c, K=64):
+    p = mn.uniform_partition(0.25, 1)
+    cfg = MartingaleNetConfig(scheme=scheme, d_M=1, partition=p, batch=K)
+    draws = draws_for(tag, 1, 1, K, seed=15)
+    grid = simulate_assets(cfg, bsm, draws_for(tag, 1, 1, 1, seed=16))
+    return canonical_center(cfg, [constant_field_mlp(bsm, c)], K, draws, grid, model=bsm), draws
+
+
+def test_canonical_center_constant_field_nvnet(bsm):
+    c = 1.5
+    out, draws = _one_step_center(bsm, "nvnet", "nv", c)
+    inc = c * math.sqrt(0.25) * draws.eta[:, 0, 0]
+    assert out[0] == 0.0
+    assert abs(out[1] - (inc[0] - inc.mean())) < 1e-12
+
+
+def test_canonical_center_constant_field_nnet(bsm):
+    c = 1.5
+    out, draws = _one_step_center(bsm, "nnet", "nn", c)
+    _, _, r11, r22, r12 = mn.nn_constants(0.5, 1)
+    eta, xi = draws.eta[:, 0, 0], draws.xi[:, 0, 0]
+    zeta = (r12 / math.sqrt(r11)) * eta + math.sqrt(r22 - r12 * r12 / r11) * xi
+    inc = c * math.sqrt(0.25) * (zeta + math.sqrt(r11) * eta)
+    assert out[0] == 0.0
+    assert abs(out[1] - (inc[0] - inc.mean())) < 1e-12
 
 
 # -- loss plumbing ---------------------------------------------------------------

@@ -7,7 +7,6 @@ from martnet.qmc import (
     dims_for,
     draws_for,
     DrawBlock,
-    CubatureDraws,
 )
 from martnet.errors import DomainError, UnknownSchemeError, UnsupportedDimensionError
 
@@ -102,8 +101,8 @@ def test_lambda_balance():
 
 def test_cubature_marginals():
     d = draws_for("em", 1, 6, 100000, mode="cubature", seed=7)
-    assert isinstance(d, CubatureDraws)
-    vals = d.eta_tilde.ravel()  # 6e5 draws
+    assert isinstance(d, DrawBlock)
+    vals = d.eta.ravel()  # 6e5 draws
     assert vals.size == 600000
     root3 = np.sqrt(3.0)
     assert set(np.unique(vals)) <= {-root3, 0.0, root3}
@@ -112,7 +111,7 @@ def test_cubature_marginals():
 
 def test_cubature_moments():
     d = draws_for("em", 1, 6, 100000, mode="cubature", seed=7)
-    vals = d.eta_tilde.ravel()
+    vals = d.eta.ravel()
     assert abs(np.mean(vals**2) - 1.0) < 0.02
     assert abs(np.mean(vals**4) - 3.0) < 0.1
 
@@ -126,6 +125,5 @@ def test_block_determinism():
 
 def test_pseudo_source():
     d = draws_for("em", 1, 4, 256, seed=1, source="pseudo")
-    assert d.source == "pseudo"
     q = draws_for("em", 1, 4, 256, seed=1, source="qmc")
     assert np.any(d.eta != q.eta)

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from martnet.rk5 import RK5Tableau, rk5_step, flow
+from martnet import rk5
+from martnet.rk5 import rk5_step, flow
 from martnet.errors import NumericError
 
 
 def test_tableau_weights():
-    b = np.asarray(RK5Tableau.b)
+    b = np.asarray(rk5.B)
     assert abs(b.sum() - 1.0) < 1e-15
     np.testing.assert_allclose(b, np.array([7.0, 0.0, 32.0, 12.0, 32.0, 7.0]) / 90.0)
     # explicit method: row i of the stage table has exactly i entries
-    for i, row in enumerate(RK5Tableau.a):
+    for i, row in enumerate(rk5.A):
         assert len(row) == i
 
 
