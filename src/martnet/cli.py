@@ -96,7 +96,7 @@ def _cmd_train(args):
         out_dir=run_dir,
         checkpoint_every=100,
     )
-    write_loss_csv(out_csv, result.losses, result.wall_ms)
+    write_loss_csv(out_csv, result.losses, result.wall_ms, result.centering_residuals)
     save_checkpoint(os.path.join(run_dir, "final.ckpt"), result.mlps)
     title = f"{resolved['model']} {resolved['net']} steps={resolved['steps']}"
     write_report(run_dir, csv_name=os.path.basename(out_csv), title=title)

@@ -31,6 +31,11 @@ from .schemes import PathBatch, simulate, step_kernel
 
 PILOT_PATHS = 10
 SIGMA_FLOOR = 1e-8
+# Spawn-key tag of the evaluation streams. Training keys its digital shift by
+# the integer seed + iteration and its bridge uniforms by [seed, iteration,
+# 0xB21D9E]; an evaluation key pads the seed to four words and appends
+# (_EVAL_TAG, k), so it matches no training key for any seed below 2^128.
+_EVAL_TAG = 0xE7A1
 
 _ASSET_TAG = {"resnet-em": "em", "nvnet": "nv", "nnet": "nn"}
 
@@ -336,10 +341,15 @@ def loss_and_grads(config, mlps, model, draws, bridge=True, uniforms=None, sigma
 
 
 def evaluate_loss(config, mlps, model, batch=5000, seed=0, bridge=True):
-    """Out-of-training loss of the current networks over a fresh QMC batch."""
+    """Out-of-training loss of the current networks over a fresh QMC batch.
+
+    The digital shift and the bridge uniforms come from keys tagged for
+    evaluation, so no seed makes them repeat a training iteration's.
+    """
     n = config.partition.steps
-    draws = draws_for(_ASSET_TAG[config.scheme], model.d, n, batch, seed=seed)
-    uniforms = _bridge_uniforms(seed, 0, batch, n) if bridge else None
+    shift_key, bridge_key = np.random.SeedSequence(seed, spawn_key=(_EVAL_TAG,)).spawn(2)
+    draws = draws_for(_ASSET_TAG[config.scheme], model.d, n, batch, seed=shift_key)
+    uniforms = np.random.Generator(np.random.Philox(bridge_key)).random((batch, n)) if bridge else None
     return loss_value(config, mlps, model, draws, bridge=bridge, uniforms=uniforms)
 
 

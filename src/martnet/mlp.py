@@ -6,6 +6,7 @@ output dimension. Forward passes come in two flavours: a plain numpy path
 for evaluation, and a taped path over autodiff Tensors for training.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field as dc_field
 
@@ -219,37 +220,46 @@ def save_checkpoint(path, mlps):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; raises ShapeError unless the file is exactly one."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC:
         raise ShapeError(f"{path} is not a checkpoint file")
-    version, count = struct.unpack_from("<II", raw, 4)
+    off = 4
+
+    def take(n_bytes):
+        nonlocal off
+        if off + n_bytes > len(raw):
+            raise ShapeError(f"{path} is truncated at byte {len(raw)}: needs {off + n_bytes}")
+        off += n_bytes
+        return off - n_bytes
+
+    def unpack(fmt):
+        return struct.unpack_from(fmt, raw, take(struct.calcsize(fmt)))
+
+    version, count = unpack("<II")
     if version != _VERSION:
-        raise ShapeError(f"unsupported checkpoint version {version}")
-    off = 12
+        raise ShapeError(f"{path}: unsupported checkpoint version {version}")
     headers = []
     for _ in range(count):
-        seed, n_arrays = struct.unpack_from("<qI", raw, off)
-        off += 12
+        seed, n_arrays = unpack("<qI")
         shapes = []
         for _ in range(n_arrays):
-            (ndim,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            dims = struct.unpack_from(f"<{ndim}Q", raw, off)
-            off += 8 * ndim
-            shapes.append(tuple(dims))
+            (ndim,) = unpack("<I")
+            shapes.append(unpack(f"<{ndim}Q"))
         headers.append((seed, shapes))
     mlps = []
     for seed, shapes in headers:
         arrays = []
         for shape in shapes:
-            size = int(np.prod(shape)) if shape else 1
-            a = np.frombuffer(raw, dtype="<f8", count=size, offset=off).reshape(shape).copy()
-            off += 8 * size
+            size = math.prod(shape)
+            a = np.frombuffer(raw, dtype="<f8", count=size, offset=take(8 * size)).reshape(shape).copy()
             arrays.append(a)
         n_layers = (len(arrays) - 1) // 2
         layers = [(arrays[2 * i], arrays[2 * i + 1]) for i in range(n_layers)]
         mlps.append(MlpParams(layers=layers, proj=arrays[-1], seed=seed))
+    if off != len(raw):
+        raise ShapeError(f"{path} has {len(raw) - off} trailing bytes after the last array")
     return mlps
 
 

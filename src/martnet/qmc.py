@@ -2,26 +2,27 @@
 
 Sobol' points come from scipy's unscrambled generator (Joe-Kuo direction
 numbers, 21201 dimensions); the generalisation is a digital shift applied
-here: points are exact multiples of 2^-30, so they XOR cleanly with a
-per-dimension 30-bit mask drawn from the shift seed, and a half-spacing
-offset keeps the result strictly inside the unit cube. The origin point is
+here: points are exact multiples of 2^-30, so their 30-bit integers XOR
+with a per-dimension mask drawn from the shift seed, in uint32 and in
+place, and a half-spacing offset keeps the result strictly inside the unit
+cube (every coordinate an odd multiple of 2^-31). The origin point is
 always skipped.
 
-The inverse normal CDF is a rational initial guess polished with one Newton
-step through the high-accuracy complementary error function.
+The inverse normal CDF is scipy's ``ndtri``, guarded so that u outside the
+open unit interval raises instead of returning an infinity.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtri
 from scipy.stats import qmc as _scipy_qmc
 
 from .errors import DomainError, InvalidParameterError, UnknownSchemeError, UnsupportedDimensionError
 
 _MAXDIM = 21201
 _BITS = 30
-_SCALE = float(2**_BITS)
+_SCALE = 2.0**_BITS
 
 SQRT3 = float(np.sqrt(3.0))
 
@@ -51,7 +52,7 @@ def sobol_points(dim, n, scramble_seed=None):
         Coordinate count, at most 21201.
     n : int
         Number of points; 0 returns an empty matrix.
-    scramble_seed : int, optional
+    scramble_seed : int or numpy.random.SeedSequence, optional
         Seed of the digital shift. None applies no shift, exposing the raw
         sequence (first coordinate 0.5, 0.75, 0.25, ...).
     """
@@ -67,58 +68,21 @@ def sobol_points(dim, n, scramble_seed=None):
     if scramble_seed is None:
         return pts
     shift = np.random.default_rng(scramble_seed).integers(0, 2**_BITS, size=dim, dtype=np.uint64)
-    ints = np.round(pts * _SCALE).astype(np.uint64)
-    ints ^= shift
-    return (ints.astype(np.float64) + 0.5) / _SCALE
-
-
-# Rational approximation constants (Acklam-class), |error| < 1.2e-9 before
-# the Newton polish brings it to machine level.
-_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-      1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-      6.680131188771972e01, -1.328068155288572e01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-      -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-      3.754408661907416e00)
-_P_LOW = 0.02425
-
-
-def _poly(coeffs, x):
-    out = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
+    pts *= _SCALE  # exact: every point is a multiple of 2^-30
+    ints = pts.astype(np.uint32)
+    ints ^= shift.astype(np.uint32)
+    pts[...] = ints
+    pts += 0.5
+    pts *= 1.0 / _SCALE
+    return pts
 
 
 def inv_normal_cdf(u):
-    """Quantile function of the standard normal, abs error < 1e-9."""
+    """Quantile function of the standard normal; raises unless 0 < u < 1."""
     u = np.asarray(u, dtype=np.float64)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not (np.all(u > 0.0) and np.all(u < 1.0)):  # NaN fails too
         raise DomainError("inv_normal_cdf requires 0 < u < 1")
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    x = np.empty_like(u)
-
-    low = u < _P_LOW
-    high = u > 1.0 - _P_LOW
-    mid = ~(low | high)
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        x[mid] = _poly(_A, r) * q / (_poly(_B, r) * r + 1.0)
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(u[low]))
-        x[low] = _poly(_C, q) / (_poly(_D, q) * q + 1.0)
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log(1.0 - u[high]))
-        x[high] = -_poly(_C, q) / (_poly(_D, q) * q + 1.0)
-
-    # One Newton step: Phi(x) via erfc is accurate to machine precision.
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    x -= (0.5 * erfc(-x / np.sqrt(2.0)) - u) / pdf
-    return x[0] if scalar else x
+    return ndtri(u)
 
 
 def _cubature_map(u):

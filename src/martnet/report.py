@@ -9,7 +9,7 @@ from .errors import UsageError
 
 
 def read_loss_csv(path):
-    """Read an iteration,loss,wall_ms CSV; returns three numpy arrays."""
+    """Read an iteration,loss,wall_ms[,...] CSV; returns three numpy arrays."""
     iterations, losses, wall = [], [], []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -30,12 +30,15 @@ def read_loss_csv(path):
     return np.array(iterations), np.array(losses), np.array(wall)
 
 
-def write_loss_csv(path, losses, wall_ms):
-    """Write the loss curve; iterations are 1-based, loss at full precision."""
+def write_loss_csv(path, losses, wall_ms, centering_residuals):
+    """Write the loss curve and the largest |mean M| per iteration.
+
+    Iterations are 1-based; loss and residual at full precision.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("iteration,loss,wall_ms\n")
-        for i, (l, w) in enumerate(zip(losses, wall_ms), start=1):
-            fh.write(f"{i},{repr(float(l))},{float(w):.3f}\n")
+        fh.write("iteration,loss,wall_ms,centering_residual\n")
+        for i, (l, w, r) in enumerate(zip(losses, wall_ms, centering_residuals), start=1):
+            fh.write(f"{i},{repr(float(l))},{float(w):.3f},{repr(float(r))}\n")
 
 
 def plateau_iteration(iterations, losses):

@@ -53,11 +53,15 @@ def test_loss_csv_roundtrip(tmp_path):
     path = tmp_path / "run.csv"
     losses = np.array([20.0, 15.5, 14.25])
     wall = np.array([10.0, 11.0, 12.0])
-    write_loss_csv(path, losses, wall)
+    resid = np.array([1e-17, 0.0, 3.3e-16])
+    write_loss_csv(path, losses, wall, resid)
     it, lo, wa = read_loss_csv(path)
     np.testing.assert_array_equal(it, [1, 2, 3])
     np.testing.assert_array_equal(lo, losses)
     np.testing.assert_array_equal(wa, wall)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert rows[0] == ["iteration", "loss", "wall_ms", "centering_residual"]
+    np.testing.assert_array_equal([float(r[3]) for r in rows[1:]], resid)
 
 
 def test_plateau_iteration_definition():
@@ -125,6 +129,9 @@ def test_cli_flag_overrides_config(tmp_path):
     assert main(["train", "--config", str(cfg), "--iters", "2", "--out", str(run_dir / "run.csv")]) == 0
     it, lo, _ = read_loss_csv(run_dir / "run.csv")
     assert len(lo) == 2
+    lines = (run_dir / "run.csv").read_text().splitlines()
+    assert lines[0].endswith(",centering_residual")
+    assert all(float(line.split(",")[3]) < 1e-12 for line in lines[1:])
 
 
 def test_unknown_scheme_rejected():

@@ -21,6 +21,7 @@ from martnet.dual import (
     evaluate_loss,
     train,
 )
+from martnet import dual
 from martnet.mlp import init_mlp, params_to_tensors
 from martnet.qmc import draws_for
 from martnet.oracles import binomial_american_put
@@ -324,6 +325,38 @@ def test_duality_direction(bsm):
     result = train(cfg, mlps, 20, bsm, seed=0, bridge=True)
     val = evaluate_loss(cfg, result.mlps, bsm, batch=5000, seed=123, bridge=True)
     assert val >= tree - 0.5
+
+
+def test_evaluation_streams_disjoint_from_training(bsm, monkeypatch):
+    # evaluate_loss(seed=s) after train(seed=s) must not reuse the training
+    # draws or bridge uniforms: the bound would be partly in-sample
+    p = mn.uniform_partition(1.0, 4)
+    cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=64)
+    mlps = [init_mlp(bsm.N + 2, 1, seed=0)]
+    seen = {"draws": [], "uniforms": []}
+    real_draws, real_uniforms, real_value = dual.draws_for, dual._bridge_uniforms, dual.loss_value
+
+    def spy_draws(*args, **kwargs):
+        seen["draws"].append(real_draws(*args, **kwargs))
+        return seen["draws"][-1]
+
+    def spy_uniforms(*args):
+        seen["uniforms"].append(real_uniforms(*args))
+        return seen["uniforms"][-1]
+
+    def spy_value(config, nets, model, draws, bridge=True, uniforms=None, sigma_hat=None):
+        seen["eval"] = (draws, uniforms)
+        return real_value(config, nets, model, draws, bridge=bridge, uniforms=uniforms, sigma_hat=sigma_hat)
+
+    monkeypatch.setattr(dual, "draws_for", spy_draws)
+    monkeypatch.setattr(dual, "_bridge_uniforms", spy_uniforms)
+    monkeypatch.setattr(dual, "loss_value", spy_value)
+    train(cfg, mlps, 1, bsm, seed=0, bridge=True)
+    (train_draws,), (train_uniforms,) = seen["draws"], seen["uniforms"]
+    evaluate_loss(cfg, mlps, bsm, batch=512, seed=0, bridge=True)
+    eval_draws, eval_uniforms = seen["eval"]
+    assert not np.any(np.all(eval_draws.eta[:64] == train_draws.eta, axis=(1, 2)))
+    assert not np.any(np.all(eval_uniforms[:64] == train_uniforms, axis=1))
 
 
 def test_loss_and_grads_nonzero(bsm):

@@ -186,3 +186,19 @@ def test_checkpoint_roundtrip(tmp_path):
             np.testing.assert_array_equal(b1, b2)
         x = np.random.default_rng(1).standard_normal((3, 4))
         np.testing.assert_array_equal(mlp_forward(a, x), mlp_forward(b, x))
+
+
+@pytest.mark.parametrize("cut", ["8", "40", "n-8", "trailing"])
+def test_checkpoint_damaged_file_raises_shape_error(tmp_path, cut):
+    path = tmp_path / "nets.ckpt"
+    save_checkpoint(path, [init_mlp(4, 1, seed=12), init_mlp(4, 1, seed=13)])
+    raw = path.read_bytes()
+    damaged = {
+        "8": raw[:8],
+        "40": raw[:40],
+        "n-8": raw[:-8],
+        "trailing": raw + b"\0" * 8,
+    }[cut]
+    path.write_bytes(damaged)
+    with pytest.raises(ShapeError, match="nets.ckpt"):
+        load_checkpoint(path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 from martnet.qmc import (
     sobol_points,
@@ -63,6 +65,8 @@ def test_inv_normal_domain():
         inv_normal_cdf(0.0)
     with pytest.raises(DomainError):
         inv_normal_cdf(1.0)
+    with pytest.raises(DomainError):
+        inv_normal_cdf(np.array([0.5, np.nan]))
 
 
 def test_dims_per_scheme():
@@ -127,3 +131,54 @@ def test_pseudo_source():
     d = draws_for("em", 1, 4, 256, seed=1, source="pseudo")
     q = draws_for("em", 1, 4, 256, seed=1, source="qmc")
     assert np.any(d.eta != q.eta)
+
+
+# -- properties of the draws layer --------------------------------------------
+
+_open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@given(_open_unit)
+def test_inv_normal_inverts_ndtr(u):
+    assert abs(ndtr(inv_normal_cdf(u)) - u) <= 1e-15
+
+
+@given(st.floats(min_value=0.5, max_value=1.0, exclude_max=True))
+def test_inv_normal_antisymmetric(v):
+    # 1 - v is exact for v in [0.5, 1), so the two quantiles mirror
+    x = inv_normal_cdf(v)
+    assert abs(x + inv_normal_cdf(1.0 - v)) <= 4 * np.spacing(abs(x))
+
+
+@given(_open_unit)
+def test_inv_normal_scalar_in_scalar_out(u):
+    x = inv_normal_cdf(u)
+    assert isinstance(x, np.float64)
+    assert inv_normal_cdf(np.array([u, u])).shape == (2,)
+
+
+_shifted = dict(
+    dim=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_shifted)
+def test_shifted_points_odd_multiples_inside_cube(dim, n, seed):
+    pts = sobol_points(dim, n, scramble_seed=seed)
+    assert pts.shape == (n, dim)
+    assert np.all(pts > 0.0) and np.all(pts < 1.0)
+    k = pts * 2.0**31
+    assert np.all(k == np.floor(k)) and np.all(k.astype(np.int64) % 2 == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_shifted)
+def test_shifted_points_match_rounded_uint64_formula(dim, n, seed):
+    raw = sobol_points(dim, n)
+    shift = np.random.default_rng(seed).integers(0, 2**30, size=dim, dtype=np.uint64)
+    ints = np.round(raw * 2.0**30).astype(np.uint64) ^ shift
+    expected = (ints.astype(np.float64) + 0.5) / 2.0**30
+    assert sobol_points(dim, n, scramble_seed=seed).tobytes() == expected.tobytes()
