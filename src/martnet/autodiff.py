@@ -8,8 +8,8 @@ created with ``requires_grad=True``.
 Only the operations needed by the martingale pipeline are implemented:
 elementwise arithmetic with broadcasting, matrix products, ReLU, square
 root, reductions, column concatenation and slicing, a row-wise max, and a
-mask select. Operands that are plain ndarrays or python scalars are treated
-as constants and receive no gradient.
+merge of two row subsets. Operands that are plain ndarrays or python
+scalars are treated as constants and receive no gradient.
 """
 
 import numpy as np
@@ -219,10 +219,15 @@ class Tensor:
 
     def __getitem__(self, key):
         out_data = self.data[key]
+        parts = key if isinstance(key, tuple) else (key,)
+        fancy = any(isinstance(k, (np.ndarray, list)) for k in parts)
 
-        def backward(g, a=self, key=key, shape=self.data.shape):
+        def backward(g, a=self, key=key, shape=self.data.shape, fancy=fancy):
             gx = np.zeros(shape)
-            gx[key] = g
+            if fancy:
+                np.add.at(gx, key, g)  # an index array may repeat an entry
+            else:
+                gx[key] = g
             a._accumulate(gx)
 
         return Tensor._node(out_data, (self,), backward)
@@ -309,16 +314,17 @@ def affine_relu(x, w, b):
     return Tensor._node(out_data, (x, w, b), backward)
 
 
-def where(mask, a, b):
-    """Select ``a`` where ``mask`` else ``b``; the mask is a constant."""
-    mask = np.asarray(mask, dtype=bool)
-    out_data = np.where(mask, _data(a), _data(b))
+def merge_rows(ia, a, ib, b):
+    """The batch whose rows ``ia`` are ``a`` and rows ``ib`` are ``b``; ndarrays merge off the tape."""
+    out_data = np.empty((len(ia) + len(ib),) + _data(a).shape[1:])
+    out_data[ia], out_data[ib] = _data(a), _data(b)
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        return out_data
 
-    def backward(g, a=a, b=b, mask=mask):
-        if isinstance(a, Tensor):
-            a._accumulate(_unbroadcast(np.where(mask, g, 0.0), a.data.shape))
-        if isinstance(b, Tensor):
-            b._accumulate(_unbroadcast(np.where(mask, 0.0, g), b.data.shape))
+    def backward(g, a=a, b=b, ia=ia, ib=ib):
+        for part, rows in ((a, ia), (b, ib)):
+            if isinstance(part, Tensor):
+                part._accumulate(g[rows])
 
     return Tensor._node(out_data, (a, b), backward)
 

@@ -4,6 +4,7 @@ import argparse
 import os
 import sys
 
+from .atomic import atomic_open
 from .config import (
     NET_SCHEMES,
     build_model,
@@ -74,7 +75,7 @@ def _cmd_train(args):
     out_csv = os.path.abspath(resolved["out"])
     run_dir = os.path.dirname(out_csv)
     os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "config.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(run_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(snapshot_text(resolved))
 
     partition = uniform_partition(resolved["T"], resolved["steps"])

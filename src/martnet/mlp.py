@@ -12,6 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .autodiff import Tensor, affine_relu
 from .errors import NumericError, ShapeError
 from .fields import VectorField
@@ -63,7 +64,8 @@ def mlp_forward(params, x):
     if h.shape[1] != params.in_dim:
         raise ShapeError(f"input width {h.shape[1]}, network expects {params.in_dim}")
     for w, b in params.layers:
-        h = np.maximum(h @ w + b, 0.0)
+        h = h @ w  # a fresh array, so the layers below never write the caller's input
+        np.maximum(np.add(h, b, out=h), 0.0, out=h)
     out = h @ params.proj
     return out[0] if single else out
 
@@ -214,7 +216,7 @@ def save_checkpoint(path, mlps):
             head.append(struct.pack("<I", a.ndim))
             head.append(struct.pack(f"<{a.ndim}Q", *a.shape))
             blobs.append(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(b"".join(head))
         fh.write(b"".join(blobs))
 

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import UsageError
 
 
@@ -35,7 +36,7 @@ def write_loss_csv(path, losses, wall_ms, centering_residuals):
 
     Iterations are 1-based; loss and residual at full precision.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("iteration,loss,wall_ms,centering_residual\n")
         for i, (l, w, r) in enumerate(zip(losses, wall_ms, centering_residuals), start=1):
             fh.write(f"{i},{repr(float(l))},{float(w):.3f},{repr(float(r))}\n")
@@ -149,8 +150,8 @@ def write_report(run_dir, csv_name=None, title=None):
     svg = render_svg(iterations, losses, title=title or csv_name)
     txt_path = os.path.join(run_dir, "report.txt")
     svg_path = os.path.join(run_dir, "report.svg")
-    with open(txt_path, "w", encoding="utf-8") as fh:
+    with atomic_open(txt_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    with open(svg_path, "w", encoding="utf-8") as fh:
+    with atomic_open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return txt_path, svg_path

@@ -8,14 +8,16 @@ states and integrate every path's flow duration in one vectorised RK5 pass.
 The same kernels drive the coupled (X, M) system of the dual pricer: the
 Euler, flow-reversal and two-family kernels take an optional martingale
 state and its network fields, and ``simulate`` returns the martingale's
-knots beside the asset paths in a single pass.
+knots beside the asset paths in a single pass. The flow-reversal kernel
+splits a batch by each path's sign, so every path, and every network
+evaluation on it, flows through the one diffusion order its sign selects.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, where as ad_where
+from .autodiff import Tensor, merge_rows
 from .errors import InvalidParameterError, ShapeError, UnknownSchemeError
 from .fields import ito_drift
 from .rk5 import flow
@@ -99,19 +101,10 @@ def _frozen_field(model, coeff0, weights, net=None):
 
 
 def _coupled(field, net, j):
-    """Field of the joint state (x, m): V(x) beside the martingale's net(j, t, x, m)."""
+    """Field of the state tuple (x,) or (x, m): V(x), beside net(j, t, x, m) given m."""
     if net is None:
-        return field
+        return lambda t, z: (field.eval(t, z[0]),)
     return lambda t, z: (field.eval(t, z[0]), net(j, t, z[0], z[1]))
-
-
-def _select(mask, a, b):
-    """Per-row choice between two states; taped parts keep their gradients."""
-    if isinstance(a, tuple):
-        return tuple(_select(mask, pa, pb) for pa, pb in zip(a, b))
-    if isinstance(a, Tensor) or isinstance(b, Tensor):
-        return ad_where(mask, a, b)
-    return np.where(mask, a, b)
 
 
 def em_step(model, x, dt, eta_row, t=0.0, m=None, net=None):
@@ -158,9 +151,9 @@ def nv_step(model, x, dt, eta_row, lam, substeps=1, t=0.0, m=None, net=None):
     lam = +1 runs the half drift flow, then the diffusion flows from V_d
     down to V_1, then the half drift flow; lam = -1 reverses the diffusion
     order. lam may be a per-path array for batched states: with more than
-    one diffusion field both orders then run on every path and each path
-    keeps the one its sign selects. The martingale rides the diffusion
-    flows only, its drift being zero.
+    one diffusion field the rows are split by sign and each path flows
+    through the order its sign selects only. The martingale rides the
+    diffusion flows only, its drift being zero.
     """
     x2, single = (x, False) if isinstance(x, Tensor) else _rows(x)
     eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
@@ -169,18 +162,17 @@ def nv_step(model, x, dt, eta_row, lam, substeps=1, t=0.0, m=None, net=None):
     v0 = model.stratonovich_fields[0]
     tau = np.sqrt(dt) * eta2
     x2 = flow(v0, t, x2, dt / 2.0, substeps)
-    state = x2 if m is None else (x2, m)
-    if np.ndim(lam) == 0 or model.d == 1:
-        # a single diffusion field makes both orders coincide
-        state = _nv_diffusions(model, state, net, tau, model.d == 1 or lam > 0, substeps, t)
+    state = (x2,) if m is None else (x2, m)
+    pos = np.asarray(lam) > 0
+    if model.d == 1 or pos.all() or not pos.any():
+        # a single diffusion field makes both orders coincide; one sign needs no split
+        state = _nv_diffusions(model, state, net, tau, model.d == 1 or bool(pos.all()), substeps, t)
     else:
-        mask = (np.asarray(lam) > 0)[:, None]
-        state = _select(
-            mask,
-            _nv_diffusions(model, state, net, tau, True, substeps, t),
-            _nv_diffusions(model, state, net, tau, False, substeps, t),
-        )
-    x2, m = (state, None) if m is None else state
+        ia, ib = np.flatnonzero(pos), np.flatnonzero(~pos)
+        a = _nv_diffusions(model, tuple(p[ia] for p in state), net, tau[ia], True, substeps, t)
+        b = _nv_diffusions(model, tuple(p[ib] for p in state), net, tau[ib], False, substeps, t)
+        state = tuple(merge_rows(ia, pa, ib, pb) for pa, pb in zip(a, b))
+    x2, m = state if m is not None else (state[0], None)
     out = flow(v0, t, x2, dt / 2.0, substeps)
     out = out[0] if single else out
     return out if m is None else (out, m)

@@ -29,6 +29,7 @@ from martnet.qmc import draws_for
 from martnet.report import plateau_iteration
 from martnet.rk5 import flow
 
+pytestmark = pytest.mark.slow
 
 ADAM_DESK = {"alpha": 0.01}  # desk-scale step size; library default stays 0.001
 

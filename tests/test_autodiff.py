@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from martnet.autodiff import Tensor, concat_cols, affine_relu, where, sqrt as t_sqrt
+from martnet.autodiff import Tensor, concat_cols, affine_relu, merge_rows, sqrt as t_sqrt
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -104,15 +105,21 @@ def test_affine_relu_matches_composition():
     np.testing.assert_allclose(lb.grad, lb2.grad)
 
 
-def test_where_routes_gradient():
-    mask = np.array([[True], [False], [True]])
-    a = Tensor(np.ones((3, 1)), requires_grad=True)
-    b = Tensor(np.full((3, 1), 2.0), requires_grad=True)
-    out = where(mask, a, b)
-    np.testing.assert_array_equal(out.data[:, 0], [1.0, 2.0, 1.0])
-    out.sum().backward()
-    np.testing.assert_array_equal(a.grad[:, 0], [1.0, 0.0, 1.0])
-    np.testing.assert_array_equal(b.grad[:, 0], [0.0, 1.0, 0.0])
+def test_merge_rows_values_and_gradient():
+    ia, ib = np.array([0, 2, 3]), np.array([4, 1])
+    a = Tensor(np.array([[1.0], [3.0], [4.0]]), requires_grad=True)
+    b = Tensor(np.array([[5.0], [2.0]]), requires_grad=True)
+    out = merge_rows(ia, a, ib, b)
+    np.testing.assert_array_equal(out.data[:, 0], [1.0, 2.0, 3.0, 4.0, 5.0])
+    (out * np.arange(1.0, 6.0)[:, None]).sum().backward()
+    np.testing.assert_array_equal(a.grad[:, 0], [1.0, 3.0, 4.0])
+    np.testing.assert_array_equal(b.grad[:, 0], [5.0, 2.0])
+    # constants merge without a tape node, and a constant side gets no gradient
+    plain = merge_rows(ia, a.data, ib, b.data)
+    assert isinstance(plain, np.ndarray)
+    np.testing.assert_array_equal(plain, out.data)
+    mixed = merge_rows(ia, a.data, ib, b)
+    assert isinstance(mixed, Tensor) and mixed._parents == (b,)
 
 
 def test_quadratic_gradient_exact():
@@ -159,3 +166,87 @@ def test_mixed_ndarray_tensor_operands():
     assert isinstance(out, Tensor)
     out2 = np.array([[1.0, 1.0]]) + x
     assert isinstance(out2, Tensor)
+
+
+# -- property tests: every tape op against central finite differences -------
+
+_cases = dict(
+    rows=st.integers(min_value=1, max_value=6),
+    cols=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def _weights(rng, shape):
+    """Fixed random cotangent, so the scalar loss sees every entry."""
+    return rng.standard_normal(shape)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_cases)
+def test_property_merge_rows(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(rows + 1)
+    ia = perm[: rng.integers(0, rows + 2)]
+    ib = np.setdiff1d(perm, ia)
+    x = rng.standard_normal((rows + 1, cols))
+    other = rng.standard_normal((ib.size, cols))
+    w = _weights(rng, (rows + 1, cols))
+    check_op(lambda t: (merge_rows(ia, t[ia], ib, other) * w).sum(), x)
+    check_op(lambda t: (merge_rows(ib, other, ia, t[ia]) * w).sum(), x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_cases)
+def test_property_getitem_index_array(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, cols))
+    idx = rng.integers(0, rows, size=rng.integers(1, 2 * rows + 1))  # repeats accumulate
+    w = _weights(rng, (idx.size, cols))
+    check_op(lambda t: (t[idx] * w).sum(), x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_cases)
+def test_property_affine_relu(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, cols))
+    wt = rng.standard_normal((cols, 3))
+    b = rng.standard_normal(3)
+    pre = x @ wt + b
+    assume(np.min(np.abs(pre)) > 1e-3)  # the relu kink is not differentiable
+    w = _weights(rng, (rows, 3))
+    check_op(lambda t: (affine_relu(t, wt, b) * w).sum(), x)
+    check_op(lambda t: (affine_relu(x, t, b) * w).sum(), wt)
+    check_op(lambda t: (affine_relu(x, wt, t) * w).sum(), b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_cases)
+def test_property_concat_cols(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, cols))
+    const = rng.standard_normal((rows, 2))
+    w = _weights(rng, (rows, 2 * cols + 2))
+    check_op(lambda t: (concat_cols([t, const, t.square()]) * w).sum(), x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_cases)
+def test_property_max_rows(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, cols))
+    top = np.sort(x, axis=1)
+    assume(cols == 1 or np.min(top[:, -1] - top[:, -2]) > 1e-3)  # ties move the argmax
+    w = _weights(rng, rows)
+    check_op(lambda t: (t.max_rows() * w).sum(), x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_cases)
+def test_property_square_sqrt(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, cols))
+    w = _weights(rng, (rows, cols))
+    check_op(lambda t: (t.square() * w).sum(), x)
+    check_op(lambda t: (t.sqrt() * w).sum(), np.abs(x) + 0.1, rtol=1e-5)

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from martnet.atomic import atomic_open
 from martnet.cli import main
 from martnet.config import parse_config_text, resolve_config, build_model, snapshot_text
 from martnet.report import read_loss_csv, write_loss_csv, plateau_iteration, render_svg, write_report
@@ -62,6 +63,31 @@ def test_loss_csv_roundtrip(tmp_path):
     rows = [line.split(",") for line in path.read_text().splitlines()]
     assert rows[0] == ["iteration", "loss", "wall_ms", "centering_residual"]
     np.testing.assert_array_equal([float(r[3]) for r in rows[1:]], resid)
+
+
+def test_atomic_open_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write("half of the new ")
+            raise RuntimeError("writer failed")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["config.txt"]
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["config.txt"]
+
+
+def test_loss_csv_failed_write_keeps_previous(tmp_path):
+    path = tmp_path / "run.csv"
+    write_loss_csv(path, [20.0, 15.0], [1.0, 1.0], [0.0, 0.0])
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # the second row fails after the header and first row
+        write_loss_csv(path, [19.0, "bad"], [1.0, 1.0], [0.0, 0.0])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["run.csv"]
 
 
 def test_plateau_iteration_definition():

@@ -73,6 +73,24 @@ def test_forward_dimension_check():
         mlp_forward(p, np.ones((2, 4)))
 
 
+@pytest.mark.parametrize("batch", [1, 513, 8192])
+def test_forward_in_place_matches_composition(batch):
+    p = init_mlp(4, 1, seed=3)
+    rng = np.random.default_rng(batch)
+    for w, b in p.layers:
+        b[:] = rng.standard_normal(b.shape) * 0.1
+    p.proj[:] = rng.standard_normal(p.proj.shape)
+    x = rng.standard_normal((batch, 4))
+    x_before = x.copy()
+    h = x
+    for w, b in p.layers:
+        h = np.maximum(h @ w + b, 0.0)
+    want = h @ p.proj
+    got = mlp_forward(p, x)
+    assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == x_before.tobytes()
+
+
 def test_taped_forward_matches_plain():
     p = init_mlp(3, 2, seed=6)
     p.proj[:] = np.random.default_rng(6).standard_normal(p.proj.shape) * 0.1
@@ -186,6 +204,21 @@ def test_checkpoint_roundtrip(tmp_path):
             np.testing.assert_array_equal(b1, b2)
         x = np.random.default_rng(1).standard_normal((3, 4))
         np.testing.assert_array_equal(mlp_forward(a, x), mlp_forward(b, x))
+
+
+def test_checkpoint_failed_write_keeps_previous(tmp_path, monkeypatch):
+    path = tmp_path / "nets.ckpt"
+    save_checkpoint(path, [init_mlp(4, 1, seed=12)])
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr("martnet.atomic.os.replace", fail)
+    with pytest.raises(OSError):
+        save_checkpoint(path, [init_mlp(4, 1, seed=13)])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nets.ckpt"]
 
 
 @pytest.mark.parametrize("cut", ["8", "40", "n-8", "trailing"])

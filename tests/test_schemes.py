@@ -5,6 +5,8 @@ import pytest
 
 import martnet as mn
 from martnet import schemes as sch
+from martnet.dual import MartingaleNetConfig, _bridge_uniforms, loss_and_grads, loss_value
+from martnet.mlp import init_mlp, param_arrays, rebuild_params
 from martnet.qmc import draws_for
 from martnet.oracles import bs_european_put
 from martnet.errors import InvalidParameterError, ShapeError
@@ -173,3 +175,67 @@ def test_path_positivity(bsm):
     for scheme, tag in (("cub3", "em"), ("nv", "nv"), ("nn", "nn")):
         paths = sch.simulate(bsm, scheme, p, draws_for(tag, 1, 8, 500, seed=3))
         assert paths.states.min() > 0.0
+
+
+def _closed_form_net(j, t, x, m):
+    return 0.1 * (j + 1) * x[:, :1]
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [np.ones(7), -np.ones(7), np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0]), np.array([-1.0])],
+    ids=["all-plus", "all-minus", "mixed", "batch-1"],
+)
+def test_nv_per_path_lam_equals_scalar_rows(heston, lam):
+    # each path flows only the order its sign selects, bit for bit as if alone
+    rng = np.random.default_rng(12)
+    nb = lam.size
+    x = heston.x0 * (1.0 + 0.2 * rng.standard_normal((nb, heston.N)) ** 2)
+    eta = rng.standard_normal((nb, heston.d))
+    m = rng.standard_normal((nb, 1))
+    out_x = sch.nv_step(heston, x, 0.25, eta, lam, t=0.5)
+    out_xm, out_m = sch.nv_step(heston, x, 0.25, eta, lam, t=0.5, m=m, net=_closed_form_net)
+    for r in range(nb):
+        rows = slice(r, r + 1)
+        want_x = sch.nv_step(heston, x[rows], 0.25, eta[rows], int(lam[r]), t=0.5)
+        assert out_x[rows].tobytes() == want_x.tobytes()
+        want_xm, want_m = sch.nv_step(
+            heston, x[rows], 0.25, eta[rows], int(lam[r]), t=0.5, m=m[rows], net=_closed_form_net
+        )
+        assert out_xm[rows].tobytes() == want_xm.tobytes()
+        assert out_m[rows].tobytes() == want_m.tobytes()
+
+
+def test_heston_nvnet_mixed_lam_gradient(heston):
+    # the split's row gather and merge sit on the tape between the networks and the loss
+    p1 = mn.uniform_partition(1.0, 1)
+    cfg = MartingaleNetConfig(scheme="nvnet", d_M=2, partition=p1, batch=64)
+    rng = np.random.default_rng(8)
+    mlps = [init_mlp(heston.N + 2, 1, seed=5 + j) for j in range(2)]
+    for p in mlps:
+        p.proj[:] = rng.standard_normal(p.proj.shape) * 0.05
+    draws = draws_for("nv", 2, 1, 64, seed=9)
+    assert np.any(draws.lam > 0) and np.any(draws.lam < 0)
+    uniforms = _bridge_uniforms(9, 0, 64, 1)
+    sigma_hat = np.array([20.0])
+
+    _, grads = loss_and_grads(cfg, mlps, heston, draws, bridge=True, uniforms=uniforms, sigma_hat=sigma_hat)
+    rng2 = np.random.default_rng(4)
+    h = 1e-5
+    worst = 0.0
+    for _ in range(10):
+        j = int(rng2.integers(0, 2))
+        arrs = param_arrays(mlps[j])
+        ai = int(rng2.integers(0, len(arrs)))
+        idx = tuple(int(rng2.integers(0, s)) for s in arrs[ai].shape)
+
+        def value(delta):
+            shifted = [a.copy() for a in arrs]
+            shifted[ai][idx] += delta
+            nets = list(mlps)
+            nets[j] = rebuild_params(mlps[j], shifted)
+            return loss_value(cfg, nets, heston, draws, bridge=True, uniforms=uniforms, sigma_hat=sigma_hat)
+
+        fd = (value(h) - value(-h)) / (2.0 * h)
+        worst = max(worst, abs(fd - grads[j][ai][idx]) / max(1e-8, abs(fd)))
+    assert worst < 1e-3
