@@ -14,6 +14,13 @@ paired
     reference exponent sums the per-step Brownian weights: the Gaussian
     (or cubature) draws themselves, or the combined two-factor increment
     for the split-Gaussian scheme.
+
+A ladder draws once, at its top rung, and every rung runs on the first
+``steps`` steps of that block. Those are exactly the draws the rung would
+make alone: coordinates are allocated per step, unscrambled Sobol'
+dimensions do not depend on how many follow, and the digital shift's
+per-dimension masks come from one generator stream whose first k values do
+not depend on how many are asked for.
 """
 
 from dataclasses import dataclass
@@ -22,7 +29,7 @@ import numpy as np
 
 from .errors import UsageError
 from .oracles import bs_european_put
-from .qmc import draws_for
+from .qmc import DrawBlock, draws_for
 from .schemes import nn_constants, simulate, uniform_partition
 
 _SCHEMES = ("em", "cub3", "nv", "nn")
@@ -70,6 +77,8 @@ def run_convergence(
         raise UsageError("step counts must be positive")
     if sorted(set(counts)) != counts:
         raise UsageError("step counts must be strictly ascending")
+    if substeps < 1 or qmc_points < 1:
+        raise UsageError("substeps and the point count must be >= 1")
     if protocol not in ("auto", "direct", "paired"):
         raise UsageError(f"unknown protocol: {protocol!r}")
     proto = protocol if protocol != "auto" else ("direct" if scheme == "em" else "paired")
@@ -83,11 +92,12 @@ def run_convergence(
     # Black-Scholes put compounded forward.
     ref_direct = float(np.exp(mu * T) * bs_european_put(s0, strike, sigma, T, r=mu))
 
+    mode = "cubature" if scheme == "cub3" else "gaussian"
+    top = draws_for(scheme, model.d, counts[-1], qmc_points, mode=mode, seed=seed)
     errs = []
     for steps in counts:
         part = uniform_partition(T, steps)
-        mode = "cubature" if scheme == "cub3" else "gaussian"
-        draws = draws_for(scheme, model.d, steps, qmc_points, mode=mode, seed=seed)
+        draws = DrawBlock(*(a if a is None else a[:, :steps] for a in (top.eta, top.xi, top.lam)))
         paths = simulate(model, scheme, part, draws, substeps=substeps, u=u, sign=sign)
         terminal = paths.states[:, -1, 0]
         price = float(np.maximum(strike - terminal, 0.0).mean())

@@ -67,6 +67,8 @@ class MartingaleNetConfig:
             raise InvalidParameterError("d_M must be >= 1")
         if self.batch < 1:
             raise InvalidParameterError("batch must be >= 1")
+        if self.substeps < 1:
+            raise InvalidParameterError("substeps must be >= 1")
 
 
 @dataclass(frozen=True)

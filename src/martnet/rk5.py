@@ -12,7 +12,7 @@ derivative per part and the stages combine the parts one by one.
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import NumericError
+from .errors import InvalidParameterError, NumericError
 
 # 6-stage tableau; the weights sum to one and the resulting update matches
 # the exponential series through h^5 (the h^6 coefficient is 1/1280, the
@@ -96,7 +96,7 @@ def flow(field, t_eval, x, total_time, substeps=1):
         Number of equal RK5 steps covering the duration.
     """
     if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+        raise InvalidParameterError("substeps must be >= 1")
     eval_fn = field.eval if hasattr(field, "eval") else field
 
     def f(z):

@@ -256,6 +256,10 @@ def simulate(model, scheme, partition, draws, substeps=1, u=0.5, sign=1, net=Non
     Given ``net``, the martingale M (M_0 = 0) rides the same kernel as one
     more state component, and the result is (paths, cols) with cols the
     (batch, 1) values M_{t_0}, ..., M_{t_n}; a taped net makes them Tensors.
+
+    Each step reads the running state, a contiguous (batch, N) array, and
+    the result is copied once into its knot of ``states``; a strided knot
+    column is never a kernel's input.
     """
     scheme = scheme.lower()
     step = step_kernel(model, scheme, draws, substeps, u, sign, net)
@@ -274,15 +278,17 @@ def simulate(model, scheme, partition, draws, substeps=1, u=0.5, sign=1, net=Non
     times = partition.times
     deltas = partition.deltas
     states = np.empty((nb, steps + 1, model.N))
-    states[:, 0, :] = model.x0
+    x = np.full((nb, model.N), model.x0)
+    states[:, 0, :] = x
     m = None if net is None else np.zeros((nb, 1))
     cols = [m]
     for k in range(steps):
-        out = step(states[:, k, :], m, k, float(times[k]), float(deltas[k]))
+        out = step(x, m, k, float(times[k]), float(deltas[k]))
         if m is None:
-            states[:, k + 1, :] = out
+            x = out
         else:
-            states[:, k + 1, :], m = out
+            x, m = out
             cols.append(m)
+        states[:, k + 1, :] = x
     paths = PathBatch(states=states, partition=partition, scheme=scheme)
     return paths if net is None else (paths, cols)

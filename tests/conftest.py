@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import martnet as mn
 from martnet.mlp import MlpParams, DEPTH, HIDDEN
+
+# Property tests run numpy work of uneven cost, so no per-example deadline;
+# a failing run prints the blob that reproduces its example.
+settings.register_profile("martnet", deadline=None, print_blob=True)
+settings.load_profile("martnet")
 
 
 @pytest.fixture(scope="session")

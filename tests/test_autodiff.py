@@ -182,7 +182,7 @@ def _weights(rng, shape):
     return rng.standard_normal(shape)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(**_cases)
 def test_property_merge_rows(rows, cols, seed):
     rng = np.random.default_rng(seed)
@@ -196,7 +196,7 @@ def test_property_merge_rows(rows, cols, seed):
     check_op(lambda t: (merge_rows(ib, other, ia, t[ia]) * w).sum(), x)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(**_cases)
 def test_property_getitem_index_array(rows, cols, seed):
     rng = np.random.default_rng(seed)
@@ -206,7 +206,7 @@ def test_property_getitem_index_array(rows, cols, seed):
     check_op(lambda t: (t[idx] * w).sum(), x)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(**_cases)
 def test_property_affine_relu(rows, cols, seed):
     rng = np.random.default_rng(seed)
@@ -221,7 +221,7 @@ def test_property_affine_relu(rows, cols, seed):
     check_op(lambda t: (affine_relu(x, wt, t) * w).sum(), b)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(**_cases)
 def test_property_concat_cols(rows, cols, seed):
     rng = np.random.default_rng(seed)
@@ -231,7 +231,7 @@ def test_property_concat_cols(rows, cols, seed):
     check_op(lambda t: (concat_cols([t, const, t.square()]) * w).sum(), x)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(**_cases)
 def test_property_max_rows(rows, cols, seed):
     rng = np.random.default_rng(seed)
@@ -242,7 +242,7 @@ def test_property_max_rows(rows, cols, seed):
     check_op(lambda t: (t.max_rows() * w).sum(), x)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(**_cases)
 def test_property_square_sqrt(rows, cols, seed):
     rng = np.random.default_rng(seed)

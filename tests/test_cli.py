@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from martnet.atomic import atomic_open
 from martnet.cli import main
@@ -13,6 +14,41 @@ from martnet.errors import UsageError
 def test_config_parse_roundtrip():
     cfg = parse_config_text("model=bsm\n# comment\nbatch=64\n\nsigma=0.32\n")
     assert cfg == {"model": "bsm", "batch": 64, "sigma": 0.32}
+
+
+def _line_value(text):
+    # a value survives a key = value line only without line breaks and surrounding blanks
+    return text == text.strip() and len(text.splitlines()) <= 1
+
+
+_positive = st.integers(min_value=1, max_value=2**40)
+_config_values = dict(
+    model=st.sampled_from(["bsm", "BSM", "heston", "Heston"]),
+    S0=st.floats(1.0, 1e3),
+    U0=st.floats(1e-3, 1.0),
+    mu=st.floats(-1.0, 1.0),
+    sigma=st.floats(1e-3, 2.0),
+    theta=st.floats(1e-3, 1.0),
+    alpha=st.floats(1e-3, 10.0),
+    rho=st.floats(-1.0, 1.0),
+    beta=st.floats(1e-3, 2.0),
+    K=st.floats(1.0, 1e3),
+    T=st.floats(1e-3, 10.0),
+    net=st.sampled_from(["resnet", "nvnet", "nnet"]),
+    steps=_positive,
+    batch=_positive,
+    iters=_positive,
+    seed=st.integers(min_value=-(2**63), max_value=2**63),
+    bridge=st.sampled_from(["on", "off"]),
+    out=st.text(max_size=40).filter(_line_value),
+)
+
+
+@settings(max_examples=100)
+@given(st.fixed_dictionaries({}, optional=_config_values))
+def test_property_config_snapshot_round_trip(given_cfg):
+    cfg = resolve_config(given_cfg)
+    assert resolve_config(parse_config_text(snapshot_text(cfg))) == cfg
 
 
 def test_config_parse_errors():

@@ -1,0 +1,91 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import martnet as mn
+from martnet.convergence import _terminal_weights
+from martnet.errors import UsageError
+from martnet.qmc import draws_for
+from martnet.schemes import simulate, uniform_partition
+
+LADDERS = {"em": [2, 4, 8], "cub3": [1, 2, 4], "nv": [1, 2, 4], "nn": [1, 3, 4]}
+POINTS = 2**11
+
+
+def _reference_ladder(model, scheme, counts, points, seed, proto):
+    """The ladder with a fresh draw block per rung, written out in full."""
+    s0, mu, sigma = (float(model.params[k]) for k in ("S0", "mu", "sigma"))
+    strike = float(model.payoff.strike)
+    ref_direct = float(np.exp(mu) * mn.bs_european_put(s0, strike, sigma, 1.0, r=mu))
+    mode = "cubature" if scheme == "cub3" else "gaussian"
+    errs = []
+    for steps in counts:
+        draws = draws_for(scheme, model.d, steps, points, mode=mode, seed=seed)
+        paths = simulate(model, scheme, uniform_partition(1.0, steps), draws)
+        price = float(np.maximum(strike - paths.states[:, -1, 0], 0.0).mean())
+        if proto == "direct":
+            err = abs(price - ref_direct)
+        else:
+            w = _terminal_weights(scheme, draws, 0.5, 1)
+            exact = s0 * np.exp(mu - 0.5 * sigma * sigma + sigma * np.sqrt(1.0 / steps) * w)
+            err = abs(price - float(np.maximum(strike - exact, 0.0).mean()))
+        errs.append(max(err, 1e-16))
+    slope = float(np.polyfit(np.log2(counts), np.log2(errs), 1)[0])
+    return errs, slope
+
+
+@pytest.mark.parametrize("proto", ["direct", "paired"])
+@pytest.mark.parametrize("scheme", sorted(LADDERS))
+def test_ladder_equals_per_rung_draws(bsm, scheme, proto):
+    # one draw block per ladder, each rung its prefix: the same bits as a block per rung
+    counts = LADDERS[scheme]
+    rows = mn.run_convergence(bsm, scheme, counts, POINTS, seed=5, protocol=proto)
+    errs, slope = _reference_ladder(bsm, scheme, counts, POINTS, 5, proto)
+    assert [r.steps for r in rows] == counts
+    assert [r.abs_err for r in rows] == errs
+    assert all(r.slope == slope for r in rows)
+
+
+@settings(max_examples=30)
+@given(
+    scheme=st.sampled_from(["em", "cub3", "nv", "nn"]),
+    d=st.integers(min_value=1, max_value=2),
+    mode=st.sampled_from(["gaussian", "cubature"]),
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    top=st.integers(min_value=1, max_value=12),
+    data=st.data(),
+)
+def test_draws_are_prefix_stable(scheme, d, mode, seed, top, data):
+    s = data.draw(st.integers(min_value=0, max_value=top), label="s")
+    full = draws_for(scheme, d, top, 64, mode=mode, seed=seed)
+    part = draws_for(scheme, d, s, 64, mode=mode, seed=seed)
+    for name in ("eta", "xi", "lam"):
+        a, b = getattr(full, name), getattr(part, name)
+        if s == 0 or a is None:
+            assert b is None or b.size == 0
+        else:
+            assert b.shape == a[:, :s].shape
+            assert b.tobytes() == np.ascontiguousarray(a[:, :s]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"scheme": "euler"},
+        {"step_counts": [2, 1]},
+        {"step_counts": [1, 1]},
+        {"protocol": "exact"},
+        {"substeps": 0},
+        {"qmc_points": 0},
+    ],
+    ids=["unknown-scheme", "descending", "repeated", "bad-protocol", "substeps-0", "points-0"],
+)
+def test_usage_errors(bsm, kwargs):
+    args = {"model": bsm, "scheme": "nv", "step_counts": [1, 2], "qmc_points": 64, **kwargs}
+    with pytest.raises(UsageError):
+        mn.run_convergence(**args)
+
+
+def test_heston_is_a_usage_error(heston):
+    with pytest.raises(UsageError):
+        mn.run_convergence(heston, "nv", [1, 2], 64)

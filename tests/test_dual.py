@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import martnet as mn
 from martnet.autodiff import Tensor
@@ -46,6 +47,8 @@ def test_config_validation(bsm):
         MartingaleNetConfig(scheme="nvnet", d_M=0, partition=p, batch=8)
     with pytest.raises(InvalidParameterError):
         MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=0)
+    with pytest.raises(InvalidParameterError):
+        MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=8, substeps=0)
 
 
 # -- bridge ------------------------------------------------------------------
@@ -70,6 +73,39 @@ def test_bridge_monotone_in_u():
     vals = np.array([bridge_sup(bp, u) for u in us])
     assert np.all(np.diff(vals) >= 0.0)
     assert np.all(vals >= 2.5)  # sup dominates both endpoints
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_bridge_cases = dict(
+    a=st.floats(-1e3, 1e3, **_finite),
+    b=st.floats(-1e3, 1e3, **_finite),
+    sigma=st.floats(1e-3, 1e2, **_finite),
+    dt=st.floats(1e-4, 1.0, **_finite),
+    u=st.floats(0.0, 1.0, exclude_max=True, **_finite),
+    v=st.floats(0.0, 1.0, exclude_max=True, **_finite),
+)
+_EPS = np.finfo(np.float64).eps
+
+
+@settings(max_examples=200)
+@given(**_bridge_cases)
+def test_property_bridge_sup_inverts_its_cdf(a, b, sigma, dt, u, v):
+    # G = bridge_sup(bp, u) solves 1 - exp(-2 (G - a)(G - b) / (sigma^2 dt)) = u. G is a
+    # double, so a bound must allow its rounding at the inputs' scale, `delta`: it
+    # moves the exponent by 2 (|2G - a - b| delta + delta^2) / (sigma^2 dt), which
+    # outgrows 1e-12 u once sigma sqrt(dt) << |a - b|. The sum a + b + root leaves G
+    # short of max(a, b) by rounding, and by up to |a - b| / 2 < 2^-511 where
+    # (a - b)^2 underflows.
+    bp = BridgeParams(a=a, b=b, sigma=sigma, dt=dt)
+    g = float(bridge_sup(bp, u))
+    assert g >= max(a, b) - 2.0 * _EPS * max(abs(a), abs(b)) - 2.0**-511
+    lo, hi = sorted((u, v))
+    assert bridge_sup(bp, lo) <= bridge_sup(bp, hi)
+    var_dt = sigma * sigma * dt
+    back = -np.expm1(-2.0 * (g - a) * (g - b) / var_dt)
+    delta = 4.0 * _EPS * max(abs(a), abs(b), abs(g))
+    slack = 2.0 * (1.0 - u) * (abs(2.0 * g - a - b) * delta + delta * delta) / var_dt
+    assert abs(back - u) <= 1e-12 * u + slack + np.finfo(np.float64).tiny
 
 
 def test_bridge_parameter_errors():

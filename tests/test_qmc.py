@@ -164,7 +164,7 @@ _shifted = dict(
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(**_shifted)
 def test_shifted_points_odd_multiples_inside_cube(dim, n, seed):
     pts = sobol_points(dim, n, scramble_seed=seed)
@@ -174,7 +174,7 @@ def test_shifted_points_odd_multiples_inside_cube(dim, n, seed):
     assert np.all(k == np.floor(k)) and np.all(k.astype(np.int64) % 2 == 1)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(**_shifted)
 def test_shifted_points_match_rounded_uint64_formula(dim, n, seed):
     raw = sobol_points(dim, n)

@@ -5,7 +5,7 @@ import pytest
 
 from martnet import rk5
 from martnet.rk5 import rk5_step, flow
-from martnet.errors import NumericError
+from martnet.errors import InvalidParameterError, NumericError
 
 
 def test_tableau_weights():
@@ -97,3 +97,8 @@ def test_per_path_durations():
     out = flow(lambda t, y: y, 0.0, x, tt, 1)
     # a single fifth-order step over duration 0.3 carries ~4e-7 truncation
     np.testing.assert_allclose(out[:, 0], np.exp(tt[:, 0]), rtol=1e-5)
+
+
+def test_flow_rejects_zero_substeps():
+    with pytest.raises(InvalidParameterError):
+        flow(lambda t, y: y, 0.0, np.array([1.0]), 1.0, 0)

@@ -182,6 +182,31 @@ def _closed_form_net(j, t, x, m):
 
 
 @pytest.mark.parametrize(
+    "scheme, tag, coupled",
+    [("em", "em", False), ("cub3", "em", False), ("nv", "nv", False), ("nn", "nn", False),
+     ("em", "em", True), ("nv", "nv", True), ("nn", "nn", True)],
+)
+@pytest.mark.parametrize("name", ["bsm", "heston"])
+def test_simulate_knots_are_kernel_steps(request, name, scheme, tag, coupled):
+    # the running state carried between steps gives each knot the kernel's bits
+    model = request.getfixturevalue(name)
+    p = mn.uniform_partition(1.0, 5)
+    mode = "cubature" if scheme == "cub3" else "gaussian"
+    draws = draws_for(tag, model.d, 5, 257, mode=mode, seed=4)
+    net = _closed_form_net if coupled else None
+    out = sch.simulate(model, scheme, p, draws, net=net)
+    paths, cols = out if coupled else (out, None)
+    step = sch.step_kernel(model, scheme, draws, net=net)
+    for k in range(5):
+        m = cols[k] if coupled else None
+        got = step(paths.states[:, k, :], m, k, float(p.times[k]), float(p.deltas[k]))
+        want_x, want_m = got if coupled else (got, None)
+        assert paths.states[:, k + 1, :].tobytes() == np.ascontiguousarray(want_x).tobytes()
+        if coupled:
+            assert cols[k + 1].tobytes() == want_m.tobytes()
+
+
+@pytest.mark.parametrize(
     "lam",
     [np.ones(7), -np.ones(7), np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0]), np.array([-1.0])],
     ids=["all-plus", "all-minus", "mixed", "batch-1"],
