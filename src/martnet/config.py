@@ -105,6 +105,9 @@ def resolve_config(cfg):
     for key in ("steps", "batch", "iters"):
         if merged[key] < 1:
             raise UsageError(f"{key} must be >= 1")
+    for key in _FLOAT_KEYS:
+        if key in merged and not np.isfinite(merged[key]):
+            raise UsageError(f"{key} must be finite, got {merged[key]!r}")
     if merged["T"] <= 0:
         raise UsageError("T must be positive")
     return merged

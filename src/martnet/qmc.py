@@ -1,30 +1,49 @@
 """Low-discrepancy point generation and scheme-shaped random draws.
 
-Sobol' points come from scipy's unscrambled generator (Joe-Kuo direction
-numbers, 21201 dimensions); the generalisation is a digital shift applied
-here: points are exact multiples of 2^-30, so their 30-bit integers XOR
-with a per-dimension mask drawn from the shift seed, in uint32 and in
-place, and a half-spacing offset keeps the result strictly inside the unit
-cube (every coordinate an odd multiple of 2^-31). The origin point is
-always skipped.
+Sobol' points are built here in numpy: Joe & Kuo's (2008) direction
+numbers, 21201 dimensions at 30 bits, taken in the Antonov-Saleev Gray-code
+order, so the unscrambled sequence is bit for bit scipy's
+``scipy.stats.qmc.Sobol(d, scramble=False)``. The polynomials and initial
+direction numbers are read from the table scipy ships, located by path so
+that ``scipy.stats`` is never imported; the recurrence runs once per
+dimension and its table is kept for the process. The origin point is always
+skipped.
+
+The generalisation is a digital shift: every point is a 30-bit integer
+times 2^-30, and the shift XORs those integers with a per-dimension mask
+drawn from the shift seed. A half-spacing offset keeps the result strictly
+inside the unit cube (every coordinate an odd multiple of 2^-31).
 
 The inverse normal CDF is scipy's ``ndtri``, guarded so that u outside the
 open unit interval raises instead of returning an infinity.
 """
 
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.special import ndtri
-from scipy.stats import qmc as _scipy_qmc
 
-from .errors import DomainError, InvalidParameterError, UnknownSchemeError, UnsupportedDimensionError
+from .errors import (
+    DomainError,
+    InvalidParameterError,
+    MartnetError,
+    UnknownSchemeError,
+    UnsupportedDimensionError,
+)
 
 _MAXDIM = 21201
 _BITS = 30
-_SCALE = 2.0**_BITS
+_MAXN = 2**_BITS - 1  # the origin and n points fill 2^30 Gray-code rows at most
+_DIRECTION_FILE = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
 
 SQRT3 = float(np.sqrt(3.0))
+
+# (dim, _BITS) uint32 direction numbers, column b the integer that bit b of
+# a point's Gray code XORs in; grown on demand, never shrunk.
+_directions = np.empty((0, _BITS), dtype=np.uint32)
 
 
 @dataclass(frozen=True)
@@ -43,6 +62,52 @@ class DrawBlock:
     lam: np.ndarray = None
 
 
+def _direction_block(lo, hi):
+    """Direction numbers of dimensions [lo, hi), shaped (hi - lo, _BITS).
+
+    Dimension j > 0 has a primitive polynomial of degree s with coefficient
+    bits a_1 .. a_{s-1} and initial odd integers m_1 .. m_s; later ones
+    follow m_k = 2 a_1 m_{k-1} ^ 4 a_2 m_{k-2} ^ ... ^ 2^s m_{k-s} ^ m_{k-s}
+    (Bratley & Fox 1988). Dimension 0 is the van der Corput sequence, every
+    m_k = 1. The loops run over bit positions and polynomial terms; each
+    statement acts on all dimensions at once.
+    """
+    try:
+        with np.load(_DIRECTION_FILE) as table:
+            poly = table["poly"][lo:hi].astype(np.int64)
+            vinit = table["vinit"][lo:hi].astype(np.int64)
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise MartnetError(f"cannot read Sobol' direction numbers from {_DIRECTION_FILE}: {exc}")
+    count = hi - lo
+    deg = np.frexp(poly.astype(np.float64))[1] - 1  # floor(log2(poly)), exact below 2^53
+    maxdeg = vinit.shape[1]
+    terms = np.arange(maxdeg)
+    # coef[:, k] is the coefficient of m_{j-k-1}'s term; the last one (k = s - 1) is 2^s
+    coef = np.where(terms < deg[:, None], (poly[:, None] >> np.maximum(deg[:, None] - 1 - terms, 0)) & 1, 0)
+    coef <<= terms + 1
+    m = np.zeros((count, _BITS), dtype=np.int64)
+    rows = np.arange(count)
+    for j in range(_BITS):
+        known = j < deg
+        if j < maxdeg:
+            m[known, j] = vinit[known, j]
+        new = m[rows, np.maximum(j - deg, 0)]
+        for k in range(min(j, maxdeg)):
+            new ^= coef[:, k] * m[:, j - k - 1]
+        m[~known, j] = new[~known]
+    if lo == 0:
+        m[0] = 1
+    return (m << np.arange(_BITS - 1, -1, -1)).astype(np.uint32)
+
+
+def _direction_numbers(dim):
+    global _directions
+    have = _directions.shape[0]
+    if dim > have:
+        _directions = np.concatenate([_directions, _direction_block(have, dim)])
+    return _directions[:dim]
+
+
 def sobol_points(dim, n, scramble_seed=None):
     """First ``n`` digitally-shifted Sobol' points in (0,1)^dim.
 
@@ -51,30 +116,37 @@ def sobol_points(dim, n, scramble_seed=None):
     dim : int
         Coordinate count, at most 21201.
     n : int
-        Number of points; 0 returns an empty matrix.
+        Number of points, at most 2^30 - 1; 0 returns an empty matrix.
     scramble_seed : int or numpy.random.SeedSequence, optional
         Seed of the digital shift. None applies no shift, exposing the raw
         sequence (first coordinate 0.5, 0.75, 0.25, ...).
     """
     if dim < 1 or dim > _MAXDIM:
         raise UnsupportedDimensionError(f"sobol dimension {dim} outside [1, {_MAXDIM}]")
-    if n < 0:
-        raise InvalidParameterError("point count must be non-negative")
+    if n < 0 or n > _MAXN:
+        raise InvalidParameterError(f"point count {n} outside [0, {_MAXN}]")
     if n == 0:
         return np.empty((0, dim))
-    eng = _scipy_qmc.Sobol(d=dim, scramble=False)
-    eng.fast_forward(1)
-    pts = eng.random(n)
+    # Row i holds 2 k_i + 1 for shifted points, 2 k_i unshifted, with k_i the
+    # point's 30-bit integer: one exact product by 2^-31 then gives k_i + 1/2
+    # or k_i in units of 2^-30. XOR is linear and the doubled directions are
+    # even, so starting row 0 from the doubled shift shifts every row.
+    directions = _direction_numbers(dim) << np.uint32(1)
+    rows = np.empty((n + 1, dim), dtype=np.uint32)
     if scramble_seed is None:
-        return pts
-    shift = np.random.default_rng(scramble_seed).integers(0, 2**_BITS, size=dim, dtype=np.uint64)
-    pts *= _SCALE  # exact: every point is a multiple of 2^-30
-    ints = pts.astype(np.uint32)
-    ints ^= shift.astype(np.uint32)
-    pts[...] = ints
-    pts += 0.5
-    pts *= 1.0 / _SCALE
-    return pts
+        rows[0] = 0
+    else:
+        shift = np.random.default_rng(scramble_seed).integers(0, 2**_BITS, size=dim, dtype=np.uint64)
+        rows[0] = 2 * shift + 1
+    # Gray-code order: row 2^b + j is row 2^b - 1 - j with bit b's direction XORed in
+    half = 1
+    for b in range(_BITS):
+        if half > n:
+            break
+        count = min(half, n + 1 - half)
+        np.bitwise_xor(rows[half - count : half][::-1], directions[:, b], out=rows[half : half + count])
+        half *= 2
+    return np.multiply(rows[1:], 2.0 ** -(_BITS + 1), dtype=np.float64)
 
 
 def inv_normal_cdf(u):
@@ -101,7 +173,7 @@ def dims_for(scheme, d, steps):
     raise UnknownSchemeError(f"unknown scheme tag: {scheme!r}")
 
 
-def draws_for(scheme, d, steps, batch, mode="gaussian", seed=None, source="qmc"):
+def draws_for(scheme, d, steps, batch, mode="gaussian", seed=None):
     """Generate the per-path randomness a scheme consumes.
 
     Coordinates are allocated per step: the flow-reversal scheme takes d
@@ -119,15 +191,7 @@ def draws_for(scheme, d, steps, batch, mode="gaussian", seed=None, source="qmc")
     if steps == 0:
         return DrawBlock(eta=np.empty((batch, 0, d)))
 
-    if source == "qmc":
-        u = sobol_points(dim, batch, scramble_seed=seed)
-    elif source == "pseudo":
-        rng = np.random.Generator(np.random.Philox(seed))
-        u = rng.random((batch, dim))
-        u = np.where(u == 0.0, 0.5**54, u)  # keep the open-cube invariant
-    else:
-        raise InvalidParameterError(f"unknown draw source: {source!r}")
-
+    u = sobol_points(dim, batch, scramble_seed=seed)
     per_step = dim // steps
     u = u.reshape(batch, steps, per_step)
     if scheme == "nv":

@@ -72,6 +72,12 @@ def test_resolve_defaults():
         resolve_config({"model": "bsm", "net": "transformer"})
 
 
+@pytest.mark.parametrize("key,value", [("T", float("nan")), ("sigma", float("inf"))])
+def test_non_finite_float_rejected(key, value):
+    with pytest.raises(UsageError, match=key):
+        resolve_config({"model": "bsm", key: value})
+
+
 def test_build_model_heston_defaults():
     cfg = resolve_config({"model": "heston"})
     model = build_model(cfg)

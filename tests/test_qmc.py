@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
+from scipy.stats import qmc as scipy_qmc
 
+import martnet.qmc
 from martnet.qmc import (
     sobol_points,
     inv_normal_cdf,
@@ -10,7 +16,13 @@ from martnet.qmc import (
     draws_for,
     DrawBlock,
 )
-from martnet.errors import DomainError, UnknownSchemeError, UnsupportedDimensionError
+from martnet.errors import (
+    DomainError,
+    InvalidParameterError,
+    MartnetError,
+    UnknownSchemeError,
+    UnsupportedDimensionError,
+)
 
 
 def test_first_sobol_coordinates():
@@ -47,6 +59,66 @@ def test_digital_shift_determinism():
 def test_dimension_limit():
     with pytest.raises(UnsupportedDimensionError):
         sobol_points(30000, 2)
+
+
+def _scipy_points(dim, n):
+    eng = scipy_qmc.Sobol(d=dim, scramble=False)
+    eng.fast_forward(1)
+    return eng.random(n)
+
+
+_COUNTS = [0, 1, 2, 3, 7, 8, 9, 1000]
+_GRID = [(dim, n) for dim in (1, 2, 3, 64, 195, 1024, 21201) for n in _COUNTS]
+_GRID += [(dim, 2**16) for dim in (1, 2, 3, 64)]
+
+
+@pytest.mark.parametrize("dim,n", _GRID)
+def test_sobol_matches_scipy_bit_for_bit(dim, n):
+    pts = sobol_points(dim, n)
+    ref = _scipy_points(dim, n)
+    assert pts.shape == ref.shape and pts.dtype == ref.dtype
+    assert pts.tobytes() == ref.tobytes()
+
+
+def test_direction_table_grows_to_fresh_table(monkeypatch):
+    monkeypatch.setattr(martnet.qmc, "_directions", np.empty((0, 30), dtype=np.uint32))
+    grown = martnet.qmc._direction_numbers(5)
+    assert grown.shape == (5, 30)
+    grown = martnet.qmc._direction_numbers(50).copy()
+    monkeypatch.setattr(martnet.qmc, "_directions", np.empty((0, 30), dtype=np.uint32))
+    fresh = martnet.qmc._direction_numbers(50)
+    assert grown.dtype == fresh.dtype == np.uint32
+    np.testing.assert_array_equal(grown, fresh)
+
+
+def test_point_count_limit():
+    # rejected before any row is allocated: 2^30 rows of one uint32 would be 4 GiB
+    with pytest.raises(InvalidParameterError):
+        sobol_points(1, 2**30)
+    with pytest.raises(InvalidParameterError):
+        sobol_points(1, -1)
+
+
+def test_missing_direction_file_names_path(monkeypatch, tmp_path):
+    missing = str(tmp_path / "no_such_directions.npz")
+    monkeypatch.setattr(martnet.qmc, "_DIRECTION_FILE", missing)
+    monkeypatch.setattr(martnet.qmc, "_directions", np.empty((0, 30), dtype=np.uint32))
+    with pytest.raises(MartnetError, match="no_such_directions.npz"):
+        sobol_points(3, 4)
+
+
+def test_import_leaves_scipy_stats_out():
+    code = (
+        "import sys\n"
+        "import martnet\n"
+        "assert 'scipy.stats' not in sys.modules, 'martnet'\n"
+        "import martnet.cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'martnet.cli'\n"
+    )
+    src = os.path.dirname(os.path.dirname(martnet.qmc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_inv_normal_center_and_tail():
@@ -125,12 +197,6 @@ def test_block_determinism():
     b = draws_for("nn", 2, 3, 64, seed=9)
     np.testing.assert_array_equal(a.eta, b.eta)
     np.testing.assert_array_equal(a.xi, b.xi)
-
-
-def test_pseudo_source():
-    d = draws_for("em", 1, 4, 256, seed=1, source="pseudo")
-    q = draws_for("em", 1, 4, 256, seed=1, source="qmc")
-    assert np.any(d.eta != q.eta)
 
 
 # -- properties of the draws layer --------------------------------------------
