@@ -22,8 +22,22 @@ dimensions do not depend on how many follow, and the digital shift's
 per-dimension masks come from one generator stream whose first k values do
 not depend on how many are asked for. A rung steps its running state
 through the scheme's kernel and keeps only the terminal state.
+
+The rungs of a ladder run concurrently. The draws are made first, on the
+calling thread. Then the longest rung runs on the calling thread, and the
+others go to a thread pool with one worker fewer than min(rungs, cores);
+with one core or one rung no thread is started. Numpy's elementwise ufuncs
+release the GIL on arrays this size, so rungs overlap. The bits do not
+depend on the thread count: each rung does the same arithmetic, in the same
+order, on arrays of its own, reading but never writing the shared draw
+block, and the errors are put back in step-count order before the fit. That
+holds only while rung code touches no module state. The nearest mutable
+module state, ``fields._CLAMP_EVENTS``, is written only by the Heston
+variance clamp, which the lognormal fields never reach.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +60,14 @@ class ConvergenceRow:
     steps: int
     abs_err: float
     slope: object
+
+
+def _cores():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _terminal_weights(scheme, draws, u, sign):
@@ -71,6 +93,11 @@ def run_convergence(
 
     Returns a list of ConvergenceRow, one per step count, each carrying the
     common least-squares slope (None when the ladder has a single rung).
+
+    The longest rung runs on the calling thread and the others on
+    min(rungs, cores) - 1 pool threads, so the errors are bit for bit those
+    of a serial ladder whatever the core count. An exception in any rung is
+    re-raised here, and rungs not yet started are cancelled.
     """
     if getattr(model, "name", None) != "bsm":
         raise UsageError("convergence study supports the lognormal model only")
@@ -98,8 +125,8 @@ def run_convergence(
 
     mode = "cubature" if scheme == "cub3" else "gaussian"
     top = draws_for(scheme, model.d, counts[-1], qmc_points, mode=mode, seed=seed)
-    errs = []
-    for steps in counts:
+
+    def rung(steps):
         part = uniform_partition(T, steps)
         draws = DrawBlock(*(a if a is None else a[:, :steps] for a in (top.eta, top.xi, top.lam)))
         step = step_kernel(model, scheme, draws, substeps, u, sign)
@@ -117,7 +144,22 @@ def run_convergence(
             exact = s0 * np.exp((mu - 0.5 * sigma * sigma) * T + sigma * np.sqrt(dt) * w)
             ref = float(np.maximum(strike - exact, 0.0).mean())
             err = abs(price - ref)
-        errs.append(max(err, 1e-16))
+        return max(err, 1e-16)
+
+    longest, *rest = sorted(counts, reverse=True)
+    workers = min(len(counts), _cores()) - 1
+    if workers < 1:
+        by_steps = {steps: rung(steps) for steps in counts}
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                futures = {steps: pool.submit(rung, steps) for steps in rest}
+                by_steps = {longest: rung(longest)}
+                by_steps.update((steps, f.result()) for steps, f in futures.items())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    errs = [by_steps[c] for c in counts]
 
     slope = None
     if len(counts) >= 2:

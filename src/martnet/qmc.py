@@ -42,7 +42,8 @@ _DIRECTION_FILE = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol
 SQRT3 = float(np.sqrt(3.0))
 
 # (dim, _BITS) uint32 direction numbers, column b the integer that bit b of
-# a point's Gray code XORs in; grown on demand, never shrunk.
+# a point's Gray code XORs in; grown on demand. Concurrent callers each build
+# and publish their own, so the last to publish wins, larger or not.
 _directions = np.empty((0, _BITS), dtype=np.uint32)
 
 
@@ -101,11 +102,15 @@ def _direction_block(lo, hi):
 
 
 def _direction_numbers(dim):
+    # Read the global once and return from that local table: a concurrent
+    # caller may publish a smaller table between our publish and our return.
     global _directions
-    have = _directions.shape[0]
+    table = _directions
+    have = table.shape[0]
     if dim > have:
-        _directions = np.concatenate([_directions, _direction_block(have, dim)])
-    return _directions[:dim]
+        table = np.concatenate([table, _direction_block(have, dim)])
+        _directions = table
+    return table[:dim]
 
 
 def sobol_points(dim, n, scramble_seed=None):

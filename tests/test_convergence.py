@@ -1,10 +1,16 @@
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import martnet as mn
+import martnet.convergence
 from martnet.convergence import _terminal_weights
-from martnet.errors import UsageError
+from martnet.errors import NumericError, UsageError
 from martnet.qmc import draws_for
 from martnet.schemes import simulate, uniform_partition
 
@@ -44,6 +50,91 @@ def test_ladder_equals_per_rung_draws(bsm, scheme, proto):
     assert [r.steps for r in rows] == counts
     assert [r.abs_err for r in rows] == errs
     assert all(r.slope == slope for r in rows)
+
+
+def _force_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+@pytest.mark.parametrize("proto", ["direct", "paired"])
+@pytest.mark.parametrize("scheme", sorted(LADDERS))
+def test_core_count_does_not_change_rows(bsm, monkeypatch, scheme, proto):
+    counts = LADDERS[scheme]
+    real_start = threading.Thread.start
+    starts = []
+
+    def refuse(thread):
+        raise AssertionError("a thread was started at one core")
+
+    def count(thread):
+        starts.append(thread)
+        real_start(thread)
+
+    with monkeypatch.context() as m:
+        _force_cores(m, 1)
+        m.setattr(threading.Thread, "start", refuse)
+        serial = mn.run_convergence(bsm, scheme, counts, POINTS, seed=5, protocol=proto)
+    interval = sys.getswitchinterval()
+    with monkeypatch.context() as m:
+        _force_cores(m, 8)
+        m.setattr(threading.Thread, "start", count)
+        sys.setswitchinterval(1e-6)  # more threads than cores, switching often
+        try:
+            pooled = mn.run_convergence(bsm, scheme, counts, POINTS, seed=5, protocol=proto)
+        finally:
+            sys.setswitchinterval(interval)
+    assert 1 <= len(starts) <= len(counts) - 1
+    errs, slope = _reference_ladder(bsm, scheme, counts, POINTS, 5, proto)
+    for rows in (serial, pooled):
+        assert [r.steps for r in rows] == counts
+        assert [r.abs_err for r in rows] == errs
+        assert all(r.slope == slope for r in rows)
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_rung_error_propagates_and_cancels_queued_rungs(bsm, monkeypatch, failing):
+    # At two cores one worker takes rungs 4, 2, 1 in turn while the caller
+    # runs 8, which waits until the held rung has started. The failing rung
+    # raises; the held rung waits until the pool is shutting down, by which
+    # time every rung still queued must be cancelled.
+    fail_at, held, expected = {"caller": (8, 4, [4, 8]), "worker": (4, 2, [2, 4, 8])}[failing]
+    boom = NumericError("rung failed")
+    started = []
+    worker_busy, shutting_down = threading.Event(), threading.Event()
+    real_kernel = martnet.convergence.step_kernel
+
+    def kernel(model, scheme, draws, *args):
+        steps = draws.eta.shape[1]
+        started.append(steps)
+        if steps == 8:
+            worker_busy.wait(10)
+        if steps == held:
+            worker_busy.set()
+            shutting_down.wait(10)
+        if steps != fail_at:
+            return real_kernel(model, scheme, draws, *args)
+
+        def failing_step(*step_args):
+            raise boom
+
+        return failing_step
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            shutting_down.set()
+            super().shutdown(wait=wait)
+
+    _force_cores(monkeypatch, 2)
+    monkeypatch.setattr(martnet.convergence, "step_kernel", kernel)
+    monkeypatch.setattr(martnet.convergence, "ThreadPoolExecutor", Pool)
+    threads = threading.active_count()
+    with pytest.raises(NumericError) as info:
+        mn.run_convergence(bsm, "nv", [1, 2, 4, 8], 64, protocol="paired")
+    assert info.value is boom
+    assert sorted(started) == expected
+    assert threading.active_count() == threads
 
 
 @settings(max_examples=30)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -89,6 +90,58 @@ def test_direction_table_grows_to_fresh_table(monkeypatch):
     fresh = martnet.qmc._direction_numbers(50)
     assert grown.dtype == fresh.dtype == np.uint32
     np.testing.assert_array_equal(grown, fresh)
+
+
+def test_direction_numbers_survive_a_concurrent_smaller_table(monkeypatch):
+    # A caller growing the table to 16 rows publishes while a caller growing
+    # it to 64 sits on the line after its build: the 64-row caller must still
+    # get 64 rows. The large caller is paused by a line tracer on its thread.
+    real_block = martnet.qmc._direction_block
+    small_waiting, big_built, big_paused, small_done = (threading.Event() for _ in range(4))
+    got = {}
+
+    def block(lo, hi):
+        if hi == 16:
+            small_waiting.set()
+            big_paused.wait(10)
+        out = real_block(lo, hi)
+        if hi == 64:
+            big_built.set()
+        return out
+
+    def pause(frame, event, arg):
+        if event == "line" and big_built.is_set() and not big_paused.is_set():
+            big_paused.set()
+            small_done.wait(10)
+        return pause
+
+    def tracer(frame, event, arg):
+        return pause if frame.f_code is martnet.qmc._direction_numbers.__code__ else None
+
+    def grow(dim):
+        got[dim] = martnet.qmc._direction_numbers(dim)
+
+    def grow_big():
+        small_waiting.wait(10)
+        sys.settrace(tracer)
+        try:
+            grow(64)
+        finally:
+            sys.settrace(None)
+
+    monkeypatch.setattr(martnet.qmc, "_directions", np.empty((0, 30), dtype=np.uint32))
+    monkeypatch.setattr(martnet.qmc, "_direction_block", block)
+    small = threading.Thread(target=grow, args=(16,))
+    big = threading.Thread(target=grow_big)
+    small.start()
+    big.start()
+    small.join(10)
+    small_done.set()
+    big.join(10)
+    assert not small.is_alive() and not big.is_alive()
+    assert big_paused.is_set()
+    np.testing.assert_array_equal(got[16], real_block(0, 16))
+    np.testing.assert_array_equal(got[64], real_block(0, 64))
 
 
 def test_point_count_limit():
