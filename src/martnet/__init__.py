@@ -14,11 +14,9 @@ from .dual import (
     MartingaleNetConfig,
     TrainResult,
     bridge_sup,
-    canonical_center,
     center,
     estimate_sigma,
     evaluate_loss,
-    mart_paths,
     rogers_loss,
     train,
 )
@@ -36,7 +34,6 @@ from .fields import (
     ModelSpec,
     Payoff,
     VectorField,
-    ito_drift,
     make_bsm_model,
     make_heston_model,
     payoff_eval,
@@ -94,7 +91,6 @@ __all__ = [
     "bridge_sup",
     "bs_european_call",
     "bs_european_put",
-    "canonical_center",
     "center",
     "cub3_step",
     "draws_for",
@@ -105,11 +101,9 @@ __all__ = [
     "init_adam",
     "init_mlp",
     "inv_normal_cdf",
-    "ito_drift",
     "load_checkpoint",
     "make_bsm_model",
     "make_heston_model",
-    "mart_paths",
     "mlp_forward",
     "nn_constants",
     "nn_step",

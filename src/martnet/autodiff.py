@@ -7,7 +7,7 @@ created with ``requires_grad=True``.
 
 Only the operations needed by the martingale pipeline are implemented:
 elementwise arithmetic with broadcasting, matrix products, ReLU, square
-root, reductions, column concatenation and slicing, a row-wise max, and a
+root, the mean, column concatenation and slicing, a row-wise max, and a
 merge of two row subsets. Operands that are plain ndarrays or python
 scalars are treated as constants and receive no gradient.
 """
@@ -51,13 +51,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
     # -- graph construction ------------------------------------------------
 
@@ -109,12 +102,6 @@ class Tensor:
 
         return Tensor._node(out_data, (self,), backward)
 
-    def __neg__(self):
-        def backward(g, a=self):
-            a._accumulate(-g)
-
-        return Tensor._node(-self.data, (self,), backward)
-
     def __mul__(self, other):
         od = _data(other)
         out_data = self.data * od
@@ -128,11 +115,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise NotImplementedError("tensor/tensor division is not on the tape")
-        return self * (1.0 / np.asarray(other, dtype=np.float64))
-
     def matmul(self, other):
         od = _data(other)
         out_data = self.data @ od
@@ -145,15 +127,6 @@ class Tensor:
         return Tensor._node(out_data, (self, other), backward)
 
     __matmul__ = matmul
-
-    def __rmatmul__(self, other):
-        od = np.asarray(other, dtype=np.float64)
-        out_data = od @ self.data
-
-        def backward(g, a=self, bd=od):
-            a._accumulate(bd.T @ g)
-
-        return Tensor._node(out_data, (self,), backward)
 
     # -- nonlinearities ----------------------------------------------------
 
@@ -180,16 +153,6 @@ class Tensor:
         return Tensor._node(self.data * self.data, (self,), backward)
 
     # -- reductions ----------------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g, a=self, ax=axis, kd=keepdims, shape=self.data.shape):
-            if ax is not None and not kd:
-                g = np.expand_dims(g, ax)
-            a._accumulate(np.broadcast_to(g, shape))
-
-        return Tensor._node(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
         out_data = self.data.mean(axis=axis, keepdims=keepdims)
@@ -232,22 +195,9 @@ class Tensor:
 
         return Tensor._node(out_data, (self,), backward)
 
-    def reshape(self, *shape):
-        out_data = self.data.reshape(*shape)
-
-        def backward(g, a=self, shape=self.data.shape):
-            a._accumulate(g.reshape(shape))
-
-        return Tensor._node(out_data, (self,), backward)
-
-    # -- scalar state --------------------------------------------------------
-
-    def item(self):
-        return float(self.data)
-
     # -- reverse pass ----------------------------------------------------------
 
-    def backward(self, seed=None):
+    def backward(self):
         """Accumulate gradients of this node into all requires_grad leaves.
 
         Intermediate gradients and tape entries are released as the walk
@@ -270,7 +220,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data) if seed is None else np.asarray(seed, dtype=np.float64)
+        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -327,8 +277,3 @@ def merge_rows(ia, a, ib, b):
                 part._accumulate(g[rows])
 
     return Tensor._node(out_data, (a, b), backward)
-
-
-def sqrt(x):
-    """Square root dispatching on tensor vs ndarray."""
-    return x.sqrt() if isinstance(x, Tensor) else np.sqrt(x)

@@ -31,9 +31,7 @@ release the GIL on arrays this size, so rungs overlap. The bits do not
 depend on the thread count: each rung does the same arithmetic, in the same
 order, on arrays of its own, reading but never writing the shared draw
 block, and the errors are put back in step-count order before the fit. That
-holds only while rung code touches no module state. The nearest mutable
-module state, ``fields._CLAMP_EVENTS``, is written only by the Heston
-variance clamp, which the lognormal fields never reach.
+holds only while rung code touches no module state.
 """
 
 import os

@@ -27,7 +27,7 @@ from .qmc import draws_for
 # Not called here: the benchmark's layer tracer rebinds martnet.dual.flow and
 # fails at import when the name is missing.
 from .rk5 import flow  # noqa: F401
-from .schemes import PathBatch, simulate, step_kernel
+from .schemes import simulate
 
 PILOT_PATHS = 10
 SIGMA_FLOOR = 1e-8
@@ -56,9 +56,6 @@ class MartingaleNetConfig:
     d_M: int
     partition: object
     batch: int
-    u: float = 0.5
-    sign: int = 1
-    substeps: int = 1
 
     def __post_init__(self):
         if self.scheme not in _ASSET_TAG:
@@ -67,8 +64,6 @@ class MartingaleNetConfig:
             raise InvalidParameterError("d_M must be >= 1")
         if self.batch < 1:
             raise InvalidParameterError("batch must be >= 1")
-        if self.substeps < 1:
-            raise InvalidParameterError("substeps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -126,12 +121,6 @@ def estimate_sigma(pilot, deltas, k=None):
     return float(sd[k]) if k is not None else sd
 
 
-def _as_matrix(paths):
-    if isinstance(paths, PathBatch):
-        return paths.states[..., 0]
-    return paths
-
-
 def center(mprime):
     """Subtract the per-time batch mean; accepts ndarray or Tensor."""
     if isinstance(mprime, Tensor):
@@ -148,12 +137,10 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
     G(a, b; sigma_k, delta_k, u) and the per-path supremum is the maximum
     over intervals (G dominates both endpoints, so the grid is covered).
     """
-    Zm = _as_matrix(Z)
-    Mm = _as_matrix(M)
-    taped = isinstance(Mm, Tensor)
-    if (Mm.shape if taped else np.shape(Mm)) != np.shape(Zm):
+    taped = isinstance(M, Tensor)
+    if (M.shape if taped else np.shape(M)) != np.shape(Z):
         raise ShapeError("Z and M shapes differ")
-    D = Zm - Mm
+    D = Z - M
     if not bridge:
         if taped:
             return D.max_rows().mean()
@@ -216,13 +203,10 @@ def _simulate_coupled(config, nets, model, draws, taped):
     trajectory; returns (paths, cols) with one (batch, 1) column per knot.
     """
     net = _bind_nets(nets, taped, model, config.partition)
-    return simulate(
-        model, _ASSET_TAG[config.scheme], config.partition, draws,
-        substeps=config.substeps, u=config.u, sign=config.sign, net=net,
-    )
+    return simulate(model, _ASSET_TAG[config.scheme], config.partition, draws, net=net)
 
 
-def _validate_setup(config, mlps, model, asset_paths, draws):
+def _validate_setup(config, mlps, model, draws):
     if config.d_M != model.d:
         raise ShapeError("d_M must match the asset model's driving dimension (shared Brownians)")
     if len(mlps) != config.d_M:
@@ -231,58 +215,6 @@ def _validate_setup(config, mlps, model, asset_paths, draws):
     n = config.partition.steps
     if eta.shape[1] != n or eta.shape[2] != model.d:
         raise ShapeError("draws do not match the partition and model dimension")
-    if asset_paths is not None:
-        if asset_paths.states.shape[0] != eta.shape[0]:
-            raise ShapeError("asset paths and draws carry different batch sizes")
-        if asset_paths.states.shape[1] != n + 1:
-            raise ShapeError("asset paths do not match the partition")
-
-
-def mart_paths(config, mlps, model, asset_paths, draws):
-    """Simulate provisional martingale paths M' along given asset paths.
-
-    Returns a PathBatch with state dimension 1 and M'_0 = 0. asset_paths
-    must be the paths the draws produce under the configured scheme; they
-    are checked against the draws, and the coupled pass advances them again
-    beside M because the flow-composition schemes need the within-step
-    asset trajectory.
-    """
-    _validate_setup(config, mlps, model, asset_paths, draws)
-    _, cols = _simulate_coupled(config, mlps, model, draws, taped=False)
-    states = np.concatenate(cols, axis=1)[:, :, None]
-    return PathBatch(states=states, partition=config.partition, scheme=config.scheme)
-
-
-def canonical_center(config, mlps, K, draws, asset_path, model=None):
-    """Centered single-path martingale via K conditional redraws per step.
-
-    Test-time cross-check: the asset path is pinned at its grid values; at
-    each step the one-step M-update is redrawn K times with the supplied
-    noise block, and the realised step is the first draw minus the K-draw
-    mean. Returns the (steps+1,) path with M_0 = 0.
-    """
-    if K < 1:
-        raise InvalidParameterError("canonical centering needs K >= 1")
-    part = config.partition
-    times, deltas = part.times, part.deltas
-    n = part.steps
-    states = asset_path.states if isinstance(asset_path, PathBatch) else np.asarray(asset_path, dtype=np.float64)
-    grid = states[0] if states.ndim == 3 else states
-    if draws.eta.shape[0] != K or draws.eta.shape[1] != n:
-        raise ShapeError("draws must carry K paths over the partition")
-    if model is None:
-        raise InvalidParameterError("canonical centering needs the asset model")
-    step = step_kernel(
-        model, _ASSET_TAG[config.scheme], draws, config.substeps, config.u, config.sign,
-        _bind_nets(mlps, False, model, part),
-    )
-    out = [0.0]
-    for k in range(n):
-        X = np.broadcast_to(grid[k], (K, grid.shape[1])).copy()
-        m = np.full((K, 1), out[-1])
-        _, cand = step(X, m, k, float(times[k]), float(deltas[k]))
-        out.append(float(cand[0, 0] - cand.mean()))
-    return np.array(out)
 
 
 # -- loss assembly and training ----------------------------------------------
@@ -313,29 +245,16 @@ def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, taped):
     return loss, M, sigma_hat
 
 
-def simulate_assets(config, model, draws):
-    """Asset paths under the kernel matching the configured scheme."""
-    return simulate(
-        model,
-        _ASSET_TAG[config.scheme],
-        config.partition,
-        draws,
-        substeps=config.substeps,
-        u=config.u,
-        sign=config.sign,
-    )
-
-
 def loss_value(config, mlps, model, draws, bridge=True, uniforms=None, sigma_hat=None):
     """Plain numpy evaluation of one iteration's loss; returns a float."""
-    _validate_setup(config, mlps, model, None, draws)
+    _validate_setup(config, mlps, model, draws)
     loss, _, _ = _loss_core(config, mlps, model, draws, bridge, uniforms, sigma_hat, False)
     return loss
 
 
 def loss_and_grads(config, mlps, model, draws, bridge=True, uniforms=None, sigma_hat=None):
     """Taped evaluation; returns (loss, gradient lists congruent to params)."""
-    _validate_setup(config, mlps, model, None, draws)
+    _validate_setup(config, mlps, model, draws)
     return grad(
         lambda tensors: _loss_core(config, tensors, model, draws, bridge, uniforms, sigma_hat, True)[0],
         mlps,

@@ -1,4 +1,4 @@
-"""Vector fields, asset models, and the Stratonovich-to-Ito drift correction.
+"""Vector fields and the asset models, in Stratonovich form with their Ito drifts.
 
 States are row vectors: every field maps (t, x) with x shaped (..., N) to an
 array of the same shape, vectorised over leading batch dimensions. All types
@@ -10,85 +10,26 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import InvalidParameterError
-
-# Count of variance-clamp events (Heston sqrt at negative variance). The
-# fields themselves stay pure; the counter is observability only.
-_CLAMP_EVENTS = 0
-
-# Floor inside Jacobian square roots only; keeps 1/sqrt finite at the clamp
-# boundary without disturbing values anywhere tests look (y2 > 0).
-_JAC_FLOOR = 1e-12
-
-
-def clamp_events():
-    """Number of negative-variance clamps since the last reset."""
-    return _CLAMP_EVENTS
-
-
-def reset_clamp_events():
-    global _CLAMP_EVENTS
-    _CLAMP_EVENTS = 0
 
 
 def _sqrt_clamped(y):
-    global _CLAMP_EVENTS
     neg = y < 0.0
     if np.any(neg):
-        _CLAMP_EVENTS += int(np.count_nonzero(neg))
         y = np.where(neg, 0.0, y)
     return np.sqrt(y)
 
 
 class VectorField:
-    """A map (t, x) -> tangent vector in R^N.
+    """A map (t, x) -> tangent vector in R^N, vectorised over batch rows."""
 
-    Parameters
-    ----------
-    eval_fn : callable
-        The field evaluation; must be vectorised over batch rows.
-    kind : {"closed-form", "mlp-backed"}
-    jac_fn : callable, optional
-        Analytic Jacobian (t, x) -> (..., N, N) with J[..., k, j] the
-        derivative of component k in direction j. When absent, the Jacobian
-        falls back to reverse-mode differentiation through eval_fn, which
-        must then accept Tensor inputs.
-    """
+    __slots__ = ("eval_fn",)
 
-    __slots__ = ("eval_fn", "kind", "jac_fn", "name")
-
-    def __init__(self, eval_fn, kind="closed-form", jac_fn=None, name=""):
+    def __init__(self, eval_fn):
         self.eval_fn = eval_fn
-        self.kind = kind
-        self.jac_fn = jac_fn
-        self.name = name
 
     def eval(self, t, x):
         return self.eval_fn(t, x)
-
-    def __call__(self, t, x):
-        return self.eval_fn(t, x)
-
-    def jacobian(self, t, x):
-        if self.jac_fn is not None:
-            return self.jac_fn(t, x)
-        return self._autodiff_jacobian(t, x)
-
-    def _autodiff_jacobian(self, t, x):
-        xd = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        batch, n = xd.shape
-        jac = np.empty((batch, n, n))
-        for k in range(n):
-            leaf = Tensor(xd, requires_grad=True)
-            out = self.eval_fn(t, leaf)
-            seed = np.zeros((batch, n))
-            seed[:, k] = 1.0
-            out.backward(seed=seed)
-            jac[:, k, :] = leaf.grad
-        if np.asarray(x).ndim == 1:
-            return jac[0]
-        return jac
 
 
 @dataclass(frozen=True)
@@ -96,11 +37,8 @@ class Payoff:
     """American put payoff Z = max(K - S, 0) on the first state coordinate."""
 
     strike: float
-    form: str = "american-put"
 
     def __post_init__(self):
-        if self.form != "american-put":
-            raise InvalidParameterError(f"unsupported payoff form: {self.form!r}")
         if self.strike <= 0:
             raise InvalidParameterError("strike must be positive")
 
@@ -116,9 +54,9 @@ class ModelSpec:
     """An SDE instance in Stratonovich form.
 
     stratonovich_fields holds V_0 (drift) followed by the d diffusion
-    fields. ito_field, when present, is the hand-derived corrected drift
-    used by the Euler kernel; params records the constructor arguments for
-    config snapshots and closed-form references.
+    fields. ito_field is the hand-derived drift of the Ito form,
+    V_0 + 1/2 sum_i (DV_i) V_i, used by the Euler kernel; params records the
+    constructor arguments for config snapshots and closed-form references.
     """
 
     N: int
@@ -126,7 +64,7 @@ class ModelSpec:
     stratonovich_fields: tuple
     x0: np.ndarray
     payoff: Payoff
-    ito_field: VectorField = None
+    ito_field: VectorField
     params: dict = dc_field(default_factory=dict)
     name: str = ""
 
@@ -142,14 +80,7 @@ def make_bsm_model(S0, mu, sigma, strike=100.0):
     c0 = mu - 0.5 * sigma * sigma
 
     def lin(c):
-        def ev(t, x, c=c):
-            return c * x
-
-        def jac(t, x, c=c):
-            x = np.asarray(x, dtype=np.float64)
-            return np.full(x.shape[:-1] + (1, 1), c)
-
-        return VectorField(ev, jac_fn=jac)
+        return VectorField(lambda t, x: c * x)
 
     return ModelSpec(
         N=1,
@@ -168,7 +99,7 @@ def make_heston_model(S0, U0, mu, theta, alpha, rho, beta, strike=100.0):
 
     The drift carries the -rho*beta/4 and -beta^2/4 corrections so the Ito
     drift comes out as (mu y1, alpha (theta - y2)). Square roots clamp
-    negative variance to zero and count the event (see clamp_events).
+    negative variance to zero.
     """
     if U0 <= 0 or beta <= 0 or alpha <= 0 or theta <= 0 or S0 <= 0:
         raise InvalidParameterError("make_heston_model requires positive S0, U0, theta, alpha, beta")
@@ -185,66 +116,33 @@ def make_heston_model(S0, U0, mu, theta, alpha, rho, beta, strike=100.0):
             axis=-1,
         )
 
-    def v0_jac(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        y1, y2 = x[..., 0], x[..., 1]
-        j = np.zeros(x.shape[:-1] + (2, 2))
-        j[..., 0, 0] = mu - 0.5 * y2 - 0.25 * rb
-        j[..., 0, 1] = -0.5 * y1
-        j[..., 1, 1] = -alpha
-        return j
-
     def v1_eval(t, x):
         x = np.asarray(x, dtype=np.float64)
         y1, y2 = x[..., 0], x[..., 1]
         sq = _sqrt_clamped(y2)
         return np.stack([y1 * sq, rb * sq], axis=-1)
 
-    def v1_jac(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        y1, y2 = x[..., 0], x[..., 1]
-        sq = np.sqrt(np.maximum(y2, _JAC_FLOOR))
-        j = np.zeros(x.shape[:-1] + (2, 2))
-        j[..., 0, 0] = sq
-        j[..., 0, 1] = 0.5 * y1 / sq
-        j[..., 1, 1] = 0.5 * rb / sq
-        return j
-
     def v2_eval(t, x):
         x = np.asarray(x, dtype=np.float64)
         y1, y2 = x[..., 0], x[..., 1]
         return np.stack([np.zeros_like(y1), orth * _sqrt_clamped(y2)], axis=-1)
-
-    def v2_jac(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        y2 = x[..., 1]
-        j = np.zeros(x.shape[:-1] + (2, 2))
-        j[..., 1, 1] = 0.5 * orth / np.sqrt(np.maximum(y2, _JAC_FLOOR))
-        return j
 
     def ito_eval(t, x):
         x = np.asarray(x, dtype=np.float64)
         y1, y2 = x[..., 0], x[..., 1]
         return np.stack([mu * y1, alpha * (theta - y2)], axis=-1)
 
-    def ito_jac(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        j = np.zeros(x.shape[:-1] + (2, 2))
-        j[..., 0, 0] = mu
-        j[..., 1, 1] = -alpha
-        return j
-
     return ModelSpec(
         N=2,
         d=2,
         stratonovich_fields=(
-            VectorField(v0_eval, jac_fn=v0_jac),
-            VectorField(v1_eval, jac_fn=v1_jac),
-            VectorField(v2_eval, jac_fn=v2_jac),
+            VectorField(v0_eval),
+            VectorField(v1_eval),
+            VectorField(v2_eval),
         ),
         x0=np.array([float(S0), float(U0)]),
         payoff=Payoff(strike=float(strike)),
-        ito_field=VectorField(ito_eval, jac_fn=ito_jac),
+        ito_field=VectorField(ito_eval),
         params={
             "S0": float(S0),
             "U0": float(U0),
@@ -258,26 +156,3 @@ def make_heston_model(S0, U0, mu, theta, alpha, rho, beta, strike=100.0):
         name="heston",
     )
 
-
-def ito_drift(model):
-    """Corrected drift for the Ito form of the model's SDE.
-
-    Returns the hand-derived field when the model supplies one; otherwise
-    composes (V_0 I)^k + 1/2 sum_i V_i (V_i I)^k from field Jacobians,
-    where V_i acts as the first-order differential operator.
-    """
-    if model.ito_field is not None:
-        return model.ito_field
-    v0 = model.stratonovich_fields[0]
-    diffusions = model.stratonovich_fields[1:]
-
-    def ev(t, x):
-        out = np.asarray(v0.eval(t, x), dtype=np.float64).copy()
-        for vi in diffusions:
-            vix = np.asarray(vi.eval(t, x), dtype=np.float64)
-            jac = np.asarray(vi.jacobian(t, x), dtype=np.float64)
-            out += 0.5 * np.einsum("...kj,...j->...k", jac, vix)
-        return out
-
-    kind = "closed-form" if all(f.kind == "closed-form" for f in model.stratonovich_fields) else "mlp-backed"
-    return VectorField(ev, kind=kind, name="ito-drift")

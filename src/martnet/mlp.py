@@ -15,7 +15,6 @@ import numpy as np
 from .atomic import atomic_open
 from .autodiff import Tensor, affine_relu
 from .errors import NumericError, ShapeError
-from .fields import VectorField
 
 HIDDEN = 32
 DEPTH = 3
@@ -32,10 +31,6 @@ class MlpParams:
     @property
     def in_dim(self):
         return self.layers[0][0].shape[0]
-
-    @property
-    def out_dim(self):
-        return self.proj.shape[1]
 
 
 def init_mlp(in_dim, out_dim=1, seed=0):
@@ -221,10 +216,21 @@ def save_checkpoint(path, mlps):
         fh.write(b"".join(blobs))
 
 
+def _is_layer_stack(shapes):
+    """(w 2-D, b 1-D of w's width) pairs whose widths chain, then a 2-D projection."""
+    mats, biases = shapes[::2], shapes[1::2]
+    if len(shapes) < 3 or len(shapes) % 2 == 0 or any(len(s) != 2 for s in mats):
+        return False
+    return all(b == (w[1],) and w[1] == nxt[0] for w, b, nxt in zip(mats, biases, mats[1:]))
+
+
 def load_checkpoint(path):
     """Read a checkpoint; raises ShapeError unless the file is exactly one."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ShapeError(f"cannot read checkpoint {path}: {exc}")
     if raw[:4] != _MAGIC:
         raise ShapeError(f"{path} is not a checkpoint file")
     off = 4
@@ -243,12 +249,14 @@ def load_checkpoint(path):
     if version != _VERSION:
         raise ShapeError(f"{path}: unsupported checkpoint version {version}")
     headers = []
-    for _ in range(count):
+    for index in range(count):
         seed, n_arrays = unpack("<qI")
         shapes = []
         for _ in range(n_arrays):
             (ndim,) = unpack("<I")
             shapes.append(unpack(f"<{ndim}Q"))
+        if not _is_layer_stack(shapes):
+            raise ShapeError(f"{path}: network {index} is not a stack of layers (array shapes {shapes})")
         headers.append((seed, shapes))
     mlps = []
     for seed, shapes in headers:
@@ -264,40 +272,3 @@ def load_checkpoint(path):
         raise ShapeError(f"{path} has {len(raw) - off} trailing bytes after the last array")
     return mlps
 
-
-class MlpField(VectorField):
-    """A vector field whose value is an MLP forward pass on the state.
-
-    Tensor states run on the tape against this field's leaf tensors, so
-    gradients wrt the network's weights flow through any scheme kernel the
-    field is used in.
-    """
-
-    __slots__ = ("params", "tensors")
-
-    def __init__(self, params):
-        self.params = params
-        self.tensors = params_to_tensors(params)
-
-        def ev(t, x):
-            if isinstance(x, Tensor):
-                return mlp_forward_t(self.tensors, x)
-            return mlp_forward(self.params, x)
-
-        super().__init__(ev, kind="mlp-backed")
-
-    def _autodiff_jacobian(self, t, x):
-        # fresh leaves per call: jacobian passes must not disturb training tapes
-        xd = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        batch, n = xd.shape
-        jac = np.empty((batch, n, n))
-        for k in range(n):
-            leaf = Tensor(xd, requires_grad=True)
-            out = mlp_forward_t(params_to_tensors(self.params), leaf)
-            seed = np.zeros((batch, n))
-            seed[:, k] = 1.0
-            out.backward(seed=seed)
-            jac[:, k, :] = leaf.grad
-        if np.asarray(x).ndim == 1:
-            return jac[0]
-        return jac

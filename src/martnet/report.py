@@ -21,9 +21,14 @@ def read_loss_csv(path):
             for row in reader:
                 if not row:
                     continue
-                iterations.append(int(row[0]))
-                losses.append(float(row[1]))
-                wall.append(float(row[2]))
+                try:
+                    iterations.append(int(row[0]))
+                    losses.append(float(row[1]))
+                    wall.append(float(row[2]))
+                except (ValueError, IndexError):
+                    raise UsageError(f"{path}, line {reader.line_num}: expected iteration,loss,wall_ms, got {row}")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise UsageError(f"{path} is not a CSV text file: {exc}")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     if not losses:
@@ -139,7 +144,11 @@ def render_svg(iterations, losses, title="loss", width=720, height=400):
 def write_report(run_dir, csv_name=None, title=None):
     """Build report.txt and report.svg beside a run's loss CSV."""
     if csv_name is None:
-        candidates = sorted(n for n in os.listdir(run_dir) if n.endswith(".csv"))
+        try:
+            names = os.listdir(run_dir)
+        except OSError as exc:
+            raise UsageError(f"cannot list run directory {run_dir}: {exc}")
+        candidates = sorted(n for n in names if n.endswith(".csv"))
         if len(candidates) != 1:
             raise UsageError(f"{run_dir}: expected exactly one .csv, found {candidates}")
         csv_name = candidates[0]

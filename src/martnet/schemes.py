@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, merge_rows
+from .autodiff import merge_rows
 from .errors import InvalidParameterError, ShapeError, UnknownSchemeError
-from .fields import ito_drift
 from .rk5 import flow
 
 
@@ -115,8 +114,7 @@ def em_step(model, x, dt, eta_row, t=0.0, m=None, net=None):
     """
     x2, single = _rows(x)
     eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
-    drift = ito_drift(model)
-    out = x2 + dt * drift.eval(t, x2)
+    out = x2 + dt * model.ito_field.eval(t, x2)
     sdt = np.sqrt(dt)
     acc = None
     for i, vi in enumerate(model.stratonovich_fields[1:]):
@@ -130,7 +128,7 @@ def em_step(model, x, dt, eta_row, t=0.0, m=None, net=None):
 
 def cub3_step(model, x, dt, eta_row, substeps=1, t=0.0):
     """Unit-time flow along the frozen field dt*V_0 + sqrt(dt) sum eta^i V_i."""
-    x2, single = (x, False) if isinstance(x, Tensor) else _rows(x)
+    x2, single = _rows(x)
     eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
     f = _frozen_field(model, dt, np.sqrt(dt) * eta2)
     out = flow(f, t, x2, 1.0, substeps)
@@ -155,7 +153,7 @@ def nv_step(model, x, dt, eta_row, lam, substeps=1, t=0.0, m=None, net=None):
     through the order its sign selects only. The martingale rides the
     diffusion flows only, its drift being zero.
     """
-    x2, single = (x, False) if isinstance(x, Tensor) else _rows(x)
+    x2, single = _rows(x)
     eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
     if np.ndim(lam) == 0 and lam not in (-1, 1):
         raise InvalidParameterError("lam must be +1 or -1")
@@ -204,7 +202,7 @@ def nn_step(model, x, dt, eta_row, xi_row, u=0.5, sign=1, substeps=1, t=0.0, m=N
     the same diffusion weights and no drift.
     """
     c1, c2, r11, r22, r12 = nn_constants(u, sign)
-    x2, single = (x, False) if isinstance(x, Tensor) else _rows(x)
+    x2, single = _rows(x)
     eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
     xi2 = np.atleast_2d(np.asarray(xi_row, dtype=np.float64))
     zeta = (r12 / np.sqrt(r11)) * eta2 + np.sqrt(r22 - r12 * r12 / r11) * xi2

@@ -170,6 +170,27 @@ def test_train_and_report_subcommands(tmp_path, capsys):
     assert "plateau" in out
 
 
+_BAD_LOSS_CSVS = {
+    "non-numeric": b"iteration,loss,wall_ms\n1,2.5,3.0\n2,oops,3.0\n",
+    "short-row": b"iteration,loss,wall_ms\n1,2.5,3.0\n2,2.5\n",
+    "not-utf8": b"iteration,loss,wall_ms\n1,2.5,\xff\xfe\n",
+}
+
+
+@pytest.mark.parametrize("case", [*_BAD_LOSS_CSVS, "missing-dir"])
+def test_report_bad_run_directory(tmp_path, capsys, case):
+    # a damaged or absent run directory is a usage error naming the path, not a traceback
+    run_dir = tmp_path / "run"
+    if case in _BAD_LOSS_CSVS:
+        run_dir.mkdir()
+        (run_dir / "run.csv").write_bytes(_BAD_LOSS_CSVS[case])
+    assert main(["report", "--run", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(run_dir) in err
+    if case in ("non-numeric", "short-row"):
+        assert "line 3" in err
+
+
 def test_train_reproducible_csv(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("model=bsm\nnet=nvnet\nsteps=2\nbatch=32\niters=3\nseed=5\n")

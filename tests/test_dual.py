@@ -14,9 +14,6 @@ from martnet.dual import (
     estimate_sigma,
     center,
     rogers_loss,
-    mart_paths,
-    canonical_center,
-    simulate_assets,
     loss_value,
     loss_and_grads,
     evaluate_loss,
@@ -47,8 +44,6 @@ def test_config_validation(bsm):
         MartingaleNetConfig(scheme="nvnet", d_M=0, partition=p, batch=8)
     with pytest.raises(InvalidParameterError):
         MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=0)
-    with pytest.raises(InvalidParameterError):
-        MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=8, substeps=0)
 
 
 # -- bridge ------------------------------------------------------------------
@@ -144,8 +139,7 @@ def test_estimate_sigma_shape_checks():
 def test_estimate_sigma_bsm_diagnostic(bsm):
     # payoff-process volatility near the money: about 0.58 * sigma * S0
     p8 = mn.uniform_partition(1.0, 8)
-    cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=p8, batch=10)
-    paths = simulate_assets(cfg, bsm, draws_for("em", 1, 8, 10, seed=3))
+    paths = mn.simulate(bsm, "em", p8, draws_for("em", 1, 8, 10, seed=3))
     Z = np.maximum(100.0 - paths.states[:, :, 0], 0.0)
     est = estimate_sigma(Z, p8.deltas, k=0)
     ref = 0.32 * 100.0 * math.sqrt(0.5 - 0.5 / math.pi)
@@ -177,7 +171,7 @@ def test_center_taped():
     m = Tensor(rng.standard_normal((8, 4)), requires_grad=True)
     out = center(m)
     assert np.max(np.abs(out.data.mean(axis=0))) < 1e-12
-    out.square().sum().backward()
+    out.square().mean().backward()
     assert m.grad is not None
 
 
@@ -209,49 +203,51 @@ def test_rogers_loss_bridge_dominates():
 # -- provisional martingale paths ---------------------------------------------
 
 
+def _mart_cols(cfg, nets, model, draws):
+    """The coupled pass's martingale knots M'_{t_0..t_n} as a (batch, steps + 1) matrix."""
+    _, cols = _simulate_coupled(cfg, nets, model, draws, taped=False)
+    return np.concatenate(cols, axis=1)
+
+
 def test_mart_paths_zero_nets(bsm):
     p = mn.uniform_partition(1.0, 4)
     cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=16)
     draws = draws_for("nv", 1, 4, 16, seed=4)
-    assets = simulate_assets(cfg, bsm, draws)
-    m = mart_paths(cfg, [init_mlp(bsm.N + 2, 1, seed=0)], bsm, assets, draws)
-    np.testing.assert_array_equal(m.states, np.zeros((16, 5, 1)))
+    m = _mart_cols(cfg, [init_mlp(bsm.N + 2, 1, seed=0)], bsm, draws)
+    np.testing.assert_array_equal(m, np.zeros((16, 5)))
 
 
 def test_mart_paths_constant_field_resnet(bsm):
     p = mn.uniform_partition(1.0, 4)
     cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=p, batch=16)
     draws = draws_for("em", 1, 4, 16, seed=5)
-    assets = simulate_assets(cfg, bsm, draws)
     c = 2.0
-    m = mart_paths(cfg, [constant_field_mlp(bsm, c)], bsm, assets, draws)
+    m = _mart_cols(cfg, [constant_field_mlp(bsm, c)], bsm, draws)
     expected = np.zeros((16, 5))
     for k in range(4):
         expected[:, k + 1] = expected[:, k] + c * math.sqrt(0.25) * draws.eta[:, k, 0]
-    np.testing.assert_allclose(m.states[:, :, 0], expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(m, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_mart_paths_constant_field_nvnet_single_step(bsm):
     p = mn.uniform_partition(1.0, 1)
     cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=32)
     draws = draws_for("nv", 1, 1, 32, seed=6)
-    assets = simulate_assets(cfg, bsm, draws)
     c = 1.5
-    m = mart_paths(cfg, [constant_field_mlp(bsm, c)], bsm, assets, draws)
+    m = _mart_cols(cfg, [constant_field_mlp(bsm, c)], bsm, draws)
     expected = c * math.sqrt(1.0) * draws.eta[:, 0, 0]
-    np.testing.assert_allclose(m.states[:, 1, 0], expected, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(m[:, 1], expected, rtol=1e-10, atol=1e-10)
 
 
 def test_mart_paths_shape_checks(bsm):
     p = mn.uniform_partition(1.0, 4)
     cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=16)
     draws = draws_for("nv", 1, 4, 16, seed=4)
-    assets = simulate_assets(cfg, bsm, draws)
     with pytest.raises(ShapeError):
-        mart_paths(cfg, [init_mlp(bsm.N + 2, 1, 0)] * 2, bsm, assets, draws)
-    bad = draws_for("nv", 1, 4, 8, seed=4)
+        loss_value(cfg, [init_mlp(bsm.N + 2, 1, 0)] * 2, bsm, draws, bridge=False)
+    bad = draws_for("nv", 1, 3, 16, seed=4)
     with pytest.raises(ShapeError):
-        mart_paths(cfg, [init_mlp(bsm.N + 2, 1, 0)], bsm, assets, bad)
+        loss_value(cfg, [init_mlp(bsm.N + 2, 1, 0)], bsm, bad, bridge=False)
 
 
 @pytest.mark.parametrize("taped", [False, True])
@@ -268,71 +264,33 @@ def test_coupled_pass_assets_match_plain(heston, scheme, tag, taped):
         nets = [params_to_tensors(net) for net in nets]
     draws = draws_for(tag, 2, 4, 64, seed=13)
     paths, cols = _simulate_coupled(cfg, nets, heston, draws, taped)
-    np.testing.assert_array_equal(paths.states, simulate_assets(cfg, heston, draws).states)
+    np.testing.assert_array_equal(paths.states, mn.simulate(heston, tag, p, draws).states)
     last = cols[-1].data if taped else cols[-1]
     assert len(cols) == 5 and np.abs(last).max() > 0.0
 
 
-# -- canonical centering --------------------------------------------------------
-
-
-def test_canonical_center_single_draw(bsm):
-    p = mn.uniform_partition(1.0, 4)
-    cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=p, batch=1)
-    draws = draws_for("em", 1, 4, 1, seed=7)
-    grid = simulate_assets(cfg, bsm, draws)
-    out = canonical_center(cfg, [constant_field_mlp(bsm, 2.0)], 1, draws, grid, model=bsm)
-    np.testing.assert_array_equal(out, np.zeros(5))
-
-
-def test_canonical_center_zero_fields(bsm):
-    p = mn.uniform_partition(1.0, 4)
-    cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=p, batch=64)
-    draws = draws_for("em", 1, 4, 64, seed=8)
-    grid = simulate_assets(cfg, bsm, draws_for("em", 1, 4, 1, seed=9))
-    out = canonical_center(cfg, [init_mlp(bsm.N + 2, 1, seed=0)], 64, draws, grid, model=bsm)
-    np.testing.assert_array_equal(out, np.zeros(5))
-
-
-def test_canonical_center_martingale_mean(bsm):
-    # one EM step with a constant field: conditional mean of the centred
-    # increment is 0 within 3 standard errors of the redraw population
-    c = 2.0
-    p = mn.uniform_partition(1.0, 1)
-    K = 10000
-    cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=p, batch=K)
-    draws = draws_for("em", 1, 1, K, seed=10)
-    grid = simulate_assets(cfg, bsm, draws_for("em", 1, 1, 1, seed=11))
-    out = canonical_center(cfg, [constant_field_mlp(bsm, c)], K, draws, grid, model=bsm)
-    band = 3.0 * abs(c) * math.sqrt(1.0)
-    assert abs(out[1]) < band
-
-
-def _one_step_center(bsm, scheme, tag, c, K=64):
+def _one_step_increment(bsm, scheme, tag, c, batch=64):
     p = mn.uniform_partition(0.25, 1)
-    cfg = MartingaleNetConfig(scheme=scheme, d_M=1, partition=p, batch=K)
-    draws = draws_for(tag, 1, 1, K, seed=15)
-    grid = simulate_assets(cfg, bsm, draws_for(tag, 1, 1, 1, seed=16))
-    return canonical_center(cfg, [constant_field_mlp(bsm, c)], K, draws, grid, model=bsm), draws
+    cfg = MartingaleNetConfig(scheme=scheme, d_M=1, partition=p, batch=batch)
+    draws = draws_for(tag, 1, 1, batch, seed=15)
+    m = _mart_cols(cfg, [constant_field_mlp(bsm, c)], bsm, draws)
+    assert np.all(m[:, 0] == 0.0)
+    return m[:, 1], draws
 
 
-def test_canonical_center_constant_field_nvnet(bsm):
+def test_coupled_step_constant_field_nvnet(bsm):
     c = 1.5
-    out, draws = _one_step_center(bsm, "nvnet", "nv", c)
-    inc = c * math.sqrt(0.25) * draws.eta[:, 0, 0]
-    assert out[0] == 0.0
-    assert abs(out[1] - (inc[0] - inc.mean())) < 1e-12
+    got, draws = _one_step_increment(bsm, "nvnet", "nv", c)
+    np.testing.assert_allclose(got, c * math.sqrt(0.25) * draws.eta[:, 0, 0], rtol=0.0, atol=1e-12)
 
 
-def test_canonical_center_constant_field_nnet(bsm):
+def test_coupled_step_constant_field_nnet(bsm):
     c = 1.5
-    out, draws = _one_step_center(bsm, "nnet", "nn", c)
+    got, draws = _one_step_increment(bsm, "nnet", "nn", c)
     _, _, r11, r22, r12 = mn.nn_constants(0.5, 1)
     eta, xi = draws.eta[:, 0, 0], draws.xi[:, 0, 0]
     zeta = (r12 / math.sqrt(r11)) * eta + math.sqrt(r22 - r12 * r12 / r11) * xi
-    inc = c * math.sqrt(0.25) * (zeta + math.sqrt(r11) * eta)
-    assert out[0] == 0.0
-    assert abs(out[1] - (inc[0] - inc.mean())) < 1e-12
+    np.testing.assert_allclose(got, c * math.sqrt(0.25) * (zeta + math.sqrt(r11) * eta), rtol=0.0, atol=1e-12)
 
 
 # -- loss plumbing ---------------------------------------------------------------

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 import martnet as mn
-from martnet.fields import (
-    VectorField,
-    ModelSpec,
-    Payoff,
-    payoff_eval,
-    ito_drift,
-    clamp_events,
-    reset_clamp_events,
-)
+from martnet.fields import Payoff, payoff_eval
 from martnet.errors import InvalidParameterError
 
 
@@ -68,44 +60,44 @@ def test_parameter_validation():
 
 def test_ito_drift_bsm_analytic():
     m = mn.make_bsm_model(100.0, 0.07, 0.32)
-    drift = ito_drift(m)
+    drift = m.ito_field
     for y in (1.0, 50.0, 100.0, 333.0):
         out = drift.eval(0.0, np.array([y]))
         assert abs(out[0] / (0.07 * y) - 1.0) < 1e-10
 
 
-def test_ito_drift_bsm_jacobian_composition():
-    # same model without the hand-derived drift: generic Jacobian route
-    mu, sigma = 0.07, 0.32
-    v0 = VectorField(lambda t, x: (mu - 0.5 * sigma**2) * x, jac_fn=lambda t, x: np.full(np.shape(x) + (1,), mu - 0.5 * sigma**2))
-    v1 = VectorField(lambda t, x: sigma * x, jac_fn=lambda t, x: np.full(np.shape(x) + (1,), sigma))
-    m = ModelSpec(N=1, d=1, stratonovich_fields=(v0, v1), x0=np.array([100.0]), payoff=Payoff(100.0))
-    drift = ito_drift(m)
-    out = drift.eval(0.0, np.array([123.0]))
-    assert abs(out[0] / (mu * 123.0) - 1.0) < 1e-10
+def _stratonovich_to_ito(model, x, h=1e-5):
+    """V_0 + 1/2 sum_i (DV_i) V_i at x, each (DV_i) V_i a central difference along V_i."""
+    v0, *diffusions = model.stratonovich_fields
+    out = v0.eval(0.0, x)
+    for vi in diffusions:
+        d = h * vi.eval(0.0, x)
+        out = out + 0.5 * (vi.eval(0.0, x + d) - vi.eval(0.0, x - d)) / (2.0 * h)
+    return out
 
 
-def test_ito_drift_bsm_autodiff_jacobian():
-    # diffusion without analytic Jacobian: reverse-mode fallback
-    mu, sigma = 0.07, 0.32
-    v0 = VectorField(lambda t, x: (mu - 0.5 * sigma**2) * x)
-    v1 = VectorField(lambda t, x: sigma * x)
-    m = ModelSpec(N=1, d=1, stratonovich_fields=(v0, v1), x0=np.array([100.0]), payoff=Payoff(100.0))
-    out = ito_drift(m).eval(0.0, np.array([123.0]))
-    assert abs(out[0] / (mu * 123.0) - 1.0) < 1e-6
+_HESTON_STATES = [[100.0, 0.32], [55.0, 0.9], [210.0, 0.01], [80.0, 0.25], [130.0, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "model, states",
+    [
+        (mn.make_bsm_model(100.0, 0.07, 0.32), [[1.0], [50.0], [100.0], [333.0]]),
+        (mn.make_heston_model(100.0, 0.32, 0.05, 0.25, 3.0, 0.3, 0.4), _HESTON_STATES),
+        (mn.make_heston_model(100.0, 0.32, -0.03, 0.25, 3.0, -0.7, 0.9), _HESTON_STATES),
+    ],
+    ids=["bsm", "heston", "heston-negative-rho"],
+)
+def test_ito_field_matches_stratonovich_fields(model, states):
+    # each model's hand-derived Ito drift is its Stratonovich drift plus the correction
+    x = np.array(states)
+    got = model.ito_field.eval(0.0, x)
+    np.testing.assert_allclose(got, _stratonovich_to_ito(model, x), rtol=0.0, atol=1e-8 * np.abs(got).max())
 
 
 def test_ito_drift_heston_second_component(heston):
-    out = ito_drift(heston).eval(0.0, np.array([100.0, 0.32]))
+    out = heston.ito_field.eval(0.0, np.array([100.0, 0.32]))
     np.testing.assert_allclose(out[1], 3.0 * (0.25 - 0.32), rtol=1e-12)
-
-
-def test_ito_drift_constant_diffusion():
-    v0 = VectorField(lambda t, x: 2.0 * x, jac_fn=lambda t, x: np.full(np.shape(x) + (1,), 2.0))
-    c = VectorField(lambda t, x: np.full_like(np.asarray(x, dtype=np.float64), 1.7), jac_fn=lambda t, x: np.zeros(np.shape(x) + (1,)))
-    m = ModelSpec(N=1, d=1, stratonovich_fields=(v0, c), x0=np.array([1.0]), payoff=Payoff(100.0))
-    y = np.array([4.2])
-    np.testing.assert_allclose(ito_drift(m).eval(0.0, y), v0.eval(0.0, y), rtol=1e-14)
 
 
 def test_payoff_values():
@@ -126,12 +118,9 @@ def test_field_purity(heston):
     np.testing.assert_array_equal(a, b)
 
 
-def test_variance_clamp_counter(heston):
-    reset_clamp_events()
-    v1 = heston.stratonovich_fields[1]
-    out = v1.eval(0.0, np.array([100.0, -0.05]))
-    # clamped sqrt keeps the evaluation finite and counts the event
-    assert np.all(np.isfinite(out))
-    assert clamp_events() >= 1
-    reset_clamp_events()
-    assert clamp_events() == 0
+def test_variance_clamp(heston):
+    # the square roots read negative variance as zero, so the fields stay finite
+    for vi in heston.stratonovich_fields[1:]:
+        out = vi.eval(0.0, np.array([[100.0, -0.05], [80.0, -3.0]]))
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out, vi.eval(0.0, np.array([[100.0, 0.0], [80.0, 0.0]])))

@@ -1,9 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
-import martnet as mn
 from martnet.autodiff import Tensor
-from martnet.fields import ModelSpec, Payoff, VectorField
 from martnet.mlp import (
     MlpParams,
     init_mlp,
@@ -18,11 +19,9 @@ from martnet.mlp import (
     adam_update,
     save_checkpoint,
     load_checkpoint,
-    MlpField,
     DEPTH,
     HIDDEN,
 )
-from martnet import schemes as sch
 from martnet.errors import ShapeError
 
 
@@ -33,7 +32,7 @@ def test_architecture_dimensions():
     for w, b in p.layers[1:]:
         assert w.shape == (HIDDEN, HIDDEN) and b.shape == (HIDDEN,)
     assert p.proj.shape == (HIDDEN, 2)
-    assert (p.in_dim, p.out_dim) == (4, 2)
+    assert p.in_dim == 4
 
 
 def test_fresh_net_outputs_zero():
@@ -106,51 +105,13 @@ def test_grad_quadratic():
         total = None
         for ts in tensors:
             for arr in tensor_arrays(ts):
-                term = arr.square().sum()
+                term = arr.square().mean()
                 total = term if total is None else total + term
         return total * 0.5
 
     val, grads = grad(loss_fn, [p])
     for got, want in zip(grads[0], param_arrays(p)):
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-
-def test_grad_full_pipeline_finite_difference():
-    # one flow-reversal step driven by a network-backed field
-    params = init_mlp(1, 1, seed=9)
-    rng = np.random.default_rng(10)
-    params.proj[:] = rng.standard_normal(params.proj.shape) * 0.1
-    x = np.abs(rng.standard_normal((8, 1))) + 1.0
-    eta = rng.standard_normal((8, 1))
-    zero = VectorField(lambda t, z: z * 0.0)
-
-    def pipeline(p):
-        field = MlpField(p)
-        model = ModelSpec(
-            N=1, d=1, stratonovich_fields=(zero, field), x0=np.array([1.0]), payoff=Payoff(100.0)
-        )
-        out = sch.nv_step(model, Tensor(x), 0.25, eta, 1)
-        return out.mean(), field
-
-    loss, field = pipeline(params)
-    loss.backward()
-    grads = [a.grad if a.grad is not None else np.zeros_like(a.data) for a in tensor_arrays(field.tensors)]
-    arrs = param_arrays(params)
-    rng2 = np.random.default_rng(11)
-    h = 1e-5
-    for _ in range(20):
-        ai = int(rng2.integers(0, len(arrs)))
-        idx = tuple(int(rng2.integers(0, s)) for s in arrs[ai].shape)
-
-        def value(delta):
-            shifted = [a.copy() for a in arrs]
-            shifted[ai][idx] += delta
-            l2, _ = pipeline(rebuild_params(params, shifted))
-            return float(l2.data)
-
-        fd = (value(h) - value(-h)) / (2 * h)
-        an = grads[ai][idx]
-        assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd)), f"arr {ai} idx {idx}: fd {fd} vs {an}"
+        np.testing.assert_allclose(got, want / want.size, rtol=1e-12)
 
 
 def test_adam_first_step():
@@ -221,17 +182,37 @@ def test_checkpoint_failed_write_keeps_previous(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["nets.ckpt"]
 
 
-@pytest.mark.parametrize("cut", ["8", "40", "n-8", "trailing"])
+def _checkpoint_bytes(shapes):
+    """A checkpoint with a valid network 0, then a network 1 of zero arrays shaped ``shapes``."""
+    nets = [[(4, 32), (32,), (32, 1)], shapes]
+    head = [b"MNET", struct.pack("<II", 1, len(nets))]
+    for net in nets:
+        head.append(struct.pack("<qI", 0, len(net)))
+        head.extend(struct.pack(f"<I{len(s)}Q", len(s), *s) for s in net)
+    return b"".join(head) + bytes(8 * sum(math.prod(s) for net in nets for s in net))
+
+
+_NOT_LAYERS = {
+    "no-arrays": [],
+    "two-arrays": [(4, 32), (32,)],
+    "even-count": [(4, 32), (32,), (32, 32), (32,)],
+    "1-d-weight": [(32,), (32,), (32, 1)],
+    "bias-width": [(4, 32), (31,), (32, 1)],
+    "unchained": [(4, 32), (32,), (16, 1)],
+}
+
+
+@pytest.mark.parametrize("cut", ["8", "40", "n-8", "trailing", "missing", *_NOT_LAYERS])
 def test_checkpoint_damaged_file_raises_shape_error(tmp_path, cut):
     path = tmp_path / "nets.ckpt"
     save_checkpoint(path, [init_mlp(4, 1, seed=12), init_mlp(4, 1, seed=13)])
     raw = path.read_bytes()
-    damaged = {
-        "8": raw[:8],
-        "40": raw[:40],
-        "n-8": raw[:-8],
-        "trailing": raw + b"\0" * 8,
-    }[cut]
-    path.write_bytes(damaged)
-    with pytest.raises(ShapeError, match="nets.ckpt"):
+    if cut == "missing":
+        path.unlink()
+    elif cut in _NOT_LAYERS:
+        path.write_bytes(_checkpoint_bytes(_NOT_LAYERS[cut]))
+    else:
+        path.write_bytes({"8": raw[:8], "40": raw[:40], "n-8": raw[:-8], "trailing": raw + b"\0" * 8}[cut])
+    match = "nets.ckpt.*network 1" if cut in _NOT_LAYERS else "nets.ckpt"
+    with pytest.raises(ShapeError, match=match):
         load_checkpoint(path)

@@ -231,25 +231,24 @@ def test_nv_per_path_lam_equals_scalar_rows(heston, lam):
         assert out_m[rows].tobytes() == want_m.tobytes()
 
 
-def test_heston_nvnet_mixed_lam_gradient(heston):
-    # the split's row gather and merge sit on the tape between the networks and the loss
-    p1 = mn.uniform_partition(1.0, 1)
-    cfg = MartingaleNetConfig(scheme="nvnet", d_M=2, partition=p1, batch=64)
+def _worst_gradient_error(model, scheme, tag, steps):
+    """Worst relative gap between loss_and_grads and central differences on 10 random weights."""
+    p = mn.uniform_partition(1.0, steps)
+    cfg = MartingaleNetConfig(scheme=scheme, d_M=model.d, partition=p, batch=64)
     rng = np.random.default_rng(8)
-    mlps = [init_mlp(heston.N + 2, 1, seed=5 + j) for j in range(2)]
-    for p in mlps:
-        p.proj[:] = rng.standard_normal(p.proj.shape) * 0.05
-    draws = draws_for("nv", 2, 1, 64, seed=9)
-    assert np.any(draws.lam > 0) and np.any(draws.lam < 0)
-    uniforms = _bridge_uniforms(9, 0, 64, 1)
-    sigma_hat = np.array([20.0])
+    mlps = [init_mlp(model.N + 2, 1, seed=5 + j) for j in range(model.d)]
+    for net in mlps:
+        net.proj[:] = rng.standard_normal(net.proj.shape) * 0.05
+    draws = draws_for(tag, model.d, steps, 64, seed=9)
+    uniforms = _bridge_uniforms(9, 0, 64, steps)
+    sigma_hat = np.full(steps, 20.0)
 
-    _, grads = loss_and_grads(cfg, mlps, heston, draws, bridge=True, uniforms=uniforms, sigma_hat=sigma_hat)
+    _, grads = loss_and_grads(cfg, mlps, model, draws, bridge=True, uniforms=uniforms, sigma_hat=sigma_hat)
     rng2 = np.random.default_rng(4)
     h = 1e-5
     worst = 0.0
     for _ in range(10):
-        j = int(rng2.integers(0, 2))
+        j = int(rng2.integers(0, model.d))
         arrs = param_arrays(mlps[j])
         ai = int(rng2.integers(0, len(arrs)))
         idx = tuple(int(rng2.integers(0, s)) for s in arrs[ai].shape)
@@ -259,8 +258,24 @@ def test_heston_nvnet_mixed_lam_gradient(heston):
             shifted[ai][idx] += delta
             nets = list(mlps)
             nets[j] = rebuild_params(mlps[j], shifted)
-            return loss_value(cfg, nets, heston, draws, bridge=True, uniforms=uniforms, sigma_hat=sigma_hat)
+            return loss_value(cfg, nets, model, draws, bridge=True, uniforms=uniforms, sigma_hat=sigma_hat)
 
         fd = (value(h) - value(-h)) / (2.0 * h)
         worst = max(worst, abs(fd - grads[j][ai][idx]) / max(1e-8, abs(fd)))
-    assert worst < 1e-3
+    return worst
+
+
+def test_heston_nvnet_mixed_lam_gradient(heston):
+    # the split's row gather and merge sit on the tape between the networks and the loss
+    lam = draws_for("nv", 2, 1, 64, seed=9).lam
+    assert np.any(lam > 0) and np.any(lam < 0)
+    assert _worst_gradient_error(heston, "nvnet", "nv", 1) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "name, scheme, tag, steps",
+    [("bsm", "resnet-em", "em", 2), ("bsm", "nnet", "nn", 1), ("heston", "nnet", "nn", 1)],
+)
+def test_network_scheme_gradient(request, name, scheme, tag, steps):
+    # the taped gradient through each network scheme's kernel against central differences
+    assert _worst_gradient_error(request.getfixturevalue(name), scheme, tag, steps) < 1e-3
