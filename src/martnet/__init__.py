@@ -29,6 +29,7 @@ from .errors import (
     UnknownSchemeError,
     UnsupportedDimensionError,
     UsageError,
+    WriteError,
 )
 from .fields import (
     ModelSpec,
@@ -53,10 +54,8 @@ from .qmc import draws_for, inv_normal_cdf, sobol_points
 from .rk5 import flow, rk5_step
 from .schemes import (
     Partition,
-    PathBatch,
     cub3_step,
     em_step,
-    nn_constants,
     nn_step,
     nv_step,
     simulate,
@@ -77,7 +76,6 @@ __all__ = [
     "ModelSpec",
     "NumericError",
     "Partition",
-    "PathBatch",
     "Payoff",
     "ShapeError",
     "Tensor",
@@ -86,6 +84,7 @@ __all__ = [
     "UnsupportedDimensionError",
     "UsageError",
     "VectorField",
+    "WriteError",
     "adam_update",
     "binomial_american_put",
     "bridge_sup",
@@ -105,7 +104,6 @@ __all__ = [
     "make_bsm_model",
     "make_heston_model",
     "mlp_forward",
-    "nn_constants",
     "nn_step",
     "nv_step",
     "payoff_eval",

@@ -74,7 +74,10 @@ def _cmd_train(args):
 
     out_csv = os.path.abspath(resolved["out"])
     run_dir = os.path.dirname(out_csv)
-    os.makedirs(run_dir, exist_ok=True)
+    try:
+        os.makedirs(run_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create run directory {run_dir}: {exc}") from exc
     with atomic_open(os.path.join(run_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(snapshot_text(resolved))
 

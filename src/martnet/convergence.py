@@ -43,7 +43,7 @@ import numpy as np
 from .errors import UsageError
 from .oracles import bs_european_put
 from .qmc import DrawBlock, draws_for
-from .schemes import nn_constants, step_kernel, uniform_partition
+from .schemes import NN_R11, nn_zeta, step_kernel, uniform_partition
 # Not called here: the benchmark's layer tracer rebinds
 # martnet.convergence.simulate and fails at import when the name is missing.
 from .schemes import simulate  # noqa: F401
@@ -68,25 +68,14 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def _terminal_weights(scheme, draws, u, sign):
+def _terminal_weights(scheme, draws):
     if scheme != "nn":
         return draws.eta[:, :, 0].sum(axis=1)
-    _, _, r11, r22, r12 = nn_constants(u, sign)
-    zeta = (r12 / np.sqrt(r11)) * draws.eta + np.sqrt(r22 - r12 * r12 / r11) * draws.xi
-    return (np.sqrt(r11) * draws.eta[:, :, 0] + zeta[:, :, 0]).sum(axis=1)
+    zeta = nn_zeta(draws.eta, draws.xi)
+    return (np.sqrt(NN_R11) * draws.eta[:, :, 0] + zeta[:, :, 0]).sum(axis=1)
 
 
-def run_convergence(
-    model,
-    scheme,
-    step_counts,
-    qmc_points,
-    seed=0,
-    protocol="auto",
-    substeps=1,
-    u=0.5,
-    sign=1,
-):
+def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="auto"):
     """Weak-error ladder for a scheme on the lognormal model.
 
     Returns a list of ConvergenceRow, one per step count, each carrying the
@@ -106,8 +95,8 @@ def run_convergence(
         raise UsageError("step counts must be positive")
     if sorted(set(counts)) != counts:
         raise UsageError("step counts must be strictly ascending")
-    if substeps < 1 or qmc_points < 1:
-        raise UsageError("substeps and the point count must be >= 1")
+    if qmc_points < 1:
+        raise UsageError("the point count must be >= 1")
     if protocol not in ("auto", "direct", "paired"):
         raise UsageError(f"unknown protocol: {protocol!r}")
     proto = protocol if protocol != "auto" else ("direct" if scheme == "em" else "paired")
@@ -121,13 +110,12 @@ def run_convergence(
     # Black-Scholes put compounded forward.
     ref_direct = float(np.exp(mu * T) * bs_european_put(s0, strike, sigma, T, r=mu))
 
-    mode = "cubature" if scheme == "cub3" else "gaussian"
-    top = draws_for(scheme, model.d, counts[-1], qmc_points, mode=mode, seed=seed)
+    top = draws_for(scheme, model.d, counts[-1], qmc_points, seed=seed)
 
     def rung(steps):
         part = uniform_partition(T, steps)
         draws = DrawBlock(*(a if a is None else a[:, :steps] for a in (top.eta, top.xi, top.lam)))
-        step = step_kernel(model, scheme, draws, substeps, u, sign)
+        step = step_kernel(model, scheme, draws)
         times, deltas = part.times, part.deltas
         x = np.full((qmc_points, model.N), model.x0)
         for k in range(steps):
@@ -137,7 +125,7 @@ def run_convergence(
         if proto == "direct":
             err = abs(price - ref_direct)
         else:
-            w = _terminal_weights(scheme, draws, u, sign)
+            w = _terminal_weights(scheme, draws)
             dt = T / steps
             exact = s0 * np.exp((mu - 0.5 * sigma * sigma) * T + sigma * np.sqrt(dt) * w)
             ref = float(np.maximum(strike - exact, 0.0).mean())

@@ -102,12 +102,12 @@ def bridge_sup(bp, u):
     return _bridge_g(bp.a, bp.b, sigma * sigma * np.asarray(bp.dt), u)
 
 
-def estimate_sigma(pilot, deltas, k=None):
+def estimate_sigma(pilot, deltas):
     """Per-step volatility of Z - M from pilot paths.
 
     Sample standard deviation (ddof=1) of the step increments across the
-    pilot paths, scaled by 1/sqrt(delta_k) and floored at 1e-8. Returns the
-    full vector, or one entry when ``k`` is given.
+    pilot paths, scaled by 1/sqrt(delta_k) and floored at 1e-8, one entry
+    per step.
     """
     pilot = np.asarray(pilot, dtype=np.float64)
     if pilot.ndim != 2 or pilot.shape[0] < 2:
@@ -117,16 +117,12 @@ def estimate_sigma(pilot, deltas, k=None):
         raise ShapeError("pilot paths do not match the partition")
     incr = np.diff(pilot, axis=1)
     sd = incr.std(axis=0, ddof=1) / np.sqrt(deltas)
-    sd = np.maximum(sd, SIGMA_FLOOR)
-    return float(sd[k]) if k is not None else sd
+    return np.maximum(sd, SIGMA_FLOOR)
 
 
 def center(mprime):
     """Subtract the per-time batch mean; accepts ndarray or Tensor."""
-    if isinstance(mprime, Tensor):
-        return mprime - mprime.mean(axis=0, keepdims=True)
-    m = np.asarray(mprime, dtype=np.float64)
-    return m - m.mean(axis=0, keepdims=True)
+    return mprime - mprime.mean(axis=0, keepdims=True)
 
 
 def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
@@ -141,25 +137,13 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
     if (M.shape if taped else np.shape(M)) != np.shape(Z):
         raise ShapeError("Z and M shapes differ")
     D = Z - M
-    if not bridge:
-        if taped:
-            return D.max_rows().mean()
-        return float(np.mean(np.max(D, axis=1)))
-    if sigma is None or uniforms is None or deltas is None:
-        raise InvalidParameterError("bridge=True needs sigma, uniforms and deltas")
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0.0):
-        raise InvalidParameterError("bridge volatility must be positive")
-    uniforms = np.asarray(uniforms, dtype=np.float64)
-    if np.any(uniforms < 0.0) or np.any(uniforms >= 1.0):
-        raise InvalidParameterError("bridge uniforms must lie in [0, 1)")
-    var_dt = sigma * sigma * np.asarray(deltas, dtype=np.float64)
-    a = D[:, :-1]
-    b = D[:, 1:]
-    G = _bridge_g(a, b, var_dt, uniforms)
+    if bridge:
+        if sigma is None or uniforms is None or deltas is None:
+            raise InvalidParameterError("bridge=True needs sigma, uniforms and deltas")
+        D = bridge_sup(BridgeParams(D[:, :-1], D[:, 1:], sigma, deltas), uniforms)
     if taped:
-        return G.max_rows().mean()
-    return float(np.mean(np.max(G, axis=1)))
+        return D.max_rows().mean()
+    return float(np.mean(np.max(D, axis=1)))
 
 
 # -- coupled (X, M) simulation ----------------------------------------------
@@ -200,7 +184,7 @@ def _simulate_coupled(config, nets, model, draws, taped):
 
     The martingale rides the configured scheme's kernel as one more state
     component, so both see the same draws and the same within-step asset
-    trajectory; returns (paths, cols) with one (batch, 1) column per knot.
+    trajectory; returns (states, cols) with one (batch, 1) column per knot.
     """
     net = _bind_nets(nets, taped, model, config.partition)
     return simulate(model, _ASSET_TAG[config.scheme], config.partition, draws, net=net)
@@ -226,8 +210,8 @@ def _bridge_uniforms(seed, iteration, batch, steps):
 
 
 def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, taped):
-    asset_paths, cols = _simulate_coupled(config, nets, model, draws, taped)
-    Z = payoff_eval(model.payoff, asset_paths.states)
+    states, cols = _simulate_coupled(config, nets, model, draws, taped)
+    Z = payoff_eval(model.payoff, states)
     if taped:
         mmat = concat_cols(cols)
     else:

@@ -31,3 +31,7 @@ class NumericError(MartnetError, ArithmeticError):
 
 class UsageError(MartnetError, ValueError):
     """Invalid combination of CLI or configuration options."""
+
+
+class WriteError(MartnetError, OSError):
+    """A file could not be written; the message names it."""

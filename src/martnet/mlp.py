@@ -8,7 +8,7 @@ for evaluation, and a taped path over autodiff Tensors for training.
 
 import math
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,20 +65,13 @@ def mlp_forward(params, x):
     return out[0] if single else out
 
 
-@dataclass
-class MlpTensors:
-    """Leaf tensors mirroring MlpParams, shared across one tape."""
-
-    layers: list
-    proj: Tensor
-
-
 def params_to_tensors(params):
+    """MlpParams whose arrays are leaf Tensors, shared across one tape."""
     layers = [
         (Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
         for w, b in params.layers
     ]
-    return MlpTensors(layers=layers, proj=Tensor(params.proj, requires_grad=True))
+    return MlpParams(layers=layers, proj=Tensor(params.proj, requires_grad=True), seed=params.seed)
 
 
 def mlp_forward_t(tensors, x, check=False):
@@ -95,19 +88,11 @@ def mlp_forward_t(tensors, x, check=False):
 
 
 def param_arrays(params):
-    """Flat list of the parameter ndarrays in a fixed order."""
+    """Flat list of the parameter arrays (or their leaf Tensors) in a fixed order."""
     out = []
     for w, b in params.layers:
         out.extend((w, b))
     out.append(params.proj)
-    return out
-
-
-def tensor_arrays(tensors):
-    out = []
-    for w, b in tensors.layers:
-        out.extend((w, b))
-    out.append(tensors.proj)
     return out
 
 
@@ -121,7 +106,7 @@ def rebuild_params(template, arrays):
 def grad(loss_fn, params_list):
     """Reverse-mode gradient of a scalar loss over several networks.
 
-    loss_fn receives a list of MlpTensors (one per network, leaves shared
+    loss_fn receives a list of taped MlpParams (one per network, leaves shared
     with the returned gradient order) and must return a scalar Tensor.
     Returns (loss value, list of gradient-array lists congruent to
     param_arrays of each network).
@@ -133,12 +118,16 @@ def grad(loss_fn, params_list):
     loss.backward()
     grads = []
     for ts in tensors:
-        arrs = tensor_arrays(ts)
+        arrs = param_arrays(ts)
         grads.append([a.grad if a.grad is not None else np.zeros_like(a.data) for a in arrs])
     return float(loss.data), grads
 
 
 # -- Adam ------------------------------------------------------------------
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-7
 
 
 @dataclass
@@ -149,21 +138,10 @@ class AdamState:
     v: list
     t: int = 0
     alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
 
 
-def init_adam(arrays, alpha=0.001, beta1=0.9, beta2=0.999, epsilon=1e-7):
-    return AdamState(
-        m=[np.zeros_like(a) for a in arrays],
-        v=[np.zeros_like(a) for a in arrays],
-        t=0,
-        alpha=alpha,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
+def init_adam(arrays, alpha=0.001):
+    return AdamState(m=[np.zeros_like(a) for a in arrays], v=[np.zeros_like(a) for a in arrays], alpha=alpha)
 
 
 def adam_update(state, arrays, grads):
@@ -173,21 +151,16 @@ def adam_update(state, arrays, grads):
     corrections use their own decay rate (1 - beta^t).
     """
     t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
     new_m, new_v, new_p = [], [], []
     for p, g, m, v in zip(arrays, grads, state.m, state.v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
         new_m.append(m)
         new_v.append(v)
-        new_p.append(p - state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon))
-    next_state = AdamState(
-        m=new_m, v=new_v, t=t,
-        alpha=state.alpha, beta1=state.beta1, beta2=state.beta2, epsilon=state.epsilon,
-    )
-    return next_state, new_p
+        new_p.append(p - state.alpha * m_hat / (np.sqrt(v_hat) + EPSILON))
+    return AdamState(m=new_m, v=new_v, t=t, alpha=state.alpha), new_p
 
 
 # -- checkpoints -----------------------------------------------------------

@@ -51,8 +51,8 @@ _directions = np.empty((0, _BITS), dtype=np.uint32)
 class DrawBlock:
     """Draws shaped [batch, steps, d] plus scheme extras.
 
-    eta (and xi) hold standard normals, or in cubature mode the discrete
-    third-order cubature values {-sqrt(3), 0, +sqrt(3)} with masses
+    eta (and xi) hold standard normals, or for the cubature scheme the
+    discrete third-order cubature values {-sqrt(3), 0, +sqrt(3)} with masses
     (1/6, 2/3, 1/6), which match standard normal moments through order 5.
     xi is present for the two-family scheme only; lam holds the +-1 signs
     for the flow-reversal scheme. Entries of lam are exactly -1.0 or +1.0.
@@ -166,54 +166,49 @@ def _cubature_map(u):
     return np.where(u < 1.0 / 6.0, -SQRT3, np.where(u < 5.0 / 6.0, 0.0, SQRT3))
 
 
+# Per step, a scheme takes `normals` coordinates per Brownian dimension (eta,
+# then xi when there are two), then one sign coordinate when `sign`;
+# `cubature` maps the normal coordinates to cubature values instead of
+# through the normal quantile.
+_LAYOUT = {  # scheme: (normals, sign, cubature)
+    "em": (1, False, False),
+    "cub3": (1, False, True),
+    "nv": (1, True, False),
+    "nn": (2, False, False),
+}
+
+
+def _layout(scheme):
+    if scheme not in _LAYOUT:
+        raise UnknownSchemeError(f"unknown scheme tag: {scheme!r}")
+    return _LAYOUT[scheme]
+
+
 def dims_for(scheme, d, steps):
     """QMC coordinates consumed per path by each scheme."""
-    scheme = scheme.lower()
-    if scheme in ("em", "cub3"):
-        return d * steps
-    if scheme == "nv":
-        return (d + 1) * steps
-    if scheme == "nn":
-        return 2 * d * steps
-    raise UnknownSchemeError(f"unknown scheme tag: {scheme!r}")
+    normals, sign, _ = _layout(scheme)
+    return (normals * d + sign) * steps
 
 
-def draws_for(scheme, d, steps, batch, mode="gaussian", seed=None):
+def draws_for(scheme, d, steps, batch, seed=None):
     """Generate the per-path randomness a scheme consumes.
 
     Coordinates are allocated per step: the flow-reversal scheme takes d
     normals plus one sign coordinate (thresholded at 1/2), the two-family
-    scheme takes 2d normals, the others d. In cubature mode the normal
-    coordinates map to {-sqrt(3), 0, +sqrt(3)} with probabilities
+    scheme takes 2d normals, the others d. The cubature scheme maps its
+    coordinates to {-sqrt(3), 0, +sqrt(3)} with probabilities
     (1/6, 2/3, 1/6) instead of through the normal quantile.
     """
     if batch < 1:
         raise InvalidParameterError("batch must be >= 1")
     if steps < 0:
         raise InvalidParameterError("steps must be >= 0")
-    scheme = scheme.lower()
-    dim = dims_for(scheme, d, steps)
+    normals, sign, cubature = _layout(scheme)
     if steps == 0:
         return DrawBlock(eta=np.empty((batch, 0, d)))
 
-    u = sobol_points(dim, batch, scramble_seed=seed)
-    per_step = dim // steps
-    u = u.reshape(batch, steps, per_step)
-    if scheme == "nv":
-        u_eta, u_lam = u[:, :, :d], u[:, :, d]
-        lam = np.where(u_lam < 0.5, -1.0, 1.0)
-        u_xi = None
-    elif scheme == "nn":
-        u_eta, u_xi = u[:, :, :d], u[:, :, d:]
-        lam = None
-    else:
-        u_eta, u_xi, lam = u, None, None
-
-    if mode == "gaussian":
-        transform = inv_normal_cdf
-    elif mode == "cubature":
-        transform = _cubature_map
-    else:
-        raise InvalidParameterError(f"unknown draw mode: {mode!r}")
-    xi = transform(u_xi) if u_xi is not None else None
-    return DrawBlock(eta=transform(u_eta), xi=xi, lam=lam)
+    u = sobol_points(dims_for(scheme, d, steps), batch, scramble_seed=seed).reshape(batch, steps, -1)
+    transform = _cubature_map if cubature else inv_normal_cdf
+    xi = transform(u[:, :, d : 2 * d]) if normals == 2 else None
+    lam = np.where(u[:, :, normals * d] < 0.5, -1.0, 1.0) if sign else None
+    return DrawBlock(eta=transform(u[:, :, :d]), xi=xi, lam=lam)

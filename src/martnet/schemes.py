@@ -35,11 +35,8 @@ class Partition:
             raise InvalidParameterError("partition needs a 1-D times array")
         if t[0] != 0.0:
             raise InvalidParameterError("partition must start at t_0 = 0")
-        d = np.diff(t)
-        if np.any(d <= 0):
+        if np.any(np.diff(t) <= 0):
             raise InvalidParameterError("partition times must be strictly increasing")
-        if abs(d.sum() - (t[-1] - t[0])) > 1e-12:
-            raise InvalidParameterError("partition step sizes do not sum to T")
 
     @property
     def deltas(self):
@@ -58,23 +55,6 @@ def uniform_partition(T, steps):
     if steps < 0 or T < 0:
         raise InvalidParameterError("uniform partition needs T >= 0 and steps >= 0")
     return Partition(np.linspace(0.0, T, steps + 1))
-
-
-@dataclass(frozen=True)
-class PathBatch:
-    """Simulated states shaped [batch, steps+1, N] on a partition."""
-
-    states: np.ndarray
-    partition: Partition
-    scheme: str
-
-
-def _rows(x):
-    """View a state as (batch, N), remembering whether it was a single row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
 
 
 def _frozen_field(model, coeff0, weights, net=None):
@@ -112,38 +92,31 @@ def em_step(model, x, dt, eta_row, t=0.0, m=None, net=None):
     The martingale advances by sqrt(dt) sum_i eta^i net(i, t, x, m) at the
     pre-step state.
     """
-    x2, single = _rows(x)
-    eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
-    out = x2 + dt * model.ito_field.eval(t, x2)
+    out = x + dt * model.ito_field.eval(t, x)
     sdt = np.sqrt(dt)
     acc = None
     for i, vi in enumerate(model.stratonovich_fields[1:]):
-        out = out + sdt * eta2[:, i : i + 1] * vi.eval(t, x2)
+        out = out + sdt * eta_row[:, i : i + 1] * vi.eval(t, x)
         if m is not None:
-            term = (sdt * eta2[:, i : i + 1]) * net(i, t, x2, m)
+            term = (sdt * eta_row[:, i : i + 1]) * net(i, t, x, m)
             acc = term if acc is None else acc + term
-    out = out[0] if single else out
     return out if m is None else (out, m + acc)
 
 
-def cub3_step(model, x, dt, eta_row, substeps=1, t=0.0):
+def cub3_step(model, x, dt, eta_row, t=0.0):
     """Unit-time flow along the frozen field dt*V_0 + sqrt(dt) sum eta^i V_i."""
-    x2, single = _rows(x)
-    eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
-    f = _frozen_field(model, dt, np.sqrt(dt) * eta2)
-    out = flow(f, t, x2, 1.0, substeps)
-    return out[0] if single else out
+    return flow(_frozen_field(model, dt, np.sqrt(dt) * eta_row), t, x, 1.0)
 
 
-def _nv_diffusions(model, state, net, tau, descending, substeps, t):
+def _nv_diffusions(model, state, net, tau, descending, t):
     order = range(model.d - 1, -1, -1) if descending else range(model.d)
     for i in order:
         field = _coupled(model.stratonovich_fields[1 + i], net, i)
-        state = flow(field, t, state, tau[:, i : i + 1], substeps)
+        state = flow(field, t, state, tau[:, i : i + 1])
     return state
 
 
-def nv_step(model, x, dt, eta_row, lam, substeps=1, t=0.0, m=None, net=None):
+def nv_step(model, x, dt, eta_row, lam, t=0.0, m=None, net=None):
     """Flow-reversal splitting step.
 
     lam = +1 runs the half drift flow, then the diffusion flows from V_d
@@ -153,70 +126,57 @@ def nv_step(model, x, dt, eta_row, lam, substeps=1, t=0.0, m=None, net=None):
     through the order its sign selects only. The martingale rides the
     diffusion flows only, its drift being zero.
     """
-    x2, single = _rows(x)
-    eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
     if np.ndim(lam) == 0 and lam not in (-1, 1):
         raise InvalidParameterError("lam must be +1 or -1")
     v0 = model.stratonovich_fields[0]
-    tau = np.sqrt(dt) * eta2
-    x2 = flow(v0, t, x2, dt / 2.0, substeps)
-    state = (x2,) if m is None else (x2, m)
+    tau = np.sqrt(dt) * eta_row
+    x = flow(v0, t, x, dt / 2.0)
+    state = (x,) if m is None else (x, m)
     pos = np.asarray(lam) > 0
     if model.d == 1 or pos.all() or not pos.any():
         # a single diffusion field makes both orders coincide; one sign needs no split
-        state = _nv_diffusions(model, state, net, tau, model.d == 1 or bool(pos.all()), substeps, t)
+        state = _nv_diffusions(model, state, net, tau, model.d == 1 or bool(pos.all()), t)
     else:
         ia, ib = np.flatnonzero(pos), np.flatnonzero(~pos)
-        a = _nv_diffusions(model, tuple(p[ia] for p in state), net, tau[ia], True, substeps, t)
-        b = _nv_diffusions(model, tuple(p[ib] for p in state), net, tau[ib], False, substeps, t)
+        a = _nv_diffusions(model, tuple(p[ia] for p in state), net, tau[ia], True, t)
+        b = _nv_diffusions(model, tuple(p[ib] for p in state), net, tau[ib], False, t)
         state = tuple(merge_rows(ia, pa, ib, pb) for pa, pb in zip(a, b))
-    x2, m = state if m is not None else (state[0], None)
-    out = flow(v0, t, x2, dt / 2.0, substeps)
-    out = out[0] if single else out
-    return out if m is None else (out, m)
+    x = flow(v0, t, state[0], dt / 2.0)
+    return x if m is None else (x, state[1])
 
 
-def nn_constants(u, sign=1):
-    """Constants (c1, c2, R11, R22, R12) of the two-family splitting."""
-    if u < 0.5:
-        raise InvalidParameterError("the two-family scheme requires u >= 1/2")
-    if sign not in (1, -1):
-        raise InvalidParameterError("sign must be +1 (upper branch) or -1 (lower)")
-    root = np.sqrt((2.0 * u - 1.0) / 2.0)
-    c1 = -sign * root
-    c2 = 1.0 - c1
-    r11 = u
-    r22 = 1.0 + u + sign * np.sqrt(2.0 * (2.0 * u - 1.0))
-    r12 = -u - sign * root
-    if r22 - r12 * r12 / r11 < 0:
-        raise InvalidParameterError("residual variance negative; invalid (u, sign)")
-    return c1, c2, r11, r22, r12
+# Constants (c1, c2, R11, R22, R12) of the two-family splitting on its upper
+# branch at u = 1/2: c1 = -sqrt((2u - 1)/2), c2 = 1 - c1, R11 = u,
+# R22 = 1 + u + sqrt(2(2u - 1)), R12 = -u + c1. c1 is -0.0, as that formula
+# gives it.
+NN_C1 = -0.0
+NN_C2 = 1.0
+NN_R11 = 0.5
+NN_R22 = 1.5
+NN_R12 = -0.5
 
 
-def nn_step(model, x, dt, eta_row, xi_row, u=0.5, sign=1, substeps=1, t=0.0, m=None, net=None):
+def nn_zeta(eta, xi):
+    """The two-family scheme's second Gaussians, (R12/sqrt(R11)) eta + sqrt(R22 - R12^2/R11) xi."""
+    return (NN_R12 / np.sqrt(NN_R11)) * eta + np.sqrt(NN_R22 - NN_R12 * NN_R12 / NN_R11) * xi
+
+
+def nn_step(model, x, dt, eta_row, xi_row, t=0.0, m=None, net=None):
     """Two-family splitting step of Gaussian pairs (eta, zeta).
 
-    zeta = (R12/sqrt(R11)) eta + sqrt(R22 - R12^2/R11) xi; the step flows
-    unit time along c2*dt*V_0 + sqrt(dt) sum zeta^i V_i, then along
+    zeta = nn_zeta(eta, xi); the step flows unit time along
+    c2*dt*V_0 + sqrt(dt) sum zeta^i V_i, then along
     c1*dt*V_0 + sqrt(R11*dt) sum eta^i V_i. The martingale's field carries
     the same diffusion weights and no drift.
     """
-    c1, c2, r11, r22, r12 = nn_constants(u, sign)
-    x2, single = _rows(x)
-    eta2 = np.atleast_2d(np.asarray(eta_row, dtype=np.float64))
-    xi2 = np.atleast_2d(np.asarray(xi_row, dtype=np.float64))
-    zeta = (r12 / np.sqrt(r11)) * eta2 + np.sqrt(r22 - r12 * r12 / r11) * xi2
     sdt = np.sqrt(dt)
-    f_second = _frozen_field(model, c2 * dt, sdt * zeta, net)
-    f_first = _frozen_field(model, c1 * dt, np.sqrt(r11) * sdt * eta2, net)
-    state = flow(f_second, t, x2 if m is None else (x2, m), 1.0, substeps)
-    state = flow(f_first, t, state, 1.0, substeps)
-    x2, m = (state, None) if m is None else state
-    out = x2[0] if single else x2
-    return out if m is None else (out, m)
+    f_second = _frozen_field(model, NN_C2 * dt, sdt * nn_zeta(eta_row, xi_row), net)
+    f_first = _frozen_field(model, NN_C1 * dt, np.sqrt(NN_R11) * sdt * eta_row, net)
+    state = flow(f_second, t, x if m is None else (x, m), 1.0)
+    return flow(f_first, t, state, 1.0)
 
 
-def step_kernel(model, scheme, draws, substeps=1, u=0.5, sign=1, net=None):
+def step_kernel(model, scheme, draws, net=None):
     """The scheme's one-step map step(x, m, k, t, dt) over step k of ``draws``.
 
     The Euler, flow-reversal and two-family kernels take an optional
@@ -229,13 +189,9 @@ def step_kernel(model, scheme, draws, substeps=1, u=0.5, sign=1, net=None):
     eta, xi, lam = draws.eta, draws.xi, draws.lam
     kernels = {
         "em": lambda x, m, k, t, dt: em_step(model, x, dt, eta[:, k], t=t, m=m, net=net),
-        "cub3": lambda x, m, k, t, dt: cub3_step(model, x, dt, eta[:, k], substeps=substeps, t=t),
-        "nv": lambda x, m, k, t, dt: nv_step(
-            model, x, dt, eta[:, k], lam[:, k], substeps=substeps, t=t, m=m, net=net
-        ),
-        "nn": lambda x, m, k, t, dt: nn_step(
-            model, x, dt, eta[:, k], xi[:, k], u=u, sign=sign, substeps=substeps, t=t, m=m, net=net
-        ),
+        "cub3": lambda x, m, k, t, dt: cub3_step(model, x, dt, eta[:, k], t=t),
+        "nv": lambda x, m, k, t, dt: nv_step(model, x, dt, eta[:, k], lam[:, k], t=t, m=m, net=net),
+        "nn": lambda x, m, k, t, dt: nn_step(model, x, dt, eta[:, k], xi[:, k], t=t, m=m, net=net),
     }
     if scheme not in kernels:
         raise UnknownSchemeError(f"unknown scheme tag: {scheme!r}")
@@ -244,23 +200,23 @@ def step_kernel(model, scheme, draws, substeps=1, u=0.5, sign=1, net=None):
     return kernels[scheme]
 
 
-def simulate(model, scheme, partition, draws, substeps=1, u=0.5, sign=1, net=None):
+def simulate(model, scheme, partition, draws, net=None):
     """Run the chosen kernel across the partition for every path.
 
-    Shapes are validated before any computation: eta must be
-    (batch, steps, model.d), the flow-reversal scheme needs lam of shape
-    (batch, steps), and the two-family scheme needs xi congruent to eta.
+    Returns the states, shaped (batch, steps + 1, N). Shapes are validated
+    before any computation: eta must be (batch, steps, model.d), the
+    flow-reversal scheme needs lam of shape (batch, steps), and the
+    two-family scheme needs xi congruent to eta.
 
     Given ``net``, the martingale M (M_0 = 0) rides the same kernel as one
-    more state component, and the result is (paths, cols) with cols the
+    more state component, and the result is (states, cols) with cols the
     (batch, 1) values M_{t_0}, ..., M_{t_n}; a taped net makes them Tensors.
 
     Each step reads the running state, a contiguous (batch, N) array, and
     the result is copied once into its knot of ``states``; a strided knot
     column is never a kernel's input.
     """
-    scheme = scheme.lower()
-    step = step_kernel(model, scheme, draws, substeps, u, sign, net)
+    step = step_kernel(model, scheme, draws, net)
     eta, xi, lam = draws.eta, draws.xi, draws.lam
     steps = partition.steps
     if eta.ndim != 3 or eta.shape[1] != steps or eta.shape[2] != model.d:
@@ -288,5 +244,4 @@ def simulate(model, scheme, partition, draws, substeps=1, u=0.5, sign=1, net=Non
             x, m = out
             cols.append(m)
         states[:, k + 1, :] = x
-    paths = PathBatch(states=states, partition=partition, scheme=scheme)
-    return paths if net is None else (paths, cols)
+    return states if net is None else (states, cols)

@@ -224,7 +224,7 @@ def test_desk_scale_heston_trends(desk_runs):
 
 
 def test_discrete_cubature_moments():
-    draws = draws_for("em", 1, 6, 100000, mode="cubature", seed=7)
+    draws = draws_for("cub3", 1, 6, 100000, seed=7)
     vals = draws.eta.ravel()
     assert vals.size == 600000
     m2 = float(np.mean(vals**2))

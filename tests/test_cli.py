@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from martnet.atomic import atomic_open
 from martnet.cli import main
 from martnet.config import parse_config_text, resolve_config, build_model, snapshot_text
 from martnet.report import read_loss_csv, write_loss_csv, plateau_iteration, render_svg, write_report
-from martnet.errors import UsageError
+from martnet.errors import UsageError, WriteError
 
 
 def test_config_parse_roundtrip():
@@ -122,6 +123,32 @@ def test_atomic_open_failure_keeps_previous_file(tmp_path):
     assert os.listdir(tmp_path) == ["config.txt"]
 
 
+@pytest.mark.parametrize("case", ["open", "replace"])
+def test_atomic_open_os_error_names_path(tmp_path, case):
+    # a path that cannot be opened or renamed onto is a WriteError (a MartnetError) naming it
+    if case == "open":
+        path = tmp_path / "missing" / "config.txt"
+    else:
+        path = tmp_path / "config.txt"
+        path.mkdir()
+    with pytest.raises(WriteError, match=re.escape(str(path))) as info:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write("new\n")
+    assert isinstance(info.value.__cause__, OSError)
+    # nothing is created when the open fails, and the temp file is gone after a failed rename
+    assert os.listdir(tmp_path) == ([] if case == "open" else ["config.txt"])
+
+
+def test_atomic_open_block_error_passes_through(tmp_path):
+    # an OSError raised by the caller's own block is not rewrapped
+    boom = OSError("writer failed")
+    with pytest.raises(OSError) as info:
+        with atomic_open(tmp_path / "config.txt", "w", encoding="utf-8"):
+            raise boom
+    assert info.value is boom
+    assert os.listdir(tmp_path) == []
+
+
 def test_loss_csv_failed_write_keeps_previous(tmp_path):
     path = tmp_path / "run.csv"
     write_loss_csv(path, [20.0, 15.0], [1.0, 1.0], [0.0, 0.0])
@@ -189,6 +216,16 @@ def test_report_bad_run_directory(tmp_path, capsys, case):
     assert err.startswith("error: ") and str(run_dir) in err
     if case in ("non-numeric", "short-row"):
         assert "line 3" in err
+
+
+def test_train_unwritable_run_directory(tmp_path, capsys):
+    # a run directory that cannot be created is a usage error naming it, not a traceback
+    blocker = tmp_path / "X"
+    blocker.write_text("a regular file\n")
+    assert main(["train", "--iters", "1", "--out", str(blocker / "run.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == "a regular file\n"
 
 
 def test_train_reproducible_csv(tmp_path):

@@ -23,16 +23,15 @@ def _reference_ladder(model, scheme, counts, points, seed, proto):
     s0, mu, sigma = (float(model.params[k]) for k in ("S0", "mu", "sigma"))
     strike = float(model.payoff.strike)
     ref_direct = float(np.exp(mu) * mn.bs_european_put(s0, strike, sigma, 1.0, r=mu))
-    mode = "cubature" if scheme == "cub3" else "gaussian"
     errs = []
     for steps in counts:
-        draws = draws_for(scheme, model.d, steps, points, mode=mode, seed=seed)
-        paths = simulate(model, scheme, uniform_partition(1.0, steps), draws)
-        price = float(np.maximum(strike - paths.states[:, -1, 0], 0.0).mean())
+        draws = draws_for(scheme, model.d, steps, points, seed=seed)
+        states = simulate(model, scheme, uniform_partition(1.0, steps), draws)
+        price = float(np.maximum(strike - states[:, -1, 0], 0.0).mean())
         if proto == "direct":
             err = abs(price - ref_direct)
         else:
-            w = _terminal_weights(scheme, draws, 0.5, 1)
+            w = _terminal_weights(scheme, draws)
             exact = s0 * np.exp(mu - 0.5 * sigma * sigma + sigma * np.sqrt(1.0 / steps) * w)
             err = abs(price - float(np.maximum(strike - exact, 0.0).mean()))
         errs.append(max(err, 1e-16))
@@ -141,15 +140,14 @@ def test_rung_error_propagates_and_cancels_queued_rungs(bsm, monkeypatch, failin
 @given(
     scheme=st.sampled_from(["em", "cub3", "nv", "nn"]),
     d=st.integers(min_value=1, max_value=2),
-    mode=st.sampled_from(["gaussian", "cubature"]),
     seed=st.integers(min_value=0, max_value=2**63 - 1),
     top=st.integers(min_value=1, max_value=12),
     data=st.data(),
 )
-def test_draws_are_prefix_stable(scheme, d, mode, seed, top, data):
+def test_draws_are_prefix_stable(scheme, d, seed, top, data):
     s = data.draw(st.integers(min_value=0, max_value=top), label="s")
-    full = draws_for(scheme, d, top, 64, mode=mode, seed=seed)
-    part = draws_for(scheme, d, s, 64, mode=mode, seed=seed)
+    full = draws_for(scheme, d, top, 64, seed=seed)
+    part = draws_for(scheme, d, s, 64, seed=seed)
     for name in ("eta", "xi", "lam"):
         a, b = getattr(full, name), getattr(part, name)
         if s == 0 or a is None:
@@ -166,10 +164,9 @@ def test_draws_are_prefix_stable(scheme, d, mode, seed, top, data):
         {"step_counts": [2, 1]},
         {"step_counts": [1, 1]},
         {"protocol": "exact"},
-        {"substeps": 0},
         {"qmc_points": 0},
     ],
-    ids=["unknown-scheme", "descending", "repeated", "bad-protocol", "substeps-0", "points-0"],
+    ids=["unknown-scheme", "descending", "repeated", "bad-protocol", "points-0"],
 )
 def test_usage_errors(bsm, kwargs):
     args = {"model": bsm, "scheme": "nv", "step_counts": [1, 2], "qmc_points": 64, **kwargs}

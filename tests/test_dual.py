@@ -22,6 +22,7 @@ from martnet.dual import (
 from martnet import dual
 from martnet.mlp import init_mlp, params_to_tensors
 from martnet.qmc import draws_for
+from martnet.schemes import NN_R11, NN_R12, NN_R22
 from martnet.oracles import binomial_american_put
 from martnet.errors import InvalidParameterError, ShapeError
 
@@ -125,7 +126,7 @@ def test_estimate_sigma_hand_value():
     h = 0.3
     pilot = np.array([[0.0, h], [0.0, -h]])
     deltas = np.array([0.25])
-    est = estimate_sigma(pilot, deltas, k=0)
+    est = estimate_sigma(pilot, deltas)[0]
     assert abs(est - h * math.sqrt(2.0) / 0.5) < 1e-12
 
 
@@ -139,9 +140,9 @@ def test_estimate_sigma_shape_checks():
 def test_estimate_sigma_bsm_diagnostic(bsm):
     # payoff-process volatility near the money: about 0.58 * sigma * S0
     p8 = mn.uniform_partition(1.0, 8)
-    paths = mn.simulate(bsm, "em", p8, draws_for("em", 1, 8, 10, seed=3))
-    Z = np.maximum(100.0 - paths.states[:, :, 0], 0.0)
-    est = estimate_sigma(Z, p8.deltas, k=0)
+    states = mn.simulate(bsm, "em", p8, draws_for("em", 1, 8, 10, seed=3))
+    Z = np.maximum(100.0 - states[:, :, 0], 0.0)
+    est = estimate_sigma(Z, p8.deltas)[0]
     ref = 0.32 * 100.0 * math.sqrt(0.5 - 0.5 / math.pi)
     assert 0.5 * ref < est < 1.5 * ref
 
@@ -263,8 +264,8 @@ def test_coupled_pass_assets_match_plain(heston, scheme, tag, taped):
     if taped:
         nets = [params_to_tensors(net) for net in nets]
     draws = draws_for(tag, 2, 4, 64, seed=13)
-    paths, cols = _simulate_coupled(cfg, nets, heston, draws, taped)
-    np.testing.assert_array_equal(paths.states, mn.simulate(heston, tag, p, draws).states)
+    states, cols = _simulate_coupled(cfg, nets, heston, draws, taped)
+    np.testing.assert_array_equal(states, mn.simulate(heston, tag, p, draws))
     last = cols[-1].data if taped else cols[-1]
     assert len(cols) == 5 and np.abs(last).max() > 0.0
 
@@ -287,7 +288,7 @@ def test_coupled_step_constant_field_nvnet(bsm):
 def test_coupled_step_constant_field_nnet(bsm):
     c = 1.5
     got, draws = _one_step_increment(bsm, "nnet", "nn", c)
-    _, _, r11, r22, r12 = mn.nn_constants(0.5, 1)
+    r11, r22, r12 = NN_R11, NN_R22, NN_R12
     eta, xi = draws.eta[:, 0, 0], draws.xi[:, 0, 0]
     zeta = (r12 / math.sqrt(r11)) * eta + math.sqrt(r22 - r12 * r12 / r11) * xi
     np.testing.assert_allclose(got, c * math.sqrt(0.25) * (zeta + math.sqrt(r11) * eta), rtol=0.0, atol=1e-12)

@@ -12,7 +12,6 @@ from martnet.mlp import (
     mlp_forward_t,
     params_to_tensors,
     param_arrays,
-    tensor_arrays,
     rebuild_params,
     grad,
     init_adam,
@@ -104,7 +103,7 @@ def test_grad_quadratic():
     def loss_fn(tensors):
         total = None
         for ts in tensors:
-            for arr in tensor_arrays(ts):
+            for arr in param_arrays(ts):
                 term = arr.square().mean()
                 total = term if total is None else total + term
         return total * 0.5

@@ -229,7 +229,7 @@ def test_lambda_balance():
 
 
 def test_cubature_marginals():
-    d = draws_for("em", 1, 6, 100000, mode="cubature", seed=7)
+    d = draws_for("cub3", 1, 6, 100000, seed=7)
     assert isinstance(d, DrawBlock)
     vals = d.eta.ravel()  # 6e5 draws
     assert vals.size == 600000
@@ -239,7 +239,7 @@ def test_cubature_marginals():
 
 
 def test_cubature_moments():
-    d = draws_for("em", 1, 6, 100000, mode="cubature", seed=7)
+    d = draws_for("cub3", 1, 6, 100000, seed=7)
     vals = d.eta.ravel()
     assert abs(np.mean(vals**2) - 1.0) < 0.02
     assert abs(np.mean(vals**4) - 3.0) < 0.1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ def test_partition_basics():
         sch.Partition(times=np.array([0.0, 0.5, 0.4, 1.0]))
     with pytest.raises(InvalidParameterError):
         sch.Partition(times=np.array([0.1, 0.5, 1.0]))
+    # step sizes telescope to T, so only rounding could make them sum to anything else
+    assert mn.uniform_partition(9187.314623108636, 41).steps == 41
 
 
 def test_em_zero_noise(bsm):
@@ -108,13 +111,10 @@ def test_nv_heston_fine_euler_crosscheck(heston):
 
 
 def test_nn_constants_half():
-    c1, c2, r11, r22, r12 = sch.nn_constants(0.5, 1)
-    assert c1 == 0.0 and c2 == 1.0
-    assert r11 == 0.5 and r22 == 1.5 and r12 == -0.5
-    with pytest.raises(InvalidParameterError):
-        sch.nn_constants(0.4)
-    with pytest.raises(InvalidParameterError):
-        sch.nn_constants(0.5, 0)
+    # the upper branch at u = 1/2: c1 = -sqrt((2u - 1)/2) = -0.0, c2 = 1 - c1,
+    # R11 = u, R22 = 1 + u + sqrt(2(2u - 1)), R12 = -u + c1
+    assert sch.NN_C1 == 0.0 and math.copysign(1.0, sch.NN_C1) == -1.0 and sch.NN_C2 == 1.0
+    assert sch.NN_R11 == 0.5 and sch.NN_R22 == 1.5 and sch.NN_R12 == -0.5
 
 
 def test_nn_zero_noise(bsm):
@@ -124,7 +124,7 @@ def test_nn_zero_noise(bsm):
 
 
 def test_nn_covariance():
-    c1, c2, r11, r22, r12 = sch.nn_constants(0.5, 1)
+    r11, r22, r12 = sch.NN_R11, sch.NN_R22, sch.NN_R12
     rng = np.random.default_rng(11)
     eta = rng.standard_normal(100000)
     xi = rng.standard_normal(100000)
@@ -136,16 +136,16 @@ def test_nn_covariance():
 
 def test_simulate_zero_steps(bsm):
     p = sch.Partition(times=np.array([0.0]))
-    paths = sch.simulate(bsm, "em", p, draws_for("em", 1, 0, 5, seed=0))
-    assert paths.states.shape == (5, 1, 1)
-    np.testing.assert_array_equal(paths.states[:, 0, 0], 100.0)
+    states = sch.simulate(bsm, "em", p, draws_for("em", 1, 0, 5, seed=0))
+    assert states.shape == (5, 1, 1)
+    np.testing.assert_array_equal(states[:, 0, 0], 100.0)
 
 
 def test_simulate_initial_state(bsm):
     p = mn.uniform_partition(1.0, 4)
-    paths = sch.simulate(bsm, "nv", p, draws_for("nv", 1, 4, 16, seed=1))
-    np.testing.assert_array_equal(paths.states[:, 0, 0], 100.0)
-    assert paths.states.shape == (16, 5, 1)
+    states = sch.simulate(bsm, "nv", p, draws_for("nv", 1, 4, 16, seed=1))
+    np.testing.assert_array_equal(states[:, 0, 0], 100.0)
+    assert states.shape == (16, 5, 1)
 
 
 def test_simulate_shape_mismatch(bsm):
@@ -155,17 +155,26 @@ def test_simulate_shape_mismatch(bsm):
         sch.simulate(bsm, "em", p, d)
 
 
+@pytest.mark.parametrize("scheme, missing", [("nv", "lam"), ("nn", "xi")])
+def test_simulate_missing_draws(heston, scheme, missing):
+    # a draw block without the sign (nv) or the second normals (nn) is refused by name
+    p = mn.uniform_partition(1.0, 2)
+    draws = dataclasses.replace(draws_for(scheme, heston.d, 2, 8, seed=1), **{missing: None})
+    with pytest.raises(ShapeError, match=missing):
+        sch.simulate(heston, scheme, p, draws)
+
+
 def test_em_put_price(bsm):
     p = mn.uniform_partition(1.0, 1024)
-    paths = sch.simulate(bsm, "em", p, draws_for("em", 1, 1024, 5000, seed=0))
-    price = np.maximum(100.0 - paths.states[:, -1, 0], 0.0).mean()
+    states = sch.simulate(bsm, "em", p, draws_for("em", 1, 1024, 5000, seed=0))
+    price = np.maximum(100.0 - states[:, -1, 0], 0.0).mean()
     assert abs(price - bs_european_put(100.0, 100.0, 0.32, 1.0, 0.0)) < 0.15
 
 
 def test_nv_put_price(bsm):
     p = mn.uniform_partition(1.0, 4)
-    paths = sch.simulate(bsm, "nv", p, draws_for("nv", 1, 4, 5000, seed=0))
-    price = np.maximum(100.0 - paths.states[:, -1, 0], 0.0).mean()
+    states = sch.simulate(bsm, "nv", p, draws_for("nv", 1, 4, 5000, seed=0))
+    price = np.maximum(100.0 - states[:, -1, 0], 0.0).mean()
     assert abs(price - bs_european_put(100.0, 100.0, 0.32, 1.0, 0.0)) < 0.15
 
 
@@ -173,8 +182,8 @@ def test_path_positivity(bsm):
     # flows of linear fields preserve sign for every draw
     p = mn.uniform_partition(1.0, 8)
     for scheme, tag in (("cub3", "em"), ("nv", "nv"), ("nn", "nn")):
-        paths = sch.simulate(bsm, scheme, p, draws_for(tag, 1, 8, 500, seed=3))
-        assert paths.states.min() > 0.0
+        states = sch.simulate(bsm, scheme, p, draws_for(tag, 1, 8, 500, seed=3))
+        assert states.min() > 0.0
 
 
 def _closed_form_net(j, t, x, m):
@@ -183,7 +192,7 @@ def _closed_form_net(j, t, x, m):
 
 @pytest.mark.parametrize(
     "scheme, tag, coupled",
-    [("em", "em", False), ("cub3", "em", False), ("nv", "nv", False), ("nn", "nn", False),
+    [("em", "em", False), ("cub3", "cub3", False), ("nv", "nv", False), ("nn", "nn", False),
      ("em", "em", True), ("nv", "nv", True), ("nn", "nn", True)],
 )
 @pytest.mark.parametrize("name", ["bsm", "heston"])
@@ -191,17 +200,16 @@ def test_simulate_knots_are_kernel_steps(request, name, scheme, tag, coupled):
     # the running state carried between steps gives each knot the kernel's bits
     model = request.getfixturevalue(name)
     p = mn.uniform_partition(1.0, 5)
-    mode = "cubature" if scheme == "cub3" else "gaussian"
-    draws = draws_for(tag, model.d, 5, 257, mode=mode, seed=4)
+    draws = draws_for(tag, model.d, 5, 257, seed=4)
     net = _closed_form_net if coupled else None
     out = sch.simulate(model, scheme, p, draws, net=net)
-    paths, cols = out if coupled else (out, None)
+    states, cols = out if coupled else (out, None)
     step = sch.step_kernel(model, scheme, draws, net=net)
     for k in range(5):
         m = cols[k] if coupled else None
-        got = step(paths.states[:, k, :], m, k, float(p.times[k]), float(p.deltas[k]))
+        got = step(states[:, k, :], m, k, float(p.times[k]), float(p.deltas[k]))
         want_x, want_m = got if coupled else (got, None)
-        assert paths.states[:, k + 1, :].tobytes() == np.ascontiguousarray(want_x).tobytes()
+        assert states[:, k + 1, :].tobytes() == np.ascontiguousarray(want_x).tobytes()
         if coupled:
             assert cols[k + 1].tobytes() == want_m.tobytes()
 
