@@ -245,25 +245,6 @@ def concat_cols(parts):
     return Tensor._node(out_data, tuple(parts), backward)
 
 
-def affine_relu(x, w, b):
-    """Fused relu(x @ w + b); one tape node and one stored array per layer."""
-    xd = _data(x)
-    out_data = xd @ _data(w)
-    out_data += _data(b)
-    np.maximum(out_data, 0.0, out=out_data)
-
-    def backward(g, x=x, w=w, b=b, xd=xd, wd=_data(w), od=out_data):
-        gz = g * (od > 0.0)
-        if isinstance(x, Tensor):
-            x._accumulate(gz @ wd.T)
-        if isinstance(w, Tensor):
-            w._accumulate(xd.T @ gz)
-        if isinstance(b, Tensor):
-            b._accumulate(gz.sum(axis=0))
-
-    return Tensor._node(out_data, (x, w, b), backward)
-
-
 def merge_rows(ia, a, ib, b):
     """The batch whose rows ``ia`` are ``a`` and rows ``ib`` are ``b``; ndarrays merge off the tape."""
     out_data = np.empty((len(ia) + len(ib),) + _data(a).shape[1:])

@@ -105,6 +105,8 @@ def resolve_config(cfg):
     for key in ("steps", "batch", "iters"):
         if merged[key] < 1:
             raise UsageError(f"{key} must be >= 1")
+    if int(merged["seed"]) < 0:  # a seed may still be its config-file text
+        raise UsageError(f"seed must be >= 0, got {merged['seed']}")
     for key in _FLOAT_KEYS:
         if key in merged and not np.isfinite(merged[key]):
             raise UsageError(f"{key} must be finite, got {merged[key]!r}")

@@ -99,6 +99,8 @@ def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="au
         raise UsageError("the point count must be >= 1")
     if protocol not in ("auto", "direct", "paired"):
         raise UsageError(f"unknown protocol: {protocol!r}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     proto = protocol if protocol != "auto" else ("direct" if scheme == "em" else "paired")
 
     s0 = float(model.params["S0"])

@@ -4,12 +4,12 @@ Brownian-bridge supremum correction, the dual loss, and the training loop.
 The martingale candidate M is driven by mlp-backed fields V^M_j(t, X_t, M_t)
 as one more state component of the asset's step kernel: one kernel table
 (``schemes.simulate``) serves plain and coupled simulation, and one pass of
-it advances (X, M) with the same Brownian draws. Its drift field is
-structurally zero; the centering surrogate removes what drift the
-discretisation leaks in. Losses are
-evaluated over a batch as the sample mean of per-path suprema of Z - M,
-optionally refined by sampling the within-interval supremum of a pinned
-bridge with volatility estimated from pilot paths.
+it advances (X, M) with the same Brownian draws. Its Stratonovich drift is
+zero, so under ``nv``/``nn`` M carries an O(1) Ito drift (``em``'s M is an
+exact discrete martingale); per-time centering removes only that drift's
+unconditional mean (ROADMAP item 2). Losses are the batch mean of per-path
+suprema of Z - M, optionally refined by sampling the within-interval
+supremum of a pinned bridge with volatility estimated from pilot paths.
 """
 
 import os
@@ -48,8 +48,8 @@ class MartingaleNetConfig:
     the number of diffusion fields V^M_1..V^M_d and must match the asset
     model's driving dimension (the Brownians are shared); batch is the
     number of QMC paths per update. The drift field V^M_0 is identically
-    zero by construction; centering removes what drift the discretisation
-    leaks in.
+    zero, so under ``nvnet``/``nnet`` M has an O(1) Ito drift; centering
+    removes only its unconditional mean (ROADMAP item 2).
     """
 
     scheme: str

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
-from .autodiff import Tensor, affine_relu
+from .autodiff import Tensor
 from .errors import NumericError, ShapeError
 
 HIDDEN = 32
@@ -51,6 +51,17 @@ def init_mlp(in_dim, out_dim=1, seed=0):
     return MlpParams(layers=layers, proj=proj, seed=seed)
 
 
+def _hidden_layers(layers, h, check=False):
+    """Yield relu(h @ w + b) layer by layer; each is a fresh array, written in place."""
+    for i, (w, b) in enumerate(layers):
+        h = h @ w  # a fresh array, so the layers below never write the caller's input
+        h += b
+        np.maximum(h, 0.0, out=h)
+        if check and not np.all(np.isfinite(h)):
+            raise NumericError(f"mlp layer {i + 1} produced non-finite values")
+        yield h
+
+
 def mlp_forward(params, x):
     """Plain numpy forward pass; accepts a single row or a batch."""
     x = np.asarray(x, dtype=np.float64)
@@ -58,9 +69,8 @@ def mlp_forward(params, x):
     h = np.atleast_2d(x)
     if h.shape[1] != params.in_dim:
         raise ShapeError(f"input width {h.shape[1]}, network expects {params.in_dim}")
-    for w, b in params.layers:
-        h = h @ w  # a fresh array, so the layers below never write the caller's input
-        np.maximum(np.add(h, b, out=h), 0.0, out=h)
+    for h in _hidden_layers(params.layers, h):
+        pass
     out = h @ params.proj
     return out[0] if single else out
 
@@ -75,16 +85,36 @@ def params_to_tensors(params):
 
 
 def mlp_forward_t(tensors, x, check=False):
-    """Taped forward pass. ``x`` may be a Tensor or a constant ndarray."""
-    h = x
-    for i, (w, b) in enumerate(tensors.layers):
-        h = affine_relu(h, w, b)
-        if check and not np.all(np.isfinite(h.data)):
-            raise NumericError(f"mlp layer {i + 1} produced non-finite values")
-    out = h @ tensors.proj
-    if check and not np.all(np.isfinite(out.data)):
+    """Taped forward pass as one tape node. ``x`` may be a Tensor or a constant ndarray.
+
+    The node keeps only ``x``'s data: its backward recomputes the hidden
+    layers with the forward's arithmetic, so the gradients have the bits of
+    a tape that stores every layer, at a fraction of its memory.
+    """
+    xd = x.data if isinstance(x, Tensor) else x
+    layers = [(w.data, b.data) for w, b in tensors.layers]
+    proj = tensors.proj.data
+    for h in _hidden_layers(layers, xd, check):
+        pass
+    out = h @ proj
+    if check and not np.all(np.isfinite(out)):
         raise NumericError("mlp projection produced non-finite values")
-    return out
+
+    def backward(g):
+        hs = [xd, *_hidden_layers(layers, xd)]
+        gh = g @ proj.T
+        tensors.proj._accumulate(hs[-1].T @ g)
+        for i in reversed(range(len(layers))):
+            w, b = tensors.layers[i]
+            gz = gh * (hs[i + 1] > 0.0)
+            if i > 0 or isinstance(x, Tensor):
+                gh = gz @ layers[i][0].T
+            w._accumulate(hs[i].T @ gz)
+            b._accumulate(gz.sum(axis=0))
+        if isinstance(x, Tensor):
+            x._accumulate(gh)
+
+    return Tensor._node(out, (x, *param_arrays(tensors)), backward)
 
 
 def param_arrays(params):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -34,3 +36,13 @@ def constant_output_mlp(in_dim, value):
         fan_in = HIDDEN
     proj = np.full((HIDDEN, 1), value / HIDDEN)
     return MlpParams(layers=layers, proj=proj, seed=0)
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes that tracemalloc sees while ``fn()`` runs; tracing always stops."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

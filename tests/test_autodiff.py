@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from martnet.autodiff import Tensor, concat_cols, affine_relu, merge_rows
+from martnet.autodiff import Tensor, concat_cols, merge_rows
+from martnet.mlp import MlpParams, mlp_forward_t, param_arrays, rebuild_params
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -88,21 +89,6 @@ def test_concat_cols():
     out.backward()
     np.testing.assert_allclose(leaf.grad, 2 * x / 15)
     np.testing.assert_allclose(y.grad, 2 * y.data / 15)
-
-
-def test_affine_relu_matches_composition():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((5, 3))
-    w = rng.standard_normal((3, 4))
-    b = rng.standard_normal(4)
-    lw, lb = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
-    out = affine_relu(Tensor(x), lw, lb).mean()
-    out.backward()
-    lw2, lb2 = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
-    ref = ((Tensor(x) @ lw2) + lb2).relu().mean()
-    ref.backward()
-    np.testing.assert_allclose(lw.grad, lw2.grad)
-    np.testing.assert_allclose(lb.grad, lb2.grad)
 
 
 def test_merge_rows_values_and_gradient():
@@ -199,17 +185,28 @@ def test_property_getitem_index_array(rows, cols, seed):
 
 @settings(max_examples=25)
 @given(**_cases)
-def test_property_affine_relu(rows, cols, seed):
+def test_property_mlp_node(rows, cols, seed):
+    # the one-node network evaluation, in its input and in every parameter
     rng = np.random.default_rng(seed)
+    widths = [cols, 3, 3, 3]
+    layers = [(rng.standard_normal(wh), rng.standard_normal(wh[1])) for wh in zip(widths, widths[1:])]
+    net = MlpParams(layers=layers, proj=rng.standard_normal((3, 2)))
     x = rng.standard_normal((rows, cols))
-    wt = rng.standard_normal((cols, 3))
-    b = rng.standard_normal(3)
-    pre = x @ wt + b
-    assume(np.min(np.abs(pre)) > 1e-3)  # the relu kink is not differentiable
-    w = _weights(rng, (rows, 3))
-    check_op(lambda t: (affine_relu(t, wt, b) * w).mean(), x)
-    check_op(lambda t: (affine_relu(x, t, b) * w).mean(), wt)
-    check_op(lambda t: (affine_relu(x, wt, t) * w).mean(), b)
+    h, pre = x, []
+    for w, b in net.layers:
+        pre.append(h @ w + b)
+        h = np.maximum(pre[-1], 0.0)
+    assume(min(np.min(np.abs(z)) for z in pre) > 1e-3)  # the relu kink is not differentiable
+    w = _weights(rng, (rows, 2))
+    arrays = param_arrays(net)
+
+    def with_leaf(k, t):
+        """The network with array k replaced by the Tensor t, the rest constant leaves."""
+        return rebuild_params(net, [t if i == k else Tensor(a) for i, a in enumerate(arrays)])
+
+    check_op(lambda t: (mlp_forward_t(with_leaf(None, t), t) * w).mean(), x)
+    for k, a in enumerate(arrays):
+        check_op(lambda t: (mlp_forward_t(with_leaf(k, t), x) * w).mean(), a)
 
 
 @settings(max_examples=25)

@@ -39,7 +39,7 @@ _config_values = dict(
     steps=_positive,
     batch=_positive,
     iters=_positive,
-    seed=st.integers(min_value=-(2**63), max_value=2**63),
+    seed=st.integers(min_value=0, max_value=2**63),
     bridge=st.sampled_from(["on", "off"]),
     out=st.text(max_size=40).filter(_line_value),
 )
@@ -50,6 +50,12 @@ _config_values = dict(
 def test_property_config_snapshot_round_trip(given_cfg):
     cfg = resolve_config(given_cfg)
     assert resolve_config(parse_config_text(snapshot_text(cfg))) == cfg
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**63)])
+def test_negative_seed_rejected(seed):
+    with pytest.raises(UsageError, match="seed"):
+        resolve_config({"model": "bsm", "seed": seed})
 
 
 def test_config_parse_errors():
@@ -258,6 +264,19 @@ def test_cli_flag_overrides_config(tmp_path):
     lines = (run_dir / "run.csv").read_text().splitlines()
     assert lines[0].endswith(",centering_residual")
     assert all(float(line.split(",")[3]) < 1e-12 for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "argv", [["train", "--seed", "-1", "--iters", "1"], ["converge", "--scheme", "nv", "--seed", "-3", "--points", "64"]]
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    run_dir = tmp_path / "run"
+    if argv[0] == "train":
+        argv = [*argv, "--out", str(run_dir / "run.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert not run_dir.exists()
 
 
 def test_unknown_scheme_rejected():

@@ -20,13 +20,13 @@ from martnet.dual import (
     train,
 )
 from martnet import dual
-from martnet.mlp import init_mlp, params_to_tensors
+from martnet.mlp import HIDDEN, init_mlp, params_to_tensors
 from martnet.qmc import draws_for
 from martnet.schemes import NN_R11, NN_R12, NN_R22
 from martnet.oracles import binomial_american_put
 from martnet.errors import InvalidParameterError, ShapeError
 
-from conftest import constant_output_mlp
+from conftest import constant_output_mlp, traced_peak_bytes
 
 
 def constant_field_mlp(model, value):
@@ -365,6 +365,24 @@ def test_loss_and_grads_nonzero(bsm):
     assert np.isfinite(val)
     total = sum(float(np.abs(g).sum()) for gl in grads for g in gl)
     assert total > 0.0
+
+
+def test_tape_memory_per_step(bsm):
+    # the tape may not hold a network evaluation's hidden layers: per step it
+    # must grow by less than two (batch, HIDDEN) float64 arrays
+    batch = 256
+    net = init_mlp(bsm.N + 2, 1, seed=3)
+
+    def peak(steps):
+        part = mn.uniform_partition(1.0, steps)
+        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=part, batch=batch)
+        draws = draws_for("em", 1, steps, batch, seed=4)
+        uniforms = np.random.default_rng(5).random((batch, steps))
+        return traced_peak_bytes(lambda: loss_and_grads(cfg, [net], bsm, draws, uniforms=uniforms))
+
+    peak(64)  # warm-up: first-call allocations stay out of the slope
+    per_step = (peak(128) - peak(64)) / 64
+    assert per_step < 2 * batch * HIDDEN * 8, f"tape grows {per_step:.0f} B per step"
 
 
 def test_train_smoke_and_residuals(bsm):

@@ -21,7 +21,7 @@ from martnet.mlp import (
     DEPTH,
     HIDDEN,
 )
-from martnet.errors import ShapeError
+from martnet.errors import NumericError, ShapeError
 
 
 def test_architecture_dimensions():
@@ -95,6 +95,72 @@ def test_taped_forward_matches_plain():
     x = np.random.default_rng(7).standard_normal((5, 3))
     t_out = mlp_forward_t(params_to_tensors(p), Tensor(x))
     np.testing.assert_allclose(t_out.data, mlp_forward(p, x), rtol=1e-13)
+
+
+def _random_net(in_dim, seed):
+    """init_mlp with nonzero biases and projection, so every gradient is live."""
+    p = init_mlp(in_dim, 2, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, b in p.layers:
+        b[:] = 0.1 * rng.standard_normal(b.shape)
+    p.proj[:] = rng.standard_normal(p.proj.shape)
+    return p
+
+
+@pytest.mark.parametrize("batch", [1, 5, 513])
+@pytest.mark.parametrize("x_taped", [True, False])
+def test_taped_node_matches_tensor_ops_bitwise(batch, x_taped):
+    # one node per evaluation against the same net composed from Tensor ops
+    p = _random_net(3, seed=batch)
+    rng = np.random.default_rng(batch + 1)
+    x = rng.standard_normal((batch, 3))
+    cot = rng.standard_normal((batch, 2))
+
+    def run(forward):
+        ts = params_to_tensors(p)
+        xt = Tensor(x, requires_grad=True)
+        out = forward(ts, xt if x_taped else x)
+        (out * cot).mean().backward()
+        return out.data, [a.grad for a in param_arrays(ts)], xt.grad
+
+    def reference(ts, xin):
+        h = xin if isinstance(xin, Tensor) else Tensor(xin)
+        for w, b in ts.layers:
+            h = (h @ w + b).relu()
+        return h @ ts.proj
+
+    got, want = run(mlp_forward_t), run(reference)
+    assert got[0].tobytes() == want[0].tobytes()
+    for g, w in zip(got[1], want[1]):
+        assert g.tobytes() == w.tobytes()
+    if x_taped:
+        assert got[2].tobytes() == want[2].tobytes()
+    else:
+        assert got[2] is None
+
+
+def test_taped_forward_is_one_tape_node():
+    ts = params_to_tensors(_random_net(3, seed=2))
+    x = Tensor(np.ones((4, 3)), requires_grad=True)
+    out = mlp_forward_t(ts, x)
+    assert out._parents == (x, *param_arrays(ts))
+
+
+@pytest.mark.parametrize("where", ["layer", "projection"])
+def test_taped_forward_non_finite_checks(where):
+    p = _random_net(3, seed=4)
+    x = np.ones((2, 3))
+    if where == "layer":
+        p.layers[1][0][0, 0] = np.inf
+        message = "mlp layer 2 produced non-finite values"
+    else:
+        p.proj[:] = 1e308  # every hidden unit is positive, so the sum overflows
+        x = np.full((2, 3), 1e3)
+        for w, _ in p.layers:
+            w[:] = np.abs(w)
+        message = "mlp projection produced non-finite values"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=message):
+        mlp_forward_t(params_to_tensors(p), Tensor(x), check=True)
 
 
 def test_grad_quadratic():
