@@ -4,7 +4,9 @@ The format is one ``key = value`` pair per line; blank lines and lines
 starting with ``#`` are skipped. Keys split into model parameters (model,
 S0, U0, mu, sigma, theta, alpha, rho, beta, K, T) and run controls (net,
 steps, batch, iters, seed, bridge, out). Unknown or repeated keys are
-errors, as are values that fail to parse; nothing is silently ignored.
+errors, as are values that fail to parse and parameters of the other model
+(bsm takes sigma, heston U0, theta, alpha, rho and beta); nothing is
+silently ignored.
 """
 
 import numpy as np
@@ -32,6 +34,10 @@ HESTON_DEFAULTS = {
     "K": 100.0,
     "T": 1.0,
 }
+# model name: (defaults, Brownian dimension d)
+_MODELS = {"bsm": (BSM_DEFAULTS, 1), "heston": (HESTON_DEFAULTS, 2)}
+_MAX_SEED = 2**63 - 1
+
 RUN_DEFAULTS = {"net": "nvnet", "batch": 512, "iters": 300, "seed": 0, "bridge": "on", "out": "run.csv"}
 
 NET_STEP_DEFAULTS = {"resnet": 1024, "nvnet": 4, "nnet": 4}
@@ -79,20 +85,24 @@ def load_config(path):
 
 
 def resolve_config(cfg):
-    """Merge a parsed config over the model and run defaults."""
+    """Merge a parsed config over the model and run defaults.
+
+    Only the chosen model's parameters are accepted: ``sigma`` under heston
+    or ``U0``, ``theta``, ``alpha``, ``rho``, ``beta`` under bsm is an error.
+    """
     name = str(cfg.get("model", "bsm")).lower()
-    if name == "bsm":
-        merged = dict(BSM_DEFAULTS)
-    elif name == "heston":
-        merged = dict(HESTON_DEFAULTS)
-    else:
+    if name not in _MODELS:
         raise UsageError(f"unknown model: {name!r}")
+    defaults, d = _MODELS[name]
+    merged = dict(defaults)
     merged.update(RUN_DEFAULTS)
     for key, value in cfg.items():
         if key == "model":
             continue
-        if key in merged or key in MODEL_KEYS or key in RUN_KEYS:
+        if key in merged or key in RUN_KEYS:
             merged[key] = value
+        elif key in MODEL_KEYS:
+            raise UsageError(f"configuration key {key!r} does not apply to model {name!r}")
         else:
             raise UsageError(f"unknown configuration key {key!r}")
     merged["model"] = name
@@ -105,8 +115,11 @@ def resolve_config(cfg):
     for key in ("steps", "batch", "iters"):
         if merged[key] < 1:
             raise UsageError(f"{key} must be >= 1")
-    if int(merged["seed"]) < 0:  # a seed may still be its config-file text
+    seed = int(merged["seed"])  # a seed may still be its config-file text
+    if seed < 0:
         raise UsageError(f"seed must be >= 0, got {merged['seed']}")
+    if seed + d - 1 > _MAX_SEED:  # network j is seeded seed + j and checkpointed as int64
+        raise UsageError(f"seed must be <= {_MAX_SEED - d + 1} for model {name!r}, got {merged['seed']}")
     for key in _FLOAT_KEYS:
         if key in merged and not np.isfinite(merged[key]):
             raise UsageError(f"{key} must be finite, got {merged[key]!r}")

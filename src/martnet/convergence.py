@@ -23,25 +23,27 @@ per-dimension masks come from one generator stream whose first k values do
 not depend on how many are asked for. A rung steps its running state
 through the scheme's kernel and keeps only the terminal state.
 
-The rungs of a ladder run concurrently. The draws are made first, on the
-calling thread. Then the longest rung runs on the calling thread, and the
-others go to a thread pool with one worker fewer than min(rungs, cores);
-with one core or one rung no thread is started. Numpy's elementwise ufuncs
-release the GIL on arrays this size, so rungs overlap. The bits do not
-depend on the thread count: each rung does the same arithmetic, in the same
-order, on arrays of its own, reading but never writing the shared draw
-block, and the errors are put back in step-count order before the fit. That
-holds only while rung code touches no module state.
+The rungs of a ladder run concurrently. The draws are made first, in row
+blocks shared by the calling thread and a pool (see ``qmc``). Then the
+rungs go to ``parallel.run_shared``, longest first: the longest runs on the
+calling thread, the others on a thread pool with one worker fewer than
+min(rungs, cores), and the caller takes queued rungs from the shortest end
+once its own is done; with one core or one rung no thread is started.
+Numpy's elementwise ufuncs release the GIL on arrays this size, so rungs
+overlap. The bits do not depend on the thread count: each rung does the
+same arithmetic, in the same order, on arrays of its own, reading but never
+writing the shared draw block, and the errors are put back in step-count
+order before the fit. That holds only while rung code touches no module
+state.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 from .oracles import bs_european_put
+from .parallel import run_shared
 from .qmc import DrawBlock, draws_for
 from .schemes import NN_R11, nn_zeta, step_kernel, uniform_partition
 # Not called here: the benchmark's layer tracer rebinds
@@ -60,14 +62,6 @@ class ConvergenceRow:
     slope: object
 
 
-def _cores():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _terminal_weights(scheme, draws):
     if scheme != "nn":
         return draws.eta[:, :, 0].sum(axis=1)
@@ -81,10 +75,10 @@ def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="au
     Returns a list of ConvergenceRow, one per step count, each carrying the
     common least-squares slope (None when the ladder has a single rung).
 
-    The longest rung runs on the calling thread and the others on
-    min(rungs, cores) - 1 pool threads, so the errors are bit for bit those
-    of a serial ladder whatever the core count. An exception in any rung is
-    re-raised here, and rungs not yet started are cancelled.
+    The rungs run through ``parallel.run_shared``, longest first on the
+    calling thread, so the errors are bit for bit those of a serial ladder
+    whatever the core count. An exception in any rung is re-raised here,
+    and rungs not yet started are cancelled.
     """
     if getattr(model, "name", None) != "bsm":
         raise UsageError("convergence study supports the lognormal model only")
@@ -134,20 +128,7 @@ def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="au
             err = abs(price - ref)
         return max(err, 1e-16)
 
-    longest, *rest = sorted(counts, reverse=True)
-    workers = min(len(counts), _cores()) - 1
-    if workers < 1:
-        by_steps = {steps: rung(steps) for steps in counts}
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                futures = {steps: pool.submit(rung, steps) for steps in rest}
-                by_steps = {longest: rung(longest)}
-                by_steps.update((steps, f.result()) for steps, f in futures.items())
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-    errs = [by_steps[c] for c in counts]
+    errs = run_shared(rung, counts[::-1])[::-1]
 
     slope = None
     if len(counts) >= 2:

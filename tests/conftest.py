@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -46,3 +47,9 @@ def traced_peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def force_cores(monkeypatch, n):
+    """Make the process report ``n`` usable CPUs for the monkeypatch's lifetime."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)

@@ -23,33 +23,60 @@ def _line_value(text):
 
 
 _positive = st.integers(min_value=1, max_value=2**40)
-_config_values = dict(
-    model=st.sampled_from(["bsm", "BSM", "heston", "Heston"]),
+_shared_values = dict(
     S0=st.floats(1.0, 1e3),
-    U0=st.floats(1e-3, 1.0),
     mu=st.floats(-1.0, 1.0),
-    sigma=st.floats(1e-3, 2.0),
-    theta=st.floats(1e-3, 1.0),
-    alpha=st.floats(1e-3, 10.0),
-    rho=st.floats(-1.0, 1.0),
-    beta=st.floats(1e-3, 2.0),
     K=st.floats(1.0, 1e3),
     T=st.floats(1e-3, 10.0),
     net=st.sampled_from(["resnet", "nvnet", "nnet"]),
     steps=_positive,
     batch=_positive,
     iters=_positive,
-    seed=st.integers(min_value=0, max_value=2**63),
+    # heston seeds its second network seed + 1, which must fit an int64
+    seed=st.integers(min_value=0, max_value=2**63 - 2),
     bridge=st.sampled_from(["on", "off"]),
     out=st.text(max_size=40).filter(_line_value),
+)
+_bsm_values = dict(_shared_values, model=st.sampled_from(["bsm", "BSM"]), sigma=st.floats(1e-3, 2.0))
+_heston_values = dict(
+    _shared_values,
+    U0=st.floats(1e-3, 1.0),
+    theta=st.floats(1e-3, 1.0),
+    alpha=st.floats(1e-3, 10.0),
+    rho=st.floats(-1.0, 1.0),
+    beta=st.floats(1e-3, 2.0),
+)
+_config_dicts = st.one_of(
+    st.fixed_dictionaries({}, optional=_bsm_values),
+    st.fixed_dictionaries({"model": st.sampled_from(["heston", "Heston"])}, optional=_heston_values),
 )
 
 
 @settings(max_examples=100)
-@given(st.fixed_dictionaries({}, optional=_config_values))
+@given(_config_dicts)
 def test_property_config_snapshot_round_trip(given_cfg):
     cfg = resolve_config(given_cfg)
     assert resolve_config(parse_config_text(snapshot_text(cfg))) == cfg
+
+
+@pytest.mark.parametrize(
+    "model,key", [("bsm", k) for k in ("U0", "theta", "alpha", "rho", "beta")] + [("heston", "sigma")]
+)
+def test_other_model_key_rejected(model, key):
+    with pytest.raises(UsageError, match=f"'{key}'"):
+        resolve_config({"model": model, key: 0.5})
+
+
+@pytest.mark.parametrize("model,seed", [("bsm", 2**63), ("heston", 2**63 - 1), ("heston", 2**63)])
+def test_seed_past_int64_rejected(model, seed):
+    # network j is seeded seed + j, and every network seed must fit an int64
+    with pytest.raises(UsageError, match="seed"):
+        resolve_config({"model": model, "seed": seed})
+
+
+@pytest.mark.parametrize("model,seed", [("bsm", 2**63 - 1), ("heston", 2**63 - 2)])
+def test_largest_seed_accepted(model, seed):
+    assert resolve_config({"model": model, "seed": seed})["seed"] == seed
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**63)])
@@ -273,6 +300,16 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     run_dir = tmp_path / "run"
     if argv[0] == "train":
         argv = [*argv, "--out", str(run_dir / "run.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert not run_dir.exists()
+
+
+def test_train_seed_past_int64_is_a_usage_error(tmp_path, capsys):
+    # rejected before config.txt or run.csv is written, not at the checkpoint
+    run_dir = tmp_path / "run"
+    argv = ["train", "--model", "heston", "--seed", str(2**63 - 1), "--iters", "1", "--out", str(run_dir / "run.csv")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed" in err

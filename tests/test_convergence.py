@@ -1,4 +1,3 @@
-import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -9,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import martnet as mn
 import martnet.convergence
+import martnet.parallel
 from martnet.convergence import _terminal_weights
 from martnet.errors import NumericError, UsageError
 from martnet.qmc import draws_for
 from martnet.schemes import simulate, uniform_partition
+
+from conftest import force_cores as _force_cores
 
 LADDERS = {"em": [2, 4, 8], "cub3": [1, 2, 4], "nv": [1, 2, 4], "nn": [1, 3, 4]}
 POINTS = 2**11
@@ -49,11 +51,6 @@ def test_ladder_equals_per_rung_draws(bsm, scheme, proto):
     assert [r.steps for r in rows] == counts
     assert [r.abs_err for r in rows] == errs
     assert all(r.slope == slope for r in rows)
-
-
-def _force_cores(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
 
 
 @pytest.mark.parametrize("proto", ["direct", "paired"])
@@ -127,7 +124,7 @@ def test_rung_error_propagates_and_cancels_queued_rungs(bsm, monkeypatch, failin
 
     _force_cores(monkeypatch, 2)
     monkeypatch.setattr(martnet.convergence, "step_kernel", kernel)
-    monkeypatch.setattr(martnet.convergence, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(martnet.parallel, "ThreadPoolExecutor", Pool)
     threads = threading.active_count()
     with pytest.raises(NumericError) as info:
         mn.run_convergence(bsm, "nv", [1, 2, 4, 8], 64, protocol="paired")

@@ -21,9 +21,12 @@ from martnet.errors import (
     DomainError,
     InvalidParameterError,
     MartnetError,
+    NumericError,
     UnknownSchemeError,
     UnsupportedDimensionError,
 )
+
+from conftest import force_cores, traced_peak_bytes
 
 
 def test_first_sobol_coordinates():
@@ -150,6 +153,121 @@ def test_point_count_limit():
         sobol_points(1, 2**30)
     with pytest.raises(InvalidParameterError):
         sobol_points(1, -1)
+
+
+def test_start_limit():
+    with pytest.raises(InvalidParameterError):
+        sobol_points(1, 2, start=-1)
+    with pytest.raises(InvalidParameterError):
+        sobol_points(1, 2, start=2**30 - 2)
+    assert sobol_points(1, 1, start=2**30 - 2).shape == (1, 1)
+
+
+# -- row blocks --------------------------------------------------------------
+
+_BLOCK = 2**13
+_STARTS = [0, 1, 5, _BLOCK - 1, _BLOCK, _BLOCK + 3, 3 * _BLOCK, 3 * _BLOCK + 7]
+_SEEDS = [None, 17, np.random.SeedSequence(4, spawn_key=(2,))]
+
+
+@pytest.mark.parametrize("seed", _SEEDS, ids=["unshifted", "int", "seedsequence"])
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_points_from_start_are_rows_of_one_long_call(n, seed):
+    full = sobol_points(7, _STARTS[-1] + n, seed)
+    for start in _STARTS:
+        part = sobol_points(7, n, seed, start=start)
+        assert part.tobytes() == full[start : start + n].tobytes(), start
+
+
+_DRAW_SHAPES = {"em": (1, 3), "cub3": (1, 3), "nv": (1, 2), "nn": (2, 2)}  # scheme: (d, steps)
+
+
+@pytest.mark.parametrize("scheme", sorted(_DRAW_SHAPES))
+def test_draw_blocks_same_bytes_at_any_core_count(monkeypatch, scheme):
+    d, steps = _DRAW_SHAPES[scheme]
+    batch = 3 * _BLOCK + 5  # four blocks, the last one short
+    seed = np.random.SeedSequence(8).spawn(1)[0]
+
+    def refuse(thread):
+        raise AssertionError("a thread was started at one core")
+
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    got = []
+    for n in (1, 2, 3):
+        with monkeypatch.context() as m:
+            force_cores(m, n)
+            if n == 1:
+                m.setattr(threading.Thread, "start", refuse)
+            sys.setswitchinterval(1e-6)  # switch threads often
+            try:
+                block = draws_for(scheme, d, steps, batch, seed=seed)
+            finally:
+                sys.setswitchinterval(interval)
+        got.append([None if a is None else a.tobytes() for a in (block.eta, block.xi, block.lam)])
+        assert threading.active_count() == threads
+    assert got[0] == got[1] == got[2]
+    # the blocks agree with one transform of the whole point set
+    u = sobol_points(dims_for(scheme, d, steps), batch, seed).reshape(batch, steps, -1)
+    if scheme == "cub3":
+        expected = np.where(u < 1 / 6, -np.sqrt(3.0), np.where(u < 5 / 6, 0.0, np.sqrt(3.0)))
+    else:
+        expected = inv_normal_cdf(u[:, :, : 2 * d] if scheme == "nn" else u[:, :, :d])
+    assert got[0][0] == np.ascontiguousarray(expected[:, :, :d]).tobytes()
+    if scheme == "nn":
+        assert got[0][1] == np.ascontiguousarray(expected[:, :, d:]).tobytes()
+    if scheme == "nv":
+        assert got[0][2] == np.where(u[:, :, d] < 0.5, -1.0, 1.0).tobytes()
+
+
+def test_one_block_draw_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError("a one-block draw started a thread")
+
+    force_cores(monkeypatch, 8)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert draws_for("nv", 2, 4, _BLOCK, seed=0).eta.shape == (_BLOCK, 4, 2)
+
+
+@pytest.mark.parametrize("make", [np.random.default_rng, np.random.PCG64])
+def test_generator_seed_refused(make):
+    with pytest.raises(InvalidParameterError, match="SeedSequence"):
+        draws_for("em", 1, 2, 3 * _BLOCK, seed=make(1))
+
+
+def test_worker_block_error_reaches_caller(monkeypatch):
+    # The caller's block waits until a worker has started one; every worker
+    # block raises. The caller must see that very object, and no thread may
+    # outlive the call.
+    boom = NumericError("block failed")
+    caller = threading.current_thread()
+    worker_started = threading.Event()
+    real_points = martnet.qmc.sobol_points
+
+    def points(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            worker_started.set()
+            raise boom
+        worker_started.wait(10)
+        return real_points(*args, **kwargs)
+
+    force_cores(monkeypatch, 2)
+    monkeypatch.setattr(martnet.qmc, "sobol_points", points)
+    threads = threading.active_count()
+    with pytest.raises(NumericError) as info:
+        draws_for("em", 1, 2, 4 * _BLOCK, seed=1)
+    assert info.value is boom
+    assert worker_started.is_set()
+    assert threading.active_count() == threads
+
+
+def test_draw_peak_memory_stays_near_its_output(monkeypatch):
+    # Only one block's uint32 rows and float points are held per thread, so
+    # the peak is the output plus that scratch on each thread (two here).
+    force_cores(monkeypatch, 2)
+    output = 2**16 * 64 * 8
+    peak = traced_peak_bytes(lambda: draws_for("em", 1, 64, 2**16, seed=3))
+    assert peak <= 1.6 * output
 
 
 def test_missing_direction_file_names_path(monkeypatch, tmp_path):
