@@ -5,11 +5,12 @@ Calling :meth:`Tensor.backward` on a scalar result walks the recorded graph
 in reverse topological order and accumulates gradients into every tensor
 created with ``requires_grad=True``.
 
-Only the operations needed by the martingale pipeline are implemented:
-elementwise arithmetic with broadcasting, matrix products, ReLU, square
-root, the mean, column concatenation and slicing, a row-wise max, and a
-merge of two row subsets. Operands that are plain ndarrays or python
-scalars are treated as constants and receive no gradient.
+Only the operations the martingale pipeline records are implemented:
+addition, subtraction and multiplication with broadcasting, the mean,
+column concatenation, row indexing and a merge of two row subsets. The
+network evaluation and the dual loss build their own nodes with
+``Tensor._node``. Operands that are plain ndarrays or python scalars are
+treated as constants and receive no gradient.
 """
 
 import numpy as np
@@ -93,15 +94,6 @@ class Tensor:
 
         return Tensor._node(out_data, (self, other), backward)
 
-    def __rsub__(self, other):
-        od = _data(other)
-        out_data = od - self.data
-
-        def backward(g, a=self, ashape=self.data.shape):
-            a._accumulate(_unbroadcast(-g, ashape))
-
-        return Tensor._node(out_data, (self,), backward)
-
     def __mul__(self, other):
         od = _data(other)
         out_data = self.data * od
@@ -115,43 +107,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def matmul(self, other):
-        od = _data(other)
-        out_data = self.data @ od
-
-        def backward(g, a=self, b=other, ad=self.data, bd=od):
-            a._accumulate(g @ bd.T)
-            if isinstance(b, Tensor):
-                b._accumulate(ad.T @ g)
-
-        return Tensor._node(out_data, (self, other), backward)
-
-    __matmul__ = matmul
-
-    # -- nonlinearities ----------------------------------------------------
-
-    def relu(self):
-        out_data = np.maximum(self.data, 0.0)
-
-        def backward(g, a=self, od=out_data):
-            a._accumulate(g * (od > 0.0))
-
-        return Tensor._node(out_data, (self,), backward)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(g, a=self, od=out_data):
-            a._accumulate(g / (2.0 * od))
-
-        return Tensor._node(out_data, (self,), backward)
-
-    def square(self):
-        def backward(g, a=self, ad=self.data):
-            a._accumulate(g * (2.0 * ad))
-
-        return Tensor._node(self.data * self.data, (self,), backward)
-
     # -- reductions ----------------------------------------------------------
 
     def mean(self, axis=None, keepdims=False):
@@ -162,19 +117,6 @@ class Tensor:
             if ax is not None and not kd:
                 g = np.expand_dims(g, ax)
             a._accumulate(np.broadcast_to(g, shape) / n)
-
-        return Tensor._node(out_data, (self,), backward)
-
-    def max_rows(self):
-        """Row-wise maximum of a 2-D tensor; gradient flows to the argmax."""
-        idx = np.argmax(self.data, axis=1)
-        rows = np.arange(self.data.shape[0])
-        out_data = self.data[rows, idx]
-
-        def backward(g, a=self, rows=rows, idx=idx, shape=self.data.shape):
-            gx = np.zeros(shape)
-            gx[rows, idx] = g
-            a._accumulate(gx)
 
         return Tensor._node(out_data, (self,), backward)
 

@@ -115,6 +115,8 @@ def resolve_config(cfg):
     for key in ("steps", "batch", "iters"):
         if merged[key] < 1:
             raise UsageError(f"{key} must be >= 1")
+    if merged["bridge"] == "on" and merged["batch"] < 2:
+        raise UsageError("batch must be >= 2 with the bridge on: its volatility is estimated across paths")
     seed = int(merged["seed"])  # a seed may still be its config-file text
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {merged['seed']}")

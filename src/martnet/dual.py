@@ -10,6 +10,11 @@ exact discrete martingale); per-time centering removes only that drift's
 unconditional mean (ROADMAP item 2). Losses are the batch mean of per-path
 suprema of Z - M, optionally refined by sampling the within-interval
 supremum of a pinned bridge with volatility estimated from pilot paths.
+
+On the tape, each network evaluation is one node from the encoded input
+(t/T, x/x0, m/K) to the output scaled by K, and the loss is one node that
+keeps only each path's argmax and, with the bridge, a - b and the root
+there. Both give the bits of the same computation taped op by op.
 """
 
 import os
@@ -77,29 +82,38 @@ class BridgeParams:
 
 
 def _bridge_g(a, b, var_dt, u):
-    """G(u) = (a + b + sqrt((a-b)^2 - 2 sigma^2 dt log(1-u))) / 2.
+    """G(u) = (a + b + sqrt((a-b)^2 - 2 sigma^2 dt log(1-u))) / 2, with a - b and the root.
 
-    Works on ndarrays and Tensors alike; var_dt = sigma^2 * dt and u are
-    always constants on the tape.
+    var_dt = sigma^2 * dt. Returns (G, a - b, root), three arrays of the
+    inputs' broadcast shape, each allocated once and filled in place.
     """
-    shift = -2.0 * var_dt * np.log1p(-u)
-    if isinstance(a, Tensor) or isinstance(b, Tensor):
-        diff = a - b
-        root = (diff.square() + shift).sqrt()
-    else:
-        root = np.sqrt((a - b) ** 2 + shift)
-    return 0.5 * (a + b + root)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(var_dt), np.shape(u))
+    root = np.multiply(-2.0 * var_dt, np.log1p(-u), out=np.empty(shape))
+    diff = np.subtract(a, b, out=np.empty(shape))
+    root += diff * diff
+    np.sqrt(root, out=root)
+    g = np.add(a, b, out=np.empty(shape))
+    g += root
+    g *= 0.5
+    return g, diff, root
 
 
-def bridge_sup(bp, u):
-    """Sample the supremum of the bridge pinned at (a, b) over one step."""
-    sigma = np.asarray(bp.sigma, dtype=np.float64)
+def _bridge_inputs(sigma, u):
+    """sigma and u as float arrays, after the checks sigma > 0 and u in [0, 1)."""
+    sigma = np.asarray(sigma, dtype=np.float64)
     if np.any(sigma <= 0.0):
         raise InvalidParameterError("bridge volatility must be positive")
     u = np.asarray(u, dtype=np.float64)
     if np.any(u < 0.0) or np.any(u >= 1.0):
         raise InvalidParameterError("bridge uniform must lie in [0, 1)")
-    return _bridge_g(bp.a, bp.b, sigma * sigma * np.asarray(bp.dt), u)
+    return sigma, u
+
+
+def bridge_sup(bp, u):
+    """Sample the supremum of the bridge pinned at (a, b) over one step."""
+    sigma, u = _bridge_inputs(bp.sigma, u)
+    g, _, _ = _bridge_g(bp.a, bp.b, sigma * sigma * np.asarray(bp.dt), u)
+    return g[()]  # a scalar for scalar inputs
 
 
 def estimate_sigma(pilot, deltas):
@@ -131,19 +145,54 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
     With bridge=False the supremum is the maximum over all grid points.
     With bridge=True each interval contributes a bridge-supremum sample
     G(a, b; sigma_k, delta_k, u) and the per-path supremum is the maximum
-    over intervals (G dominates both endpoints, so the grid is covered).
+    over intervals (G dominates both endpoints, so the grid is covered);
+    uniforms is shaped (batch, steps), sigma and deltas (steps,).
+
+    A Tensor M gives one tape node. It keeps each path's argmax and, with
+    the bridge, a - b and the root there; its backward writes the gradient
+    at the argmax's one or two grid columns with the float operations of
+    the same loss taped op by op.
     """
     taped = isinstance(M, Tensor)
-    if (M.shape if taped else np.shape(M)) != np.shape(Z):
-        raise ShapeError("Z and M shapes differ")
-    D = Z - M
+    md = M.data if taped else np.asarray(M, dtype=np.float64)
+    if md.shape != np.shape(Z) or md.ndim != 2:
+        raise ShapeError("Z and M must be congruent (batch, steps + 1) arrays")
+    D = Z - md
     if bridge:
         if sigma is None or uniforms is None or deltas is None:
             raise InvalidParameterError("bridge=True needs sigma, uniforms and deltas")
-        D = bridge_sup(BridgeParams(D[:, :-1], D[:, 1:], sigma, deltas), uniforms)
-    if taped:
-        return D.max_rows().mean()
-    return float(np.mean(np.max(D, axis=1)))
+        batch, steps = md.shape[0], md.shape[1] - 1
+        sigma, uniforms = _bridge_inputs(sigma, uniforms)
+        deltas = np.asarray(deltas, dtype=np.float64)
+        if sigma.shape != (steps,) or deltas.shape != (steps,):
+            raise ShapeError(f"bridge sigma and deltas must be shaped ({steps},)")
+        if uniforms.shape != (batch, steps):
+            raise ShapeError(f"bridge uniforms must be shaped ({batch}, {steps})")
+        D, diff, root = _bridge_g(D[:, :-1], D[:, 1:], sigma * sigma * deltas, uniforms)
+    rows = np.arange(D.shape[0])
+    idx = np.argmax(D, axis=1)
+    loss = D[rows, idx].mean()
+    if not taped:
+        return float(loss)
+    shape = md.shape
+    if bridge:
+        diff, root = diff[rows, idx], root[rows, idx]
+
+    def backward(g):
+        # d loss / d D at each path's argmax, as the op-by-op tape forms it;
+        # M receives its negative
+        gd = np.zeros(shape)
+        gs = g / shape[0]
+        if bridge:
+            gs = gs * 0.5
+            gdiff = gs / (2.0 * root) * (2.0 * diff)
+            gd[rows, idx] = gs + gdiff
+            gd[rows, idx + 1] = gs - gdiff
+        else:
+            gd[rows, idx] = gs
+        M._accumulate(np.negative(gd, out=gd))
+
+    return Tensor._node(loss, (M,), backward)
 
 
 # -- coupled (X, M) simulation ----------------------------------------------
@@ -166,13 +215,7 @@ def _bind_nets(nets, taped, model, partition):
     def net_fn(j, t, X, m):
         tcol = np.full((X.shape[0], 1), t / T)
         if taped:
-            cp = np.concatenate([tcol, X / sx], axis=1)
-            ms = m * (1.0 / sm)
-            if isinstance(ms, Tensor):
-                inp = concat_cols([cp, ms])
-            else:
-                inp = np.concatenate([cp, ms], axis=1)
-            return mlp_forward_t(nets[j], inp, check=True) * sm
+            return mlp_forward_t(nets[j], np.concatenate([tcol, X / sx], axis=1), m=m, scale=sm, check=True)
         inp = np.concatenate([tcol, X / sx, m / sm], axis=1)
         return mlp_forward(nets[j], inp) * sm
 
@@ -207,6 +250,13 @@ def _validate_setup(config, mlps, model, draws):
 def _bridge_uniforms(seed, iteration, batch, steps):
     rng = np.random.Generator(np.random.Philox([seed, iteration, 0xB21D9E]))
     return rng.random((batch, steps))
+
+
+def _check_bridge_batch(bridge, batch):
+    if bridge and batch < 2:
+        raise InvalidParameterError(
+            f"batch {batch} is too small for the bridge: its volatility is estimated from at least two paths"
+        )
 
 
 def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, taped):
@@ -251,6 +301,7 @@ def evaluate_loss(config, mlps, model, batch=5000, seed=0, bridge=True):
     The digital shift and the bridge uniforms come from keys tagged for
     evaluation, so no seed makes them repeat a training iteration's.
     """
+    _check_bridge_batch(bridge, batch)
     n = config.partition.steps
     shift_key, bridge_key = np.random.SeedSequence(seed, spawn_key=(_EVAL_TAG,)).spawn(2)
     draws = draws_for(_ASSET_TAG[config.scheme], model.d, n, batch, seed=shift_key)
@@ -292,6 +343,7 @@ def train(
         raise InvalidParameterError("iterations must be >= 1")
     if len(mlps) != config.d_M or config.d_M != model.d:
         raise ShapeError("need one network per driving Brownian dimension")
+    _check_bridge_batch(bridge, config.batch)
     current = list(mlps)
     counts = [len(param_arrays(p)) for p in current]
     all_arrays = [a for p in current for a in param_arrays(p)]

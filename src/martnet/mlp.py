@@ -84,14 +84,19 @@ def params_to_tensors(params):
     return MlpParams(layers=layers, proj=Tensor(params.proj, requires_grad=True), seed=params.seed)
 
 
-def mlp_forward_t(tensors, x, check=False):
-    """Taped forward pass as one tape node. ``x`` may be a Tensor or a constant ndarray.
+def mlp_forward_t(tensors, x, m, scale, check=False):
+    """Taped ``net([x, m * (1 / scale)]) * scale`` as one tape node.
 
-    The node keeps only ``x``'s data: its backward recomputes the hidden
-    layers with the forward's arithmetic, so the gradients have the bits of
-    a tape that stores every layer, at a fraction of its memory.
+    ``x`` is a constant ndarray and ``m``, a Tensor or an ndarray of values
+    in the output's units, fills the input's last columns; a Tensor ``m`` is
+    the only input that receives a gradient. The node keeps only the input
+    it built: its backward recomputes the hidden layers with the forward's
+    arithmetic, so the gradients have the bits of a tape that stores every
+    layer, and of one that tapes the encoding and the scaling as nodes of
+    their own.
     """
-    xd = x.data if isinstance(x, Tensor) else x
+    taped_m = isinstance(m, Tensor)
+    xd = np.concatenate([x, (m.data if taped_m else m) * (1.0 / scale)], axis=1)
     layers = [(w.data, b.data) for w, b in tensors.layers]
     proj = tensors.proj.data
     for h in _hidden_layers(layers, xd, check):
@@ -99,22 +104,24 @@ def mlp_forward_t(tensors, x, check=False):
     out = h @ proj
     if check and not np.all(np.isfinite(out)):
         raise NumericError("mlp projection produced non-finite values")
+    out *= scale
 
     def backward(g):
+        g = g * scale
         hs = [xd, *_hidden_layers(layers, xd)]
         gh = g @ proj.T
         tensors.proj._accumulate(hs[-1].T @ g)
         for i in reversed(range(len(layers))):
             w, b = tensors.layers[i]
             gz = gh * (hs[i + 1] > 0.0)
-            if i > 0 or isinstance(x, Tensor):
+            if i > 0 or taped_m:
                 gh = gz @ layers[i][0].T
             w._accumulate(hs[i].T @ gz)
             b._accumulate(gz.sum(axis=0))
-        if isinstance(x, Tensor):
-            x._accumulate(gh)
+        if taped_m:
+            m._accumulate(gh[:, x.shape[1] :] * (1.0 / scale))
 
-    return Tensor._node(out, (x, *param_arrays(tensors)), backward)
+    return Tensor._node(out, (m, *param_arrays(tensors)), backward)
 
 
 def param_arrays(params):

@@ -1,0 +1,125 @@
+"""Op-by-op tape references for the tests.
+
+The package tapes a network evaluation and the dual loss as one node each
+and keeps only the ops its pipeline records. Here are the ops only the
+tests use, built with ``Tensor._node``, and the network evaluation and the
+loss composed from them the way the package taped them op by op. The tests
+check every op against finite differences and the one-node versions
+against these compositions bit for bit.
+"""
+
+import numpy as np
+
+from martnet.autodiff import Tensor, _unbroadcast, concat_cols
+from martnet.mlp import mlp_forward_t
+
+
+def rsub(c, a):
+    """c - a for a constant c."""
+
+    def backward(g):
+        a._accumulate(_unbroadcast(-g, a.shape))
+
+    return Tensor._node(c - a.data, (a,), backward)
+
+
+def matmul(a, b):
+    """a @ b; either side may be a constant ndarray."""
+    ad, bd = (x.data if isinstance(x, Tensor) else x for x in (a, b))
+
+    def backward(g):
+        if isinstance(a, Tensor):
+            a._accumulate(g @ bd.T)
+        if isinstance(b, Tensor):
+            b._accumulate(ad.T @ g)
+
+    return Tensor._node(ad @ bd, (a, b), backward)
+
+
+def relu(a):
+    out = np.maximum(a.data, 0.0)
+    return Tensor._node(out, (a,), lambda g: a._accumulate(g * (out > 0.0)))
+
+
+def sqrt(a):
+    out = np.sqrt(a.data)
+    return Tensor._node(out, (a,), lambda g: a._accumulate(g / (2.0 * out)))
+
+
+def square(a):
+    return Tensor._node(a.data * a.data, (a,), lambda g: a._accumulate(g * (2.0 * a.data)))
+
+
+def max_rows(a):
+    """Row-wise maximum of a 2-D tensor; the gradient flows to the first argmax."""
+    rows = np.arange(a.shape[0])
+    idx = np.argmax(a.data, axis=1)
+
+    def backward(g):
+        gx = np.zeros(a.shape)
+        gx[rows, idx] = g
+        a._accumulate(gx)
+
+    return Tensor._node(a.data[rows, idx], (a,), backward)
+
+
+def mlp_ops(net, x):
+    """The network composed from matmul, add and relu nodes."""
+    h = x if isinstance(x, Tensor) else Tensor(x)
+    for w, b in net.layers:
+        h = relu(matmul(h, w) + b)
+    return matmul(h, net.proj)
+
+
+def mlp_node(net, x, check=False):
+    """The network as one node over a whole input, constant or a Tensor.
+
+    At scale 1, m * (1 / 1) and the gradient times 1 keep every bit, so a
+    Tensor input is ``m`` beside an empty constant block.
+    """
+    if isinstance(x, Tensor):
+        return mlp_forward_t(net, x.data[:, :0], x, 1.0, check=check)
+    return mlp_forward_t(net, x[:, :-1], x[:, -1:], 1.0, check=check)
+
+
+def bind_nets(nets, taped, model, partition):
+    """dual._bind_nets' taped evaluation as separate nodes.
+
+    The value encoding m * (1 / K), the column concatenation, the network
+    and the scaling by K are each a node of their own.
+    """
+    assert taped
+    sx = np.abs(np.asarray(model.x0, dtype=np.float64))
+    sx = np.where(sx > 0, sx, 1.0)[None, :]
+    sm = float(model.payoff.strike)
+    T = partition.T if partition.T > 0 else 1.0
+
+    def net_fn(j, t, X, m):
+        tcol = np.full((X.shape[0], 1), t / T)
+        cp = np.concatenate([tcol, X / sx], axis=1)
+        ms = m * (1.0 / sm)
+        if isinstance(ms, Tensor):
+            inp = concat_cols([cp, ms])
+        else:
+            inp = np.concatenate([cp, ms], axis=1)
+        return mlp_node(nets[j], inp, check=True) * sm
+
+    return net_fn
+
+
+def bridge_g(a, b, var_dt, u):
+    """dual._bridge_g's G on Tensors a and b, one node per operation."""
+    shift = -2.0 * var_dt * np.log1p(-u)
+    diff = a - b
+    root = sqrt(square(diff) + shift)
+    return 0.5 * (a + b + root)
+
+
+def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
+    """The dual loss of a Tensor M as Z - M, the bridge ops, max_rows and mean."""
+    D = rsub(Z, M)
+    if bridge:
+        sigma = np.asarray(sigma, dtype=np.float64)
+        u = np.asarray(uniforms, dtype=np.float64)
+        D = bridge_g(D[:, :-1], D[:, 1:], sigma * sigma * np.asarray(deltas), u)
+    return max_rows(D).mean()

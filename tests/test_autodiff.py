@@ -5,6 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 from martnet.autodiff import Tensor, concat_cols, merge_rows
 from martnet.mlp import MlpParams, mlp_forward_t, param_arrays, rebuild_params
 
+from tape_reference import matmul, max_rows, relu, rsub, sqrt, square
+
 
 def numeric_grad(fn, x, h=1e-6):
     """Central finite differences of a scalar fn at every entry of x."""
@@ -33,7 +35,7 @@ def test_add_mul_broadcast():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 4))
     row = rng.standard_normal((1, 4))
-    check_op(lambda t: ((t + row) * 2.5 + (3.0 - t)).mean(), x)
+    check_op(lambda t: ((t + row) * 2.5 + rsub(3.0, t)).mean(), x)
 
 
 def test_mul_two_tensors():
@@ -51,31 +53,31 @@ def test_matmul():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((4, 3))
     w = rng.standard_normal((3, 2))
-    check_op(lambda t: (t @ w).mean(), x)
+    check_op(lambda t: matmul(t, w).mean(), x)
 
 
 def test_relu_square_sqrt():
     rng = np.random.default_rng(3)
     x = np.abs(rng.standard_normal((3, 3))) + 0.5
-    check_op(lambda t: t.relu().mean(), x)
-    check_op(lambda t: t.square().mean(), x)
-    check_op(lambda t: t.sqrt().mean(), x, rtol=1e-5)
+    check_op(lambda t: relu(t).mean(), x)
+    check_op(lambda t: square(t).mean(), x)
+    check_op(lambda t: sqrt(t).mean(), x, rtol=1e-5)
 
 
 def test_mean_axes():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((5, 3))
-    check_op(lambda t: t.mean(axis=0, keepdims=True).square().mean(), x)
-    check_op(lambda t: t.mean(axis=1).square().mean() * 0.1, x, rtol=1e-5)
+    check_op(lambda t: square(t.mean(axis=0, keepdims=True)).mean(), x)
+    check_op(lambda t: square(t.mean(axis=1)).mean() * 0.1, x, rtol=1e-5)
 
 
 def test_max_rows():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 4))
-    check_op(lambda t: t.max_rows().mean(), x)
+    check_op(lambda t: max_rows(t).mean(), x)
     # gradient concentrates on the per-row argmax
     leaf = Tensor(x, requires_grad=True)
-    leaf.max_rows().mean().backward()
+    max_rows(leaf).mean().backward()
     assert np.all(leaf.grad.sum(axis=1) == 1.0 / 6)
     assert np.all((leaf.grad == 0.0) | (leaf.grad == 1.0 / 6))
 
@@ -85,7 +87,7 @@ def test_concat_cols():
     x = rng.standard_normal((3, 2))
     y = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     leaf = Tensor(x, requires_grad=True)
-    out = concat_cols([leaf, y]).square().mean()
+    out = square(concat_cols([leaf, y])).mean()
     out.backward()
     np.testing.assert_allclose(leaf.grad, 2 * x / 15)
     np.testing.assert_allclose(y.grad, 2 * y.data / 15)
@@ -110,7 +112,7 @@ def test_merge_rows_values_and_gradient():
 
 def test_quadratic_gradient_exact():
     theta = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-    loss = (theta.square().mean()) * 0.5
+    loss = (square(theta).mean()) * 0.5
     loss.backward()
     np.testing.assert_allclose(theta.grad, theta.data / 3)
 
@@ -186,7 +188,8 @@ def test_property_getitem_index_array(rows, cols, seed):
 @settings(max_examples=25)
 @given(**_cases)
 def test_property_mlp_node(rows, cols, seed):
-    # the one-node network evaluation, in its input and in every parameter
+    # the one-node network evaluation, in its taped input column m and in every parameter;
+    # scale is a power of two, so m * (1 / scale) reads x's last column exactly
     rng = np.random.default_rng(seed)
     widths = [cols, 3, 3, 3]
     layers = [(rng.standard_normal(wh), rng.standard_normal(wh[1])) for wh in zip(widths, widths[1:])]
@@ -204,9 +207,11 @@ def test_property_mlp_node(rows, cols, seed):
         """The network with array k replaced by the Tensor t, the rest constant leaves."""
         return rebuild_params(net, [t if i == k else Tensor(a) for i, a in enumerate(arrays)])
 
-    check_op(lambda t: (mlp_forward_t(with_leaf(None, t), t) * w).mean(), x)
+    scale = 4.0
+    const, m = x[:, :-1], x[:, -1:] * scale
+    check_op(lambda t: (mlp_forward_t(with_leaf(None, t), const, m=t, scale=scale) * w).mean(), m)
     for k, a in enumerate(arrays):
-        check_op(lambda t: (mlp_forward_t(with_leaf(k, t), x) * w).mean(), a)
+        check_op(lambda t: (mlp_forward_t(with_leaf(k, t), const, m=m, scale=scale) * w).mean(), a)
 
 
 @settings(max_examples=25)
@@ -216,7 +221,7 @@ def test_property_concat_cols(rows, cols, seed):
     x = rng.standard_normal((rows, cols))
     const = rng.standard_normal((rows, 2))
     w = _weights(rng, (rows, 2 * cols + 2))
-    check_op(lambda t: (concat_cols([t, const, t.square()]) * w).mean(), x)
+    check_op(lambda t: (concat_cols([t, const, square(t)]) * w).mean(), x)
 
 
 @settings(max_examples=25)
@@ -227,7 +232,7 @@ def test_property_max_rows(rows, cols, seed):
     top = np.sort(x, axis=1)
     assume(cols == 1 or np.min(top[:, -1] - top[:, -2]) > 1e-3)  # ties move the argmax
     w = _weights(rng, rows)
-    check_op(lambda t: (t.max_rows() * w).mean(), x)
+    check_op(lambda t: (max_rows(t) * w).mean(), x)
 
 
 @settings(max_examples=25)
@@ -236,5 +241,5 @@ def test_property_square_sqrt(rows, cols, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((rows, cols))
     w = _weights(rng, (rows, cols))
-    check_op(lambda t: (t.square() * w).mean(), x)
-    check_op(lambda t: (t.sqrt() * w).mean(), np.abs(x) + 0.1, rtol=1e-5)
+    check_op(lambda t: (square(t) * w).mean(), x)
+    check_op(lambda t: (sqrt(t) * w).mean(), np.abs(x) + 0.1, rtol=1e-5)

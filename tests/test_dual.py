@@ -27,6 +27,8 @@ from martnet.oracles import binomial_american_put
 from martnet.errors import InvalidParameterError, ShapeError
 
 from conftest import constant_output_mlp, traced_peak_bytes
+import tape_reference
+from tape_reference import square
 
 
 def constant_field_mlp(model, value):
@@ -172,7 +174,7 @@ def test_center_taped():
     m = Tensor(rng.standard_normal((8, 4)), requires_grad=True)
     out = center(m)
     assert np.max(np.abs(out.data.mean(axis=0))) < 1e-12
-    out.square().mean().backward()
+    square(out).mean().backward()
     assert m.grad is not None
 
 
@@ -199,6 +201,111 @@ def test_rogers_loss_bridge_dominates():
     off = rogers_loss(Z, M)
     on = rogers_loss(Z, M, bridge=True, sigma=sigma, uniforms=uniforms, deltas=deltas)
     assert on >= off - 1e-12
+
+
+def _bridge_args(batch, steps, rng):
+    return dict(
+        bridge=True,
+        sigma=np.full(steps, 5.0),
+        uniforms=rng.random((batch, steps)),
+        deltas=np.full(steps, 1.0 / steps),
+    )
+
+
+_BAD_BRIDGE_SHAPES = {
+    "uniforms-scalar": ("uniforms", lambda batch, steps: 0.5),
+    "uniforms-per-step": ("uniforms", lambda batch, steps: np.full(steps, 0.5)),
+    "uniforms-per-knot": ("uniforms", lambda batch, steps: np.full((batch, steps + 1), 0.5)),
+    "sigma-scalar": ("sigma", lambda batch, steps: 5.0),
+    "sigma-short": ("sigma", lambda batch, steps: np.full(steps - 1, 5.0)),
+    "deltas-per-knot": ("deltas", lambda batch, steps: np.full(steps + 1, 0.25)),
+}
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("case", _BAD_BRIDGE_SHAPES)
+def test_rogers_loss_bridge_shapes(case, taped):
+    # nothing broadcasts: every path has its own uniform per step, every step one sigma
+    rng = np.random.default_rng(3)
+    Z, M = np.abs(rng.standard_normal((8, 5))), rng.standard_normal((8, 5))
+    kwargs = _bridge_args(8, 4, rng)
+    key, make = _BAD_BRIDGE_SHAPES[case]
+    kwargs[key] = make(8, 4)
+    with pytest.raises(ShapeError):
+        rogers_loss(Z, Tensor(M) if taped else M, **kwargs)
+
+
+@settings(max_examples=60)
+@given(
+    batch=st.integers(min_value=1, max_value=6),
+    steps=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bridge=st.booleans(),
+)
+def test_property_loss_node_matches_ops_bitwise(batch, steps, seed, bridge):
+    # Z - M walks the integers in nonzero steps, row 0 as 0, 1, 0, 1, ...: grid maxima tie,
+    # and where u = 0 so do the bridge's G = max(a, b), while a != b keeps every root positive
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.choice([-2.0, -1.0, 1.0, 2.0], size=(batch, steps)), axis=1)
+    D = np.concatenate([np.zeros((batch, 1)), walk], axis=1) + rng.integers(-2, 3, size=(batch, 1))
+    D[0] = np.arange(steps + 1) % 2
+    M = rng.integers(-3, 4, size=(batch, steps + 1)).astype(np.float64)
+    Z = D + M
+    kwargs = {}
+    if bridge:
+        kwargs = _bridge_args(batch, steps, rng)
+        kwargs["uniforms"][rng.random((batch, steps)) < 0.5] = 0.0
+        kwargs["sigma"] = rng.uniform(0.5, 2.0, steps)
+
+    def run(loss_fn):
+        leaf = Tensor(M, requires_grad=True)
+        loss = loss_fn(Z, leaf, **kwargs)
+        loss.backward()
+        return loss.data.tobytes(), leaf.grad.tobytes()
+
+    node = rogers_loss(Z, Tensor(M), **kwargs)
+    assert node._parents and len(node._parents) == 1 and node._parents[0]._parents == ()
+    assert run(rogers_loss) == run(tape_reference.rogers_loss)
+    assert float(node.data) == rogers_loss(Z, M, **kwargs)
+
+
+_NODE_CASES = [
+    ("bsm", "resnet-em", "em", 64),
+    ("heston", "resnet-em", "em", 32),
+    ("bsm", "nvnet", "nv", 4),
+    ("heston", "nvnet", "nv", 4),
+    ("bsm", "nnet", "nn", 4),
+    ("heston", "nnet", "nn", 3),
+]
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+@pytest.mark.parametrize("model_name,scheme,tag,steps", _NODE_CASES)
+def test_one_node_tape_matches_op_by_op_bitwise(request, monkeypatch, model_name, scheme, tag, steps, bridge):
+    # one node per network evaluation and one for the loss give the loss and every
+    # gradient array of the tape that records each of their operations
+    model = request.getfixturevalue(model_name)
+    batch = 128
+    cfg = MartingaleNetConfig(scheme=scheme, d_M=model.d, partition=mn.uniform_partition(1.0, steps), batch=batch)
+    rng = np.random.default_rng(7)
+    nets = [init_mlp(model.N + 2, 1, seed=j) for j in range(model.d)]
+    for net in nets:
+        net.proj[:] = 0.05 * rng.standard_normal(net.proj.shape)
+        for _, b in net.layers:
+            b[:] = 0.1 * rng.standard_normal(b.shape)
+    draws = draws_for(tag, model.d, steps, batch, seed=3)
+    if tag == "nv":
+        assert 0 < np.count_nonzero(draws.lam > 0) < draws.lam.size  # both diffusion orders run
+    uniforms = rng.random((batch, steps)) if bridge else None
+
+    def run():
+        value, grads = loss_and_grads(cfg, nets, model, draws, bridge=bridge, uniforms=uniforms)
+        return np.float64(value).tobytes(), [g.tobytes() for per_net in grads for g in per_net]
+
+    got = run()
+    monkeypatch.setattr(dual, "_bind_nets", tape_reference.bind_nets)
+    monkeypatch.setattr(dual, "rogers_loss", tape_reference.rogers_loss)
+    assert got == run()
 
 
 # -- provisional martingale paths ---------------------------------------------
@@ -383,6 +490,37 @@ def test_tape_memory_per_step(bsm):
     peak(64)  # warm-up: first-call allocations stay out of the slope
     per_step = (peak(128) - peak(64)) / 64
     assert per_step < 2 * batch * HIDDEN * 8, f"tape grows {per_step:.0f} B per step"
+
+
+def test_tape_growth_per_step_with_bridge(bsm):
+    # a taped step keeps one network input and the martingale's columns; the loss node
+    # keeps per-path scalars: fewer than 20 (batch,) float64 arrays per step in all
+    batch = 256
+    net = init_mlp(bsm.N + 2, 1, seed=3)
+
+    def peak(steps):
+        part = mn.uniform_partition(1.0, steps)
+        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=part, batch=batch)
+        draws = draws_for("em", 1, steps, batch, seed=4)
+        uniforms = np.random.default_rng(5).random((batch, steps))
+        return traced_peak_bytes(lambda: loss_and_grads(cfg, [net], bsm, draws, bridge=True, uniforms=uniforms))
+
+    peak(64)  # warm-up: first-call allocations stay out of the slope
+    per_step = (peak(128) - peak(64)) / 64
+    assert per_step < 20 * batch * 8, f"tape grows {per_step / (batch * 8):.1f} x batch x 8 B per step"
+
+
+def test_bridge_needs_two_paths(bsm):
+    # sigma is estimated across paths, so batch 1 with the bridge fails before any work
+    p = mn.uniform_partition(1.0, 2)
+    cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=1)
+    mlps = [init_mlp(bsm.N + 2, 1, seed=0)]
+    with pytest.raises(InvalidParameterError, match="batch 1.*bridge"):
+        train(cfg, mlps, 2, bsm, seed=0, bridge=True)
+    with pytest.raises(InvalidParameterError, match="batch 1.*bridge"):
+        evaluate_loss(cfg, mlps, bsm, batch=1, seed=0, bridge=True)
+    assert np.isfinite(train(cfg, mlps, 2, bsm, seed=0, bridge=False).losses).all()
+    assert np.isfinite(evaluate_loss(cfg, mlps, bsm, batch=1, seed=0, bridge=False))
 
 
 def test_train_smoke_and_residuals(bsm):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from martnet.autodiff import Tensor
+from martnet.autodiff import Tensor, concat_cols
 from martnet.mlp import (
     MlpParams,
     init_mlp,
@@ -22,6 +22,8 @@ from martnet.mlp import (
     HIDDEN,
 )
 from martnet.errors import NumericError, ShapeError
+
+from tape_reference import mlp_ops, square
 
 
 def test_architecture_dimensions():
@@ -93,7 +95,7 @@ def test_taped_forward_matches_plain():
     p = init_mlp(3, 2, seed=6)
     p.proj[:] = np.random.default_rng(6).standard_normal(p.proj.shape) * 0.1
     x = np.random.default_rng(7).standard_normal((5, 3))
-    t_out = mlp_forward_t(params_to_tensors(p), Tensor(x))
+    t_out = mlp_forward_t(params_to_tensors(p), x[:, :-1], x[:, -1:], 1.0)
     np.testing.assert_allclose(t_out.data, mlp_forward(p, x), rtol=1e-13)
 
 
@@ -110,26 +112,31 @@ def _random_net(in_dim, seed):
 @pytest.mark.parametrize("batch", [1, 5, 513])
 @pytest.mark.parametrize("x_taped", [True, False])
 def test_taped_node_matches_tensor_ops_bitwise(batch, x_taped):
-    # one node per evaluation against the same net composed from Tensor ops
+    # one node per evaluation against the same net composed from Tensor ops:
+    # the encoding m * (1 / scale), the concatenation, the layers and the scaling
     p = _random_net(3, seed=batch)
     rng = np.random.default_rng(batch + 1)
-    x = rng.standard_normal((batch, 3))
+    x = rng.standard_normal((batch, 2))
+    m = 100.0 * rng.standard_normal((batch, 1))
+    scale = 100.0
     cot = rng.standard_normal((batch, 2))
 
     def run(forward):
         ts = params_to_tensors(p)
-        xt = Tensor(x, requires_grad=True)
-        out = forward(ts, xt if x_taped else x)
+        mt = Tensor(m, requires_grad=True)
+        out = forward(ts, x, mt if x_taped else m)
         (out * cot).mean().backward()
-        return out.data, [a.grad for a in param_arrays(ts)], xt.grad
+        return out.data, [a.grad for a in param_arrays(ts)], mt.grad
 
-    def reference(ts, xin):
-        h = xin if isinstance(xin, Tensor) else Tensor(xin)
-        for w, b in ts.layers:
-            h = (h @ w + b).relu()
-        return h @ ts.proj
+    def node(ts, xin, min_):
+        return mlp_forward_t(ts, xin, m=min_, scale=scale)
 
-    got, want = run(mlp_forward_t), run(reference)
+    def reference(ts, xin, min_):
+        ms = min_ * (1.0 / scale)
+        inp = concat_cols([xin, ms]) if isinstance(ms, Tensor) else np.concatenate([xin, ms], axis=1)
+        return mlp_ops(ts, inp) * scale
+
+    got, want = run(node), run(reference)
     assert got[0].tobytes() == want[0].tobytes()
     for g, w in zip(got[1], want[1]):
         assert g.tobytes() == w.tobytes()
@@ -141,9 +148,9 @@ def test_taped_node_matches_tensor_ops_bitwise(batch, x_taped):
 
 def test_taped_forward_is_one_tape_node():
     ts = params_to_tensors(_random_net(3, seed=2))
-    x = Tensor(np.ones((4, 3)), requires_grad=True)
-    out = mlp_forward_t(ts, x)
-    assert out._parents == (x, *param_arrays(ts))
+    m = Tensor(np.ones((4, 1)), requires_grad=True)
+    out = mlp_forward_t(ts, np.ones((4, 2)), m=m, scale=3.0)
+    assert out._parents == (m, *param_arrays(ts))
 
 
 @pytest.mark.parametrize("where", ["layer", "projection"])
@@ -160,7 +167,7 @@ def test_taped_forward_non_finite_checks(where):
             w[:] = np.abs(w)
         message = "mlp projection produced non-finite values"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=message):
-        mlp_forward_t(params_to_tensors(p), Tensor(x), check=True)
+        mlp_forward_t(params_to_tensors(p), x[:, :-1], x[:, -1:], 1.0, check=True)
 
 
 def test_grad_quadratic():
@@ -170,7 +177,7 @@ def test_grad_quadratic():
         total = None
         for ts in tensors:
             for arr in param_arrays(ts):
-                term = arr.square().mean()
+                term = square(arr).mean()
                 total = term if total is None else total + term
         return total * 0.5
 
