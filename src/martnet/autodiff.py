@@ -6,11 +6,11 @@ in reverse topological order and accumulates gradients into every tensor
 created with ``requires_grad=True``.
 
 Only the operations the martingale pipeline records are implemented:
-addition, subtraction and multiplication with broadcasting, the mean,
-column concatenation, row indexing and a merge of two row subsets. The
-network evaluation and the dual loss build their own nodes with
-``Tensor._node``. Operands that are plain ndarrays or python scalars are
-treated as constants and receive no gradient.
+addition and multiplication with broadcasting, row indexing and a merge
+of two row subsets. The network evaluation, the centering and the dual
+loss build their own nodes with ``Tensor._node``. Operands that are plain
+ndarrays or python scalars are treated as constants and receive no
+gradient.
 """
 
 import numpy as np
@@ -83,17 +83,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        od = _data(other)
-        out_data = self.data - od
-
-        def backward(g, a=self, b=other, ashape=self.data.shape, bshape=np.shape(od)):
-            a._accumulate(_unbroadcast(g, ashape))
-            if isinstance(b, Tensor):
-                b._accumulate(_unbroadcast(-g, bshape))
-
-        return Tensor._node(out_data, (self, other), backward)
-
     def __mul__(self, other):
         od = _data(other)
         out_data = self.data * od
@@ -106,19 +95,6 @@ class Tensor:
         return Tensor._node(out_data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    # -- reductions ----------------------------------------------------------
-
-    def mean(self, axis=None, keepdims=False):
-        out_data = self.data.mean(axis=axis, keepdims=keepdims)
-        count = self.data.size if axis is None else self.data.shape[axis]
-
-        def backward(g, a=self, ax=axis, kd=keepdims, shape=self.data.shape, n=count):
-            if ax is not None and not kd:
-                g = np.expand_dims(g, ax)
-            a._accumulate(np.broadcast_to(g, shape) / n)
-
-        return Tensor._node(out_data, (self,), backward)
 
     # -- shape ops -----------------------------------------------------------
 
@@ -170,21 +146,6 @@ class Tensor:
             node._parents = ()
             if not node.requires_grad:
                 node.grad = None
-
-
-def concat_cols(parts):
-    """Concatenate 2-D blocks along axis 1; constants may be ndarrays."""
-    datas = [_data(p) for p in parts]
-    out_data = np.concatenate(datas, axis=1)
-    widths = [d.shape[1] for d in datas]
-    offsets = np.cumsum([0] + widths)
-
-    def backward(g, parts=parts, offsets=offsets):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if isinstance(p, Tensor):
-                p._accumulate(g[:, lo:hi])
-
-    return Tensor._node(out_data, tuple(parts), backward)
 
 
 def merge_rows(ia, a, ib, b):

@@ -12,9 +12,10 @@ suprema of Z - M, optionally refined by sampling the within-interval
 supremum of a pinned bridge with volatility estimated from pilot paths.
 
 On the tape, each network evaluation is one node from the encoded input
-(t/T, x/x0, m/K) to the output scaled by K, and the loss is one node that
+(t/T, x/x0, m/K) to the output scaled by K, the centering is one node
+that keeps only the martingale's columns, and the loss is one node that
 keeps only each path's argmax and, with the bridge, a - b and the root
-there. Both give the bits of the same computation taped op by op.
+there. All give the bits of the same computation taped op by op.
 """
 
 import os
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols
+from .autodiff import Tensor
 from .errors import InvalidParameterError, NumericError, ShapeError
 from .fields import payoff_eval
 from .mlp import grad, mlp_forward, mlp_forward_t, param_arrays, rebuild_params, save_checkpoint
@@ -82,20 +83,24 @@ class BridgeParams:
 
 
 def _bridge_g(a, b, var_dt, u):
-    """G(u) = (a + b + sqrt((a-b)^2 - 2 sigma^2 dt log(1-u))) / 2, with a - b and the root.
+    """G(u) = (a + b + sqrt((a-b)^2 - 2 sigma^2 dt log(1-u))) / 2, with the root.
 
-    var_dt = sigma^2 * dt. Returns (G, a - b, root), three arrays of the
-    inputs' broadcast shape, each allocated once and filled in place.
+    var_dt = sigma^2 * dt. Returns (G, root), the two arrays of the inputs'
+    broadcast shape it allocates: (a - b)^2 is formed in G's array before G
+    is written over it.
     """
     shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(var_dt), np.shape(u))
-    root = np.multiply(-2.0 * var_dt, np.log1p(-u), out=np.empty(shape))
-    diff = np.subtract(a, b, out=np.empty(shape))
-    root += diff * diff
+    root = np.negative(u, out=np.empty(shape))
+    np.log1p(root, out=root)
+    root *= -2.0 * var_dt
+    g = np.subtract(a, b, out=np.empty(shape))
+    g *= g
+    root += g
     np.sqrt(root, out=root)
-    g = np.add(a, b, out=np.empty(shape))
+    np.add(a, b, out=g)
     g += root
     g *= 0.5
-    return g, diff, root
+    return g, root
 
 
 def _bridge_inputs(sigma, u):
@@ -112,7 +117,7 @@ def _bridge_inputs(sigma, u):
 def bridge_sup(bp, u):
     """Sample the supremum of the bridge pinned at (a, b) over one step."""
     sigma, u = _bridge_inputs(bp.sigma, u)
-    g, _, _ = _bridge_g(bp.a, bp.b, sigma * sigma * np.asarray(bp.dt), u)
+    g, _ = _bridge_g(bp.a, bp.b, sigma * sigma * np.asarray(bp.dt), u)
     return g[()]  # a scalar for scalar inputs
 
 
@@ -136,7 +141,32 @@ def estimate_sigma(pilot, deltas):
 
 def center(mprime):
     """Subtract the per-time batch mean; accepts ndarray or Tensor."""
-    return mprime - mprime.mean(axis=0, keepdims=True)
+    return center_cols([mprime])
+
+
+def center_cols(cols):
+    """The 2-D blocks ``cols`` side by side, minus their per-time batch mean.
+
+    Blocks may be ndarrays or Tensors. With a Tensor among them the result
+    is one tape node that keeps only the blocks: its backward hands each
+    Tensor block its slice of g + sum(-g, axis 0) / batch, the float
+    operations of concatenating, averaging and subtracting taped op by op.
+    """
+    datas = [c.data if isinstance(c, Tensor) else np.asarray(c, dtype=np.float64) for c in cols]
+    out = np.concatenate(datas, axis=1)
+    out -= out.mean(axis=0, keepdims=True)
+    if not any(isinstance(c, Tensor) for c in cols):
+        return out
+    n = out.shape[0]
+    bounds = np.cumsum([0] + [d.shape[1] for d in datas])
+
+    def backward(g):
+        g = g + (-g).sum(axis=0, keepdims=True) / n
+        for c, lo, hi in zip(cols, bounds[:-1], bounds[1:]):
+            if isinstance(c, Tensor):
+                c._accumulate(g[:, lo:hi])
+
+    return Tensor._node(out, cols, backward)
 
 
 def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
@@ -145,13 +175,18 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
     With bridge=False the supremum is the maximum over all grid points.
     With bridge=True each interval contributes a bridge-supremum sample
     G(a, b; sigma_k, delta_k, u) and the per-path supremum is the maximum
-    over intervals (G dominates both endpoints, so the grid is covered);
-    uniforms is shaped (batch, steps), sigma and deltas (steps,).
+    over intervals; uniforms is shaped (batch, steps), sigma and deltas
+    (steps,). G dominates both endpoints, so the grid is covered, but only
+    up to rounding: at u = 0 it is (a + b + |a - b|) / 2 in floating point,
+    which can fall below max(a, b) by about an ulp of |a| + |b| (ROADMAP
+    item 7).
 
     A Tensor M gives one tape node. It keeps each path's argmax and, with
-    the bridge, a - b and the root there; its backward writes the gradient
-    at the argmax's one or two grid columns with the float operations of
-    the same loss taped op by op.
+    the bridge, a - b and the root there (a - b formed again from
+    D = Z - M); its backward writes the gradient at the argmax's one or two
+    grid columns with the float operations of the same loss taped op by
+    op. Where the root is 0 (a = b at u = 0) it takes the symmetric
+    subgradient, half to each endpoint.
     """
     taped = isinstance(M, Tensor)
     md = M.data if taped else np.asarray(M, dtype=np.float64)
@@ -168,15 +203,17 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
             raise ShapeError(f"bridge sigma and deltas must be shaped ({steps},)")
         if uniforms.shape != (batch, steps):
             raise ShapeError(f"bridge uniforms must be shaped ({batch}, {steps})")
-        D, diff, root = _bridge_g(D[:, :-1], D[:, 1:], sigma * sigma * deltas, uniforms)
-    rows = np.arange(D.shape[0])
-    idx = np.argmax(D, axis=1)
-    loss = D[rows, idx].mean()
+        G, root = _bridge_g(D[:, :-1], D[:, 1:], sigma * sigma * deltas, uniforms)
+    else:
+        G = D
+    rows = np.arange(G.shape[0])
+    idx = np.argmax(G, axis=1)
+    loss = G[rows, idx].mean()
     if not taped:
         return float(loss)
     shape = md.shape
     if bridge:
-        diff, root = diff[rows, idx], root[rows, idx]
+        diff, root = D[rows, idx] - D[rows, idx + 1], root[rows, idx]
 
     def backward(g):
         # d loss / d D at each path's argmax, as the op-by-op tape forms it;
@@ -185,7 +222,8 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
         gs = g / shape[0]
         if bridge:
             gs = gs * 0.5
-            gdiff = gs / (2.0 * root) * (2.0 * diff)
+            gdiff = np.divide(gs, 2.0 * root, out=np.zeros(shape[0]), where=root > 0.0)
+            gdiff *= 2.0 * diff
             gd[rows, idx] = gs + gdiff
             gd[rows, idx + 1] = gs - gdiff
         else:
@@ -262,15 +300,12 @@ def _check_bridge_batch(bridge, batch):
 def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, taped):
     states, cols = _simulate_coupled(config, nets, model, draws, taped)
     Z = payoff_eval(model.payoff, states)
-    if taped:
-        mmat = concat_cols(cols)
-    else:
-        mmat = np.concatenate(cols, axis=1)
-    M = center(mmat)
+    M = center_cols(cols)
+    del states, cols  # past this point only the tape holds what its backward reads
     mdata = M.data if taped else M
     if bridge:
         if sigma_hat is None:
-            sigma_hat = estimate_sigma((Z - mdata)[:PILOT_PATHS], config.partition.deltas)
+            sigma_hat = estimate_sigma(Z[:PILOT_PATHS] - mdata[:PILOT_PATHS], config.partition.deltas)
         loss = rogers_loss(
             Z, M, bridge=True, sigma=sigma_hat, uniforms=uniforms, deltas=config.partition.deltas
         )

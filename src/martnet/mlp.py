@@ -89,17 +89,21 @@ def mlp_forward_t(tensors, x, m, scale, check=False):
 
     ``x`` is a constant ndarray and ``m``, a Tensor or an ndarray of values
     in the output's units, fills the input's last columns; a Tensor ``m`` is
-    the only input that receives a gradient. The node keeps only the input
-    it built: its backward recomputes the hidden layers with the forward's
-    arithmetic, so the gradients have the bits of a tape that stores every
-    layer, and of one that tapes the encoding and the scaling as nodes of
-    their own.
+    the only input that receives a gradient. The node keeps ``x`` and ``m``
+    by reference, so the caller must not write to either afterwards; its
+    backward rebuilds the input and recomputes the hidden layers with the
+    forward's arithmetic, so the gradients have the bits of a tape that
+    stores every layer, and of one that tapes the encoding and the scaling
+    as nodes of their own.
     """
     taped_m = isinstance(m, Tensor)
-    xd = np.concatenate([x, (m.data if taped_m else m) * (1.0 / scale)], axis=1)
+
+    def encoded():
+        return np.concatenate([x, (m.data if taped_m else m) * (1.0 / scale)], axis=1)
+
     layers = [(w.data, b.data) for w, b in tensors.layers]
     proj = tensors.proj.data
-    for h in _hidden_layers(layers, xd, check):
+    for h in _hidden_layers(layers, encoded(), check):
         pass
     out = h @ proj
     if check and not np.all(np.isfinite(out)):
@@ -108,6 +112,7 @@ def mlp_forward_t(tensors, x, m, scale, check=False):
 
     def backward(g):
         g = g * scale
+        xd = encoded()
         hs = [xd, *_hidden_layers(layers, xd)]
         gh = g @ proj.T
         tensors.proj._accumulate(hs[-1].T @ g)

@@ -1,17 +1,30 @@
 """Op-by-op tape references for the tests.
 
-The package tapes a network evaluation and the dual loss as one node each
-and keeps only the ops its pipeline records. Here are the ops only the
-tests use, built with ``Tensor._node``, and the network evaluation and the
-loss composed from them the way the package taped them op by op. The tests
-check every op against finite differences and the one-node versions
-against these compositions bit for bit.
+The package tapes a network evaluation, the centering and the dual loss as
+one node each and keeps only the ops its pipeline records. Here are the
+ops only the tests use, built with ``Tensor._node``, and the network
+evaluation, the centering and the loss composed from them the way the
+package taped them op by op. The tests check every op against finite
+differences and the one-node versions against these compositions bit for
+bit.
 """
 
 import numpy as np
 
-from martnet.autodiff import Tensor, _unbroadcast, concat_cols
+from martnet.autodiff import Tensor, _data, _unbroadcast
 from martnet.mlp import mlp_forward_t
+
+
+def sub(a, b):
+    """a - b for a Tensor a; b may be a constant."""
+    bd = _data(b)
+
+    def backward(g):
+        a._accumulate(_unbroadcast(g, a.shape))
+        if isinstance(b, Tensor):
+            b._accumulate(_unbroadcast(-g, np.shape(bd)))
+
+    return Tensor._node(a.data - bd, (a, b), backward)
 
 
 def rsub(c, a):
@@ -44,6 +57,31 @@ def relu(a):
 def sqrt(a):
     out = np.sqrt(a.data)
     return Tensor._node(out, (a,), lambda g: a._accumulate(g / (2.0 * out)))
+
+
+def mean(a, axis=None, keepdims=False):
+    shape = a.shape
+    n = a.data.size if axis is None else shape[axis]
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, shape) / n)
+
+    return Tensor._node(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+
+
+def concat_cols(parts):
+    """Concatenate 2-D blocks along axis 1; constants may be ndarrays."""
+    datas = [_data(p) for p in parts]
+    offsets = np.cumsum([0] + [d.shape[1] for d in datas])
+
+    def backward(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if isinstance(p, Tensor):
+                p._accumulate(g[:, lo:hi])
+
+    return Tensor._node(np.concatenate(datas, axis=1), tuple(parts), backward)
 
 
 def square(a):
@@ -107,10 +145,16 @@ def bind_nets(nets, taped, model, partition):
     return net_fn
 
 
+def center_cols(cols):
+    """dual.center_cols as concat_cols, mean and sub nodes."""
+    mmat = concat_cols(cols)
+    return sub(mmat, mean(mmat, axis=0, keepdims=True))
+
+
 def bridge_g(a, b, var_dt, u):
     """dual._bridge_g's G on Tensors a and b, one node per operation."""
     shift = -2.0 * var_dt * np.log1p(-u)
-    diff = a - b
+    diff = sub(a, b)
     root = sqrt(square(diff) + shift)
     return 0.5 * (a + b + root)
 
@@ -122,4 +166,4 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
         sigma = np.asarray(sigma, dtype=np.float64)
         u = np.asarray(uniforms, dtype=np.float64)
         D = bridge_g(D[:, :-1], D[:, 1:], sigma * sigma * np.asarray(deltas), u)
-    return max_rows(D).mean()
+    return mean(max_rows(D))

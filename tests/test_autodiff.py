@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from martnet.autodiff import Tensor, concat_cols, merge_rows
+from martnet.autodiff import Tensor, merge_rows
 from martnet.mlp import MlpParams, mlp_forward_t, param_arrays, rebuild_params
 
-from tape_reference import matmul, max_rows, relu, rsub, sqrt, square
+from tape_reference import concat_cols, matmul, max_rows, mean, relu, rsub, sqrt, square
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -35,7 +35,7 @@ def test_add_mul_broadcast():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 4))
     row = rng.standard_normal((1, 4))
-    check_op(lambda t: ((t + row) * 2.5 + rsub(3.0, t)).mean(), x)
+    check_op(lambda t: mean((t + row) * 2.5 + rsub(3.0, t)), x)
 
 
 def test_mul_two_tensors():
@@ -43,7 +43,7 @@ def test_mul_two_tensors():
     x = rng.standard_normal((2, 3))
     y = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     leaf = Tensor(x, requires_grad=True)
-    out = (leaf * y).mean()
+    out = mean(leaf * y)
     out.backward()
     np.testing.assert_allclose(leaf.grad, y.data / 6)
     np.testing.assert_allclose(y.grad, x / 6)
@@ -53,31 +53,31 @@ def test_matmul():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((4, 3))
     w = rng.standard_normal((3, 2))
-    check_op(lambda t: matmul(t, w).mean(), x)
+    check_op(lambda t: mean(matmul(t, w)), x)
 
 
 def test_relu_square_sqrt():
     rng = np.random.default_rng(3)
     x = np.abs(rng.standard_normal((3, 3))) + 0.5
-    check_op(lambda t: relu(t).mean(), x)
-    check_op(lambda t: square(t).mean(), x)
-    check_op(lambda t: sqrt(t).mean(), x, rtol=1e-5)
+    check_op(lambda t: mean(relu(t)), x)
+    check_op(lambda t: mean(square(t)), x)
+    check_op(lambda t: mean(sqrt(t)), x, rtol=1e-5)
 
 
 def test_mean_axes():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((5, 3))
-    check_op(lambda t: square(t.mean(axis=0, keepdims=True)).mean(), x)
-    check_op(lambda t: square(t.mean(axis=1)).mean() * 0.1, x, rtol=1e-5)
+    check_op(lambda t: mean(square(mean(t, axis=0, keepdims=True))), x)
+    check_op(lambda t: mean(square(mean(t, axis=1))) * 0.1, x, rtol=1e-5)
 
 
 def test_max_rows():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 4))
-    check_op(lambda t: max_rows(t).mean(), x)
+    check_op(lambda t: mean(max_rows(t)), x)
     # gradient concentrates on the per-row argmax
     leaf = Tensor(x, requires_grad=True)
-    max_rows(leaf).mean().backward()
+    mean(max_rows(leaf)).backward()
     assert np.all(leaf.grad.sum(axis=1) == 1.0 / 6)
     assert np.all((leaf.grad == 0.0) | (leaf.grad == 1.0 / 6))
 
@@ -87,7 +87,7 @@ def test_concat_cols():
     x = rng.standard_normal((3, 2))
     y = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     leaf = Tensor(x, requires_grad=True)
-    out = square(concat_cols([leaf, y])).mean()
+    out = mean(square(concat_cols([leaf, y])))
     out.backward()
     np.testing.assert_allclose(leaf.grad, 2 * x / 15)
     np.testing.assert_allclose(y.grad, 2 * y.data / 15)
@@ -99,7 +99,7 @@ def test_merge_rows_values_and_gradient():
     b = Tensor(np.array([[5.0], [2.0]]), requires_grad=True)
     out = merge_rows(ia, a, ib, b)
     np.testing.assert_array_equal(out.data[:, 0], [1.0, 2.0, 3.0, 4.0, 5.0])
-    (out * np.arange(1.0, 6.0)[:, None]).mean().backward()
+    mean(out * np.arange(1.0, 6.0)[:, None]).backward()
     np.testing.assert_array_equal(a.grad[:, 0], 0.2 * np.array([1.0, 3.0, 4.0]))
     np.testing.assert_array_equal(b.grad[:, 0], 0.2 * np.array([5.0, 2.0]))
     # constants merge without a tape node, and a constant side gets no gradient
@@ -112,28 +112,28 @@ def test_merge_rows_values_and_gradient():
 
 def test_quadratic_gradient_exact():
     theta = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-    loss = (square(theta).mean()) * 0.5
+    loss = mean(square(theta)) * 0.5
     loss.backward()
     np.testing.assert_allclose(theta.grad, theta.data / 3)
 
 
 def test_cubic_scalar():
     theta = Tensor(np.array([2.0]), requires_grad=True)
-    loss = (theta * theta * theta).mean()
+    loss = mean(theta * theta * theta)
     loss.backward()
     assert abs(theta.grad[0] - 12.0) < 1e-6
 
 
 def test_grad_accumulates_through_reuse():
     x = Tensor(np.array([3.0]), requires_grad=True)
-    out = (x * 2.0 + x * 5.0).mean()
+    out = mean(x * 2.0 + x * 5.0)
     out.backward()
     np.testing.assert_allclose(x.grad, [7.0])
 
 
 def test_getitem_gradient():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    out = x[:, 1:2].mean()
+    out = mean(x[:, 1:2])
     out.backward()
     np.testing.assert_array_equal(x.grad, [[0.0, 0.5, 0.0], [0.0, 0.5, 0.0]])
 
@@ -171,8 +171,8 @@ def test_property_merge_rows(rows, cols, seed):
     x = rng.standard_normal((rows + 1, cols))
     other = rng.standard_normal((ib.size, cols))
     w = _weights(rng, (rows + 1, cols))
-    check_op(lambda t: (merge_rows(ia, t[ia], ib, other) * w).mean(), x)
-    check_op(lambda t: (merge_rows(ib, other, ia, t[ia]) * w).mean(), x)
+    check_op(lambda t: mean(merge_rows(ia, t[ia], ib, other) * w), x)
+    check_op(lambda t: mean(merge_rows(ib, other, ia, t[ia]) * w), x)
 
 
 @settings(max_examples=25)
@@ -182,7 +182,7 @@ def test_property_getitem_index_array(rows, cols, seed):
     x = rng.standard_normal((rows, cols))
     idx = rng.integers(0, rows, size=rng.integers(1, 2 * rows + 1))  # repeats accumulate
     w = _weights(rng, (idx.size, cols))
-    check_op(lambda t: (t[idx] * w).mean(), x)
+    check_op(lambda t: mean(t[idx] * w), x)
 
 
 @settings(max_examples=25)
@@ -209,9 +209,9 @@ def test_property_mlp_node(rows, cols, seed):
 
     scale = 4.0
     const, m = x[:, :-1], x[:, -1:] * scale
-    check_op(lambda t: (mlp_forward_t(with_leaf(None, t), const, m=t, scale=scale) * w).mean(), m)
+    check_op(lambda t: mean(mlp_forward_t(with_leaf(None, t), const, m=t, scale=scale) * w), m)
     for k, a in enumerate(arrays):
-        check_op(lambda t: (mlp_forward_t(with_leaf(k, t), const, m=m, scale=scale) * w).mean(), a)
+        check_op(lambda t: mean(mlp_forward_t(with_leaf(k, t), const, m=m, scale=scale) * w), a)
 
 
 @settings(max_examples=25)
@@ -221,7 +221,7 @@ def test_property_concat_cols(rows, cols, seed):
     x = rng.standard_normal((rows, cols))
     const = rng.standard_normal((rows, 2))
     w = _weights(rng, (rows, 2 * cols + 2))
-    check_op(lambda t: (concat_cols([t, const, square(t)]) * w).mean(), x)
+    check_op(lambda t: mean(concat_cols([t, const, square(t)]) * w), x)
 
 
 @settings(max_examples=25)
@@ -232,7 +232,7 @@ def test_property_max_rows(rows, cols, seed):
     top = np.sort(x, axis=1)
     assume(cols == 1 or np.min(top[:, -1] - top[:, -2]) > 1e-3)  # ties move the argmax
     w = _weights(rng, rows)
-    check_op(lambda t: (max_rows(t) * w).mean(), x)
+    check_op(lambda t: mean(max_rows(t) * w), x)
 
 
 @settings(max_examples=25)
@@ -241,5 +241,5 @@ def test_property_square_sqrt(rows, cols, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((rows, cols))
     w = _weights(rng, (rows, cols))
-    check_op(lambda t: (square(t) * w).mean(), x)
-    check_op(lambda t: (sqrt(t) * w).mean(), np.abs(x) + 0.1, rtol=1e-5)
+    check_op(lambda t: mean(square(t) * w), x)
+    check_op(lambda t: mean(sqrt(t) * w), np.abs(x) + 0.1, rtol=1e-5)

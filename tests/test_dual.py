@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from martnet.errors import InvalidParameterError, ShapeError
 
 from conftest import constant_output_mlp, traced_peak_bytes
 import tape_reference
-from tape_reference import square
+from tape_reference import mean, square
 
 
 def constant_field_mlp(model, value):
@@ -174,8 +175,35 @@ def test_center_taped():
     m = Tensor(rng.standard_normal((8, 4)), requires_grad=True)
     out = center(m)
     assert np.max(np.abs(out.data.mean(axis=0))) < 1e-12
-    square(out).mean().backward()
+    mean(square(out)).backward()
     assert m.grad is not None
+
+
+@settings(max_examples=40)
+@given(
+    batch=st.integers(min_value=1, max_value=6),
+    widths=st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_center_node_matches_ops_bitwise(batch, widths, seed):
+    # one centering node against concat_cols, mean and - taped op by op; block 0 is a
+    # constant, as the martingale's first knot is, and the cotangent's zeros give
+    # columns whose gradient sums to a signed zero
+    rng = np.random.default_rng(seed)
+    blocks = [rng.standard_normal((batch, w)) * 10.0 for w in widths]
+    cot = rng.standard_normal((batch, sum(widths))) * (rng.random((batch, sum(widths))) < 0.5)
+
+    def run(center_fn):
+        leaves = [blocks[0]] + [Tensor(b, requires_grad=True) for b in blocks[1:]]
+        out = center_fn(leaves)
+        loss = mean(square(out) * cot)
+        loss.backward()
+        return out.data.tobytes(), loss.data.tobytes(), [t.grad.tobytes() for t in leaves[1:]]
+
+    node = dual.center_cols([blocks[0]] + [Tensor(b) for b in blocks[1:]])
+    assert len(node._parents) == len(widths) - 1
+    assert run(dual.center_cols) == run(tape_reference.center_cols)
+    assert dual.center_cols(blocks).tobytes() == node.data.tobytes()
 
 
 # -- rogers loss ---------------------------------------------------------------
@@ -201,6 +229,32 @@ def test_rogers_loss_bridge_dominates():
     off = rogers_loss(Z, M)
     on = rogers_loss(Z, M, bridge=True, sigma=sigma, uniforms=uniforms, deltas=deltas)
     assert on >= off - 1e-12
+
+
+def test_rogers_loss_bridge_gradient_at_zero_root():
+    # a = b at u = 0 makes the argmax's root 0: the gradient splits evenly between the
+    # endpoints instead of reading 0 / 0
+    M = Tensor(np.zeros((1, 3)), requires_grad=True)
+    kwargs = dict(bridge=True, sigma=np.ones(2), uniforms=np.zeros((1, 2)), deltas=np.full(2, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = rogers_loss(np.array([[2.0, 2.0, 0.0]]), M, **kwargs)
+        loss.backward()
+    assert float(loss.data) == 2.0
+    assert M.grad.tolist() == [[-0.5, -0.5, 0.0]]
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_rogers_loss_bridge_forward_peak(taped):
+    # D = Z - M and the two buffers G is filled from: under 3.5 (batch, steps + 1) arrays
+    batch, steps = 512, 256
+    rng = np.random.default_rng(8)
+    Z, M = np.abs(rng.standard_normal((batch, steps + 1))), rng.standard_normal((batch, steps + 1))
+    kwargs = _bridge_args(batch, steps, rng)
+    arg = Tensor(M) if taped else M
+    rogers_loss(Z, arg, **kwargs)  # warm-up: first-call allocations stay out of the peak
+    peak = traced_peak_bytes(lambda: rogers_loss(Z, arg, **kwargs))
+    assert peak < 3.5 * Z.nbytes, f"rogers_loss peaks at {peak / Z.nbytes:.2f} x (batch, steps + 1) arrays"
 
 
 def _bridge_args(batch, steps, rng):
@@ -304,6 +358,7 @@ def test_one_node_tape_matches_op_by_op_bitwise(request, monkeypatch, model_name
 
     got = run()
     monkeypatch.setattr(dual, "_bind_nets", tape_reference.bind_nets)
+    monkeypatch.setattr(dual, "center_cols", tape_reference.center_cols)
     monkeypatch.setattr(dual, "rogers_loss", tape_reference.rogers_loss)
     assert got == run()
 
@@ -508,6 +563,25 @@ def test_tape_growth_per_step_with_bridge(bsm):
     peak(64)  # warm-up: first-call allocations stay out of the slope
     per_step = (peak(128) - peak(64)) / 64
     assert per_step < 20 * batch * 8, f"tape grows {per_step / (batch * 8):.1f} x batch x 8 B per step"
+
+
+def test_tape_growth_per_step_keeps_only_backward_reads(bsm):
+    # per step the tape keeps the network's constant input block, its output, the
+    # noise coefficient, the increment and the new knot; past the simulation only
+    # Z, the centered M, D and the bridge's two buffers: fewer than 13 (batch,) arrays
+    batch = 256
+    net = init_mlp(bsm.N + 2, 1, seed=3)
+
+    def peak(steps):
+        part = mn.uniform_partition(1.0, steps)
+        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=part, batch=batch)
+        draws = draws_for("em", 1, steps, batch, seed=4)
+        uniforms = np.random.default_rng(5).random((batch, steps))
+        return traced_peak_bytes(lambda: loss_and_grads(cfg, [net], bsm, draws, bridge=True, uniforms=uniforms))
+
+    peak(64)  # warm-up: first-call allocations stay out of the slope
+    per_step = (peak(128) - peak(64)) / 64
+    assert per_step < 13 * batch * 8, f"tape grows {per_step / (batch * 8):.1f} x batch x 8 B per step"
 
 
 def test_bridge_needs_two_paths(bsm):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from martnet.autodiff import Tensor, concat_cols
+from martnet.autodiff import Tensor
 from martnet.mlp import (
     MlpParams,
     init_mlp,
@@ -23,7 +23,7 @@ from martnet.mlp import (
 )
 from martnet.errors import NumericError, ShapeError
 
-from tape_reference import mlp_ops, square
+from tape_reference import concat_cols, mean, mlp_ops, square
 
 
 def test_architecture_dimensions():
@@ -125,7 +125,7 @@ def test_taped_node_matches_tensor_ops_bitwise(batch, x_taped):
         ts = params_to_tensors(p)
         mt = Tensor(m, requires_grad=True)
         out = forward(ts, x, mt if x_taped else m)
-        (out * cot).mean().backward()
+        mean(out * cot).backward()
         return out.data, [a.grad for a in param_arrays(ts)], mt.grad
 
     def node(ts, xin, min_):
@@ -177,7 +177,7 @@ def test_grad_quadratic():
         total = None
         for ts in tensors:
             for arr in param_arrays(ts):
-                term = square(arr).mean()
+                term = mean(square(arr))
                 total = term if total is None else total + term
         return total * 0.5
 
