@@ -7,10 +7,11 @@ created with ``requires_grad=True``.
 
 Only the operations the martingale pipeline records are implemented:
 addition and multiplication with broadcasting, row indexing and a merge
-of two row subsets. The network evaluation, the centering and the dual
-loss build their own nodes with ``Tensor._node``. Operands that are plain
-ndarrays or python scalars are treated as constants and receive no
-gradient.
+of two row subsets. The network evaluation, the centering, the dual loss
+and, under ``resnet-em``, the whole martingale pass build their own nodes
+with ``Tensor._node``. Operands that are plain ndarrays or python scalars
+are treated as constants and receive no gradient. A node's backward may
+hand a gradient array it gives up to ``_accumulate`` without a copy.
 """
 
 import numpy as np
@@ -62,9 +63,18 @@ class Tensor:
         out._backward = backward
         return out
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, own=False):
+        """Add ``g`` to this tensor's gradient.
+
+        The first gradient is copied unless ``own`` says the caller gives the
+        array up: a later ``+=`` then writes into it. An array the caller
+        also hands to another tensor, or still reads, is never given up.
+        """
         if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+            if own:
+                self.grad = g
+            else:
+                self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
         else:
             self.grad += g
 

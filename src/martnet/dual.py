@@ -10,12 +10,18 @@ exact discrete martingale); per-time centering removes only that drift's
 unconditional mean (ROADMAP item 2). Losses are the batch mean of per-path
 suprema of Z - M, optionally refined by sampling the within-interval
 supremum of a pinned bridge with volatility estimated from pilot paths.
+The payoff is discounted at the model's rate mu, Z_k = exp(-mu t_k)(K - S_k)^+.
 
-On the tape, each network evaluation is one node from the encoded input
-(t/T, x/x0, m/K) to the output scaled by K, the centering is one node
-that keeps only the martingale's columns, and the loss is one node that
-keeps only each path's argmax and, with the bridge, a - b and the root
-there. All give the bits of the same computation taped op by op.
+Networks read the encoded input (t/T, x/x0, m * (1/K)) and their output is
+scaled by K, plain and taped alike. On the tape, a whole ``resnet-em``
+martingale pass is one node over the parameter leaves: it runs the plain
+Euler kernel once, keeps the states, the knots and the draws, and its
+backward recomputes each step's networks from them, last step first.
+Under ``nvnet``/``nnet`` each network evaluation is one node from the
+encoded input to the scaled output. The centering is one node that keeps
+only the martingale's columns, and the loss is one node that keeps only
+each path's argmax and, with the bridge, a - b and the root there. All
+give the bits of the same computation taped op by op.
 """
 
 import os
@@ -27,7 +33,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import InvalidParameterError, NumericError, ShapeError
 from .fields import payoff_eval
-from .mlp import grad, mlp_forward, mlp_forward_t, param_arrays, rebuild_params, save_checkpoint
+from .mlp import grad, mlp_forward, mlp_forward_t, mlp_vjp, param_arrays, rebuild_params, save_checkpoint
 from .mlp import AdamState, adam_update, init_adam  # noqa: F401  (re-exported for callers)
 from .qmc import draws_for
 # Not called here: the benchmark's layer tracer rebinds martnet.dual.flow and
@@ -164,7 +170,7 @@ def center_cols(cols):
         g = g + (-g).sum(axis=0, keepdims=True) / n
         for c, lo, hi in zip(cols, bounds[:-1], bounds[1:]):
             if isinstance(c, Tensor):
-                c._accumulate(g[:, lo:hi])
+                c._accumulate(g[:, lo:hi], own=hi - lo == bounds[-1])
 
     return Tensor._node(out, cols, backward)
 
@@ -228,7 +234,7 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
             gd[rows, idx + 1] = gs - gdiff
         else:
             gd[rows, idx] = gs
-        M._accumulate(np.negative(gd, out=gd))
+        M._accumulate(np.negative(gd, out=gd), own=True)
 
     return Tensor._node(loss, (M,), backward)
 
@@ -236,37 +242,92 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
 # -- coupled (X, M) simulation ----------------------------------------------
 
 
-def _bind_nets(nets, taped, model, partition):
-    """Callable net(j, t, x, m) = V^M_j(t, x, m) in a dimensionless encoding.
+def _encoder(model, partition):
+    """(encode, K): encode(t, X[, m]) is the networks' input [t/T, X/x0, m * (1/K)].
 
     Time is in units of the horizon, state in units of x0 and value in
-    strike units. Networks see O(1) features and produce O(1) outputs
+    strike units K. Networks see O(1) features and produce O(1) outputs
     regardless of the currency scale of the model, which keeps the
     He-initialised layers well conditioned and the output head within a few
     optimiser steps of the magnitudes the martingale increments need.
+    Without m it gives the constant block [t/T, X/x0] alone.
     """
     sx = np.abs(np.asarray(model.x0, dtype=np.float64))
     sx = np.where(sx > 0, sx, 1.0)[None, :]
     sm = float(model.payoff.strike)
     T = partition.T if partition.T > 0 else 1.0
 
+    def encode(t, X, m=None):
+        parts = [np.full((X.shape[0], 1), t / T), X / sx]
+        if m is not None:
+            parts.append(m * (1.0 / sm))
+        return np.concatenate(parts, axis=1)
+
+    return encode, sm
+
+
+def _bind_nets(nets, taped, model, partition):
+    """Callable net(j, t, x, m) = V^M_j(t, x, m): network j on the encoded input, times K.
+
+    Taped, each evaluation is one ``mlp_forward_t`` node; plain, it is
+    ``mlp_forward`` on the same input, so both give the same bits.
+    """
+    encode, sm = _encoder(model, partition)
+
     def net_fn(j, t, X, m):
-        tcol = np.full((X.shape[0], 1), t / T)
         if taped:
-            return mlp_forward_t(nets[j], np.concatenate([tcol, X / sx], axis=1), m=m, scale=sm, check=True)
-        inp = np.concatenate([tcol, X / sx, m / sm], axis=1)
-        return mlp_forward(nets[j], inp) * sm
+            return mlp_forward_t(nets[j], encode(t, X), m=m, scale=sm, check=True)
+        return mlp_forward(nets[j], encode(t, X, m)) * sm
 
     return net_fn
 
 
+def _em_node(config, nets, model, draws):
+    """The taped ``resnet-em`` pass: the plain Euler kernel's knots as one tape node.
+
+    The asset and M_{k+1} = M_k + sum_i sqrt(dt_k) eta_{k,i} net_i(t_k, X_k, M_k)
+    run once on arrays through ``simulate``; the node's parents are the
+    parameter leaves and it keeps only the states, the knots and the draws.
+    Its backward walks k = n-1 .. 0, recomputes each network at
+    (t_k, X_k, M_k), feeds it the cotangent gbar_{k+1} sqrt(dt_k) eta_{k,i}
+    and forms gbar_k = ((G_k + gbar_{k+1}) + dm_0) + dm_1 ..., the float
+    operations of the same pass taped one node per evaluation.
+    Returns (states, [knots]) with knots a (batch, steps + 1) Tensor.
+    """
+    plain = [rebuild_params(p, [a.data for a in param_arrays(p)]) for p in nets]
+    net = _bind_nets(plain, False, model, config.partition)
+    states, cols = simulate(model, "em", config.partition, draws, net=net)
+    knots = np.concatenate(cols, axis=1)
+    del cols
+    encode, sm = _encoder(model, config.partition)
+    times, deltas, eta = config.partition.times, config.partition.deltas, draws.eta
+
+    def backward(g):
+        gbar = g[:, -1:]
+        for k in reversed(range(deltas.size)):
+            gm = g[:, k : k + 1] + gbar if k > 0 else None  # M_0 = 0 is no Tensor
+            sdt = np.sqrt(float(deltas[k]))
+            xd = encode(float(times[k]), states[:, k, :], knots[:, k : k + 1])
+            for i, net in enumerate(nets):
+                gh = mlp_vjp(net, xd, gbar * (sdt * eta[:, k, i : i + 1]) * sm, k > 0)
+                if k > 0:
+                    gm += gh[:, -1:] * (1.0 / sm)
+            gbar = gm
+
+    return states, [Tensor._node(knots, [a for p in nets for a in param_arrays(p)], backward)]
+
+
 def _simulate_coupled(config, nets, model, draws, taped):
-    """Asset paths and provisional martingale columns M'_{t_k} in one pass.
+    """Asset paths and provisional martingale knots M'_{t_k} in one pass.
 
     The martingale rides the configured scheme's kernel as one more state
     component, so both see the same draws and the same within-step asset
-    trajectory; returns (states, cols) with one (batch, 1) column per knot.
+    trajectory; returns (states, cols), the knots as 2-D blocks side by
+    side: one (batch, 1) column per knot, or under taped ``resnet-em`` one
+    (batch, steps + 1) node (``_em_node``).
     """
+    if taped and config.scheme == "resnet-em":
+        return _em_node(config, nets, model, draws)
     net = _bind_nets(nets, taped, model, config.partition)
     return simulate(model, _ASSET_TAG[config.scheme], config.partition, draws, net=net)
 
@@ -300,6 +361,7 @@ def _check_bridge_batch(bridge, batch):
 def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, taped):
     states, cols = _simulate_coupled(config, nets, model, draws, taped)
     Z = payoff_eval(model.payoff, states)
+    Z *= np.exp(-model.params.get("mu", 0.0) * config.partition.times)  # exactly 1.0 at mu = 0
     M = center_cols(cols)
     del states, cols  # past this point only the tape holds what its backward reads
     mdata = M.data if taped else M

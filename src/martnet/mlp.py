@@ -4,6 +4,9 @@ The network is three ReLU layers of 32 nodes (two hidden plus the stated
 output layer) followed by a bias-free linear projection to the requested
 output dimension. Forward passes come in two flavours: a plain numpy path
 for evaluation, and a taped path over autodiff Tensors for training.
+``mlp_vjp``, the one reverse pass, recomputes the hidden layers from the
+input; the taped evaluation's node and the node of a whole ``resnet-em``
+martingale pass (which runs the plain forward) both call it.
 """
 
 import math
@@ -111,22 +114,32 @@ def mlp_forward_t(tensors, x, m, scale, check=False):
     out *= scale
 
     def backward(g):
-        g = g * scale
-        xd = encoded()
-        hs = [xd, *_hidden_layers(layers, xd)]
-        gh = g @ proj.T
-        tensors.proj._accumulate(hs[-1].T @ g)
-        for i in reversed(range(len(layers))):
-            w, b = tensors.layers[i]
-            gz = gh * (hs[i + 1] > 0.0)
-            if i > 0 or taped_m:
-                gh = gz @ layers[i][0].T
-            w._accumulate(hs[i].T @ gz)
-            b._accumulate(gz.sum(axis=0))
+        gh = mlp_vjp(tensors, encoded(), g * scale, taped_m)
         if taped_m:
             m._accumulate(gh[:, x.shape[1] :] * (1.0 / scale))
 
     return Tensor._node(out, (m, *param_arrays(tensors)), backward)
+
+
+def mlp_vjp(tensors, xd, g, need_input):
+    """Add the gradient of sum(net(xd) * g) to the parameter leaves of ``tensors``.
+
+    The hidden layers are recomputed from the input ``xd`` with the forward's
+    arithmetic, one layer's vector-Jacobian product at a time, last layer
+    first. Returns the gradient in ``xd`` when ``need_input``, else None.
+    """
+    layers = [(w.data, b.data) for w, b in tensors.layers]
+    hs = [xd, *_hidden_layers(layers, xd)]
+    gh = g @ tensors.proj.data.T
+    tensors.proj._accumulate(hs[-1].T @ g)
+    for i in reversed(range(len(layers))):
+        w, b = tensors.layers[i]
+        gz = gh * (hs[i + 1] > 0.0)
+        if i > 0 or need_input:
+            gh = gz @ layers[i][0].T
+        w._accumulate(hs[i].T @ gz)
+        b._accumulate(gz.sum(axis=0))
+    return gh if need_input else None
 
 
 def param_arrays(params):

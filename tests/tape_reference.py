@@ -1,8 +1,9 @@
 """Op-by-op tape references for the tests.
 
 The package tapes a network evaluation, the centering and the dual loss as
-one node each and keeps only the ops its pipeline records. Here are the
-ops only the tests use, built with ``Tensor._node``, and the network
+one node each, a whole ``resnet-em`` martingale pass as one node, and
+keeps only the ops its pipeline records. Here are the ops only the tests
+use, built with ``Tensor._node``, and the coupled pass, the network
 evaluation, the centering and the loss composed from them the way the
 package taped them op by op. The tests check every op against finite
 differences and the one-node versions against these compositions bit for
@@ -11,8 +12,10 @@ bit.
 
 import numpy as np
 
+from martnet import dual
 from martnet.autodiff import Tensor, _data, _unbroadcast
 from martnet.mlp import mlp_forward_t
+from martnet.schemes import simulate
 
 
 def sub(a, b):
@@ -143,6 +146,17 @@ def bind_nets(nets, taped, model, partition):
         return mlp_node(nets[j], inp, check=True) * sm
 
     return net_fn
+
+
+def simulate_coupled(config, nets, model, draws, taped):
+    """dual._simulate_coupled on the generic tape under every scheme.
+
+    The scheme's kernel advances M one taped step at a time, each network
+    evaluation built from separate nodes (``bind_nets``), so ``resnet-em``
+    records its Euler products and sums per step instead of one node.
+    """
+    net = bind_nets(nets, taped, model, config.partition)
+    return simulate(model, dual._ASSET_TAG[config.scheme], config.partition, draws, net=net)
 
 
 def center_cols(cols):

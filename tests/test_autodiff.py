@@ -131,6 +131,32 @@ def test_grad_accumulates_through_reuse():
     np.testing.assert_allclose(x.grad, [7.0])
 
 
+def test_accumulate_owns_a_given_up_array():
+    # an owned first gradient is kept as is and later ones are added into it
+    t = Tensor(np.zeros(3), requires_grad=True)
+    g = np.array([1.0, 2.0, 3.0])
+    t._accumulate(g, own=True)
+    assert t.grad is g
+    t._accumulate(np.ones(3))
+    assert t.grad is g and g.tolist() == [2.0, 3.0, 4.0]
+    kept = np.array([1.0, 2.0, 3.0])
+    u = Tensor(np.zeros(3), requires_grad=True)
+    u._accumulate(kept)
+    u._accumulate(np.ones(3))
+    assert u.grad is not kept and kept.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_add_copies_the_gradient_it_shares():
+    # __add__ hands one array to both parents: each keeps its own copy, so the
+    # gradient accumulated later into one never shows up in the other
+    a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2), requires_grad=True)
+    out = mean((a + b) * np.array([1.0, 2.0]) + a * 3.0)
+    out.backward()
+    assert a.grad is not b.grad
+    np.testing.assert_array_equal(a.grad, [2.0, 2.5])
+    np.testing.assert_array_equal(b.grad, [0.5, 1.0])
+
+
 def test_getitem_gradient():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     out = mean(x[:, 1:2])

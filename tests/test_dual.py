@@ -333,11 +333,8 @@ _NODE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("bridge", [False, True])
-@pytest.mark.parametrize("model_name,scheme,tag,steps", _NODE_CASES)
-def test_one_node_tape_matches_op_by_op_bitwise(request, monkeypatch, model_name, scheme, tag, steps, bridge):
-    # one node per network evaluation and one for the loss give the loss and every
-    # gradient array of the tape that records each of their operations
+def _node_case(request, model_name, scheme, tag, steps, bridge):
+    """Config, nets with nonzero outputs, draws and uniforms of one _NODE_CASES case."""
     model = request.getfixturevalue(model_name)
     batch = 128
     cfg = MartingaleNetConfig(scheme=scheme, d_M=model.d, partition=mn.uniform_partition(1.0, steps), batch=batch)
@@ -348,19 +345,85 @@ def test_one_node_tape_matches_op_by_op_bitwise(request, monkeypatch, model_name
         for _, b in net.layers:
             b[:] = 0.1 * rng.standard_normal(b.shape)
     draws = draws_for(tag, model.d, steps, batch, seed=3)
+    uniforms = rng.random((batch, steps)) if bridge else None
+    return model, cfg, nets, draws, uniforms
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+@pytest.mark.parametrize("model_name,scheme,tag,steps", _NODE_CASES)
+def test_one_node_tape_matches_op_by_op_bitwise(request, monkeypatch, model_name, scheme, tag, steps, bridge):
+    # one node per network evaluation (per resnet-em pass) and one for the loss give
+    # the loss and every gradient array of the tape that records each of their operations
+    model, cfg, nets, draws, uniforms = _node_case(request, model_name, scheme, tag, steps, bridge)
     if tag == "nv":
         assert 0 < np.count_nonzero(draws.lam > 0) < draws.lam.size  # both diffusion orders run
-    uniforms = rng.random((batch, steps)) if bridge else None
 
     def run():
         value, grads = loss_and_grads(cfg, nets, model, draws, bridge=bridge, uniforms=uniforms)
         return np.float64(value).tobytes(), [g.tobytes() for per_net in grads for g in per_net]
 
     got = run()
-    monkeypatch.setattr(dual, "_bind_nets", tape_reference.bind_nets)
+    monkeypatch.setattr(dual, "_simulate_coupled", tape_reference.simulate_coupled)
     monkeypatch.setattr(dual, "center_cols", tape_reference.center_cols)
     monkeypatch.setattr(dual, "rogers_loss", tape_reference.rogers_loss)
     assert got == run()
+
+
+@pytest.mark.parametrize("bridge", [False, True])
+@pytest.mark.parametrize("model_name,scheme,tag,steps", _NODE_CASES)
+def test_taped_loss_equals_plain_loss_bitwise(request, model_name, scheme, tag, steps, bridge):
+    # the plain and the taped pass encode M as m * (1 / K) and run the same float
+    # operations, so loss_value reads the loss that loss_and_grads differentiates
+    model, cfg, nets, draws, uniforms = _node_case(request, model_name, scheme, tag, steps, bridge)
+    taped, _ = loss_and_grads(cfg, nets, model, draws, bridge=bridge, uniforms=uniforms)
+    plain = loss_value(cfg, nets, model, draws, bridge=bridge, uniforms=uniforms)
+    assert np.float64(taped).tobytes() == np.float64(plain).tobytes()
+
+
+@pytest.mark.parametrize("model_name", ["bsm", "heston"])
+def test_resnet_em_pass_is_one_tape_node(request, monkeypatch, model_name):
+    # the tape of a resnet-em iteration holds the parameter leaves, the pass, the
+    # centering and the loss, however many steps the pass takes
+    model = request.getfixturevalue(model_name)
+    nets = [init_mlp(model.N + 2, 1, seed=j) for j in range(model.d)]
+    made = []
+    real_init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+
+    def tensors(steps):
+        made.clear()
+        part = mn.uniform_partition(1.0, steps)
+        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=model.d, partition=part, batch=16)
+        draws = draws_for("em", model.d, steps, 16, seed=4)
+        uniforms = np.random.default_rng(5).random((16, steps))
+        loss_and_grads(cfg, nets, model, draws, bridge=True, uniforms=uniforms)
+        return len(made)
+
+    assert tensors(8) == tensors(64) == 7 * model.d + 3
+
+
+def test_tape_growth_per_step_one_em_node(bsm):
+    # the resnet-em node keeps the states and the knots, which the centered M, Z, D
+    # and the bridge's two buffers join past the simulation: fewer than 8 (batch,)
+    # arrays per step
+    batch = 256
+    net = init_mlp(bsm.N + 2, 1, seed=3)
+
+    def peak(steps):
+        part = mn.uniform_partition(1.0, steps)
+        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=part, batch=batch)
+        draws = draws_for("em", 1, steps, batch, seed=4)
+        uniforms = np.random.default_rng(5).random((batch, steps))
+        return traced_peak_bytes(lambda: loss_and_grads(cfg, [net], bsm, draws, bridge=True, uniforms=uniforms))
+
+    peak(64)  # warm-up: first-call allocations stay out of the slope
+    per_step = (peak(128) - peak(64)) / 64
+    assert per_step < 8 * batch * 8, f"tape grows {per_step / (batch * 8):.1f} x batch x 8 B per step"
 
 
 # -- provisional martingale paths ---------------------------------------------
@@ -428,8 +491,8 @@ def test_coupled_pass_assets_match_plain(heston, scheme, tag, taped):
     draws = draws_for(tag, 2, 4, 64, seed=13)
     states, cols = _simulate_coupled(cfg, nets, heston, draws, taped)
     np.testing.assert_array_equal(states, mn.simulate(heston, tag, p, draws))
-    last = cols[-1].data if taped else cols[-1]
-    assert len(cols) == 5 and np.abs(last).max() > 0.0
+    knots = np.concatenate([c.data if taped else c for c in cols], axis=1)
+    assert knots.shape == (64, 5) and np.abs(knots[:, -1]).max() > 0.0
 
 
 def _one_step_increment(bsm, scheme, tag, c, batch=64):
@@ -471,6 +534,32 @@ def test_initial_loss_band(bsm):
             bridge=bridge, uniforms=uniforms,
         )
         assert 12.0 <= val <= 30.0
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.06])
+def test_loss_discounts_the_payoff(monkeypatch, mu):
+    # Z_k = exp(-mu t_k) (K - S_k)^+ at the rate mu; at mu = 0 the factor is 1.0 and
+    # Z keeps the undiscounted payoff's bits
+    model = mn.make_bsm_model(100.0, mu, 0.32)
+    p = mn.uniform_partition(1.0, 8)
+    cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=p, batch=64)
+    draws = draws_for("em", 1, 8, 64, seed=9)
+    nets = [init_mlp(model.N + 2, 1, seed=2)]
+    nets[0].proj[:] = 0.05 * np.random.default_rng(4).standard_normal(nets[0].proj.shape)
+    seen = []
+    real = dual.rogers_loss
+
+    def spy(Z, M, **kwargs):
+        seen.append(Z.copy())
+        return real(Z, M, **kwargs)
+
+    monkeypatch.setattr(dual, "rogers_loss", spy)
+    loss_value(cfg, nets, model, draws, bridge=False)
+    loss_and_grads(cfg, nets, model, draws, bridge=False)
+    payoff = np.maximum(100.0 - mn.simulate(model, "em", p, draws)[:, :, 0], 0.0)
+    for Z in seen:
+        np.testing.assert_array_equal(Z, np.exp(-mu * p.times) * payoff)
+    assert (seen[0].tobytes() == payoff.tobytes()) == (mu == 0.0)
 
 
 def test_duality_direction(bsm):
