@@ -5,13 +5,13 @@ Calling :meth:`Tensor.backward` on a scalar result walks the recorded graph
 in reverse topological order and accumulates gradients into every tensor
 created with ``requires_grad=True``.
 
-Only the operations the martingale pipeline records are implemented:
-addition and multiplication with broadcasting, row indexing and a merge
-of two row subsets. The network evaluation, the centering, the dual loss
-and, under ``resnet-em``, the whole martingale pass build their own nodes
-with ``Tensor._node``. Operands that are plain ndarrays or python scalars
-are treated as constants and receive no gradient. A node's backward may
-hand a gradient array it gives up to ``_accumulate`` without a copy.
+The whole martingale pass (under every network scheme), the centering and
+the dual loss build their own nodes with ``Tensor._node``. The arithmetic
+operators, row indexing and the merge of two row subsets remain so that the
+step kernels run on Tensors too: the tests' op-by-op reference tapes a pass
+through them. Operands that are plain ndarrays or python scalars are
+treated as constants and receive no gradient. A node's backward may hand a
+gradient array it gives up to ``_accumulate`` without a copy.
 """
 
 import numpy as np

@@ -13,33 +13,38 @@ supremum of a pinned bridge with volatility estimated from pilot paths.
 The payoff is discounted at the model's rate mu, Z_k = exp(-mu t_k)(K - S_k)^+.
 
 Networks read the encoded input (t/T, x/x0, m * (1/K)) and their output is
-scaled by K, plain and taped alike. On the tape, a whole ``resnet-em``
-martingale pass is one node over the parameter leaves: it runs the plain
-Euler kernel once, keeps the states, the knots and the draws, and its
-backward recomputes each step's networks from them, last step first.
-Under ``nvnet``/``nnet`` each network evaluation is one node from the
-encoded input to the scaled output. The centering is one node that keeps
-only the martingale's columns, and the loss is one node that keeps only
-each path's argmax and, with the bridge, a - b and the root there. All
-give the bits of the same computation taped op by op.
+scaled by K, plain and taped alike. On the tape, a whole martingale pass is
+one node over the parameter leaves under every network scheme: it runs the
+plain kernel once. Under ``resnet-em`` it keeps the states, the knots and
+the draws, and its backward recomputes each step's networks from them, last
+step first. Under ``nvnet``/``nnet`` it keeps each RK5 flow's record (its
+duration, martingale field weights, row set and encoded inputs), and its
+backward replays the flows through the discrete RK5 adjoint. The centering
+is one node that keeps only the martingale's columns, and the loss is one
+node that keeps only each path's argmax and, with the bridge, a - b and the
+root there. All give the bits of the same computation taped op by op.
 """
 
 import os
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import InvalidParameterError, NumericError, ShapeError
 from .fields import payoff_eval
-from .mlp import grad, mlp_forward, mlp_forward_t, mlp_vjp, param_arrays, rebuild_params, save_checkpoint
+from .mlp import grad, mlp_forward, mlp_vjp, param_arrays, rebuild_params, save_checkpoint
 from .mlp import AdamState, adam_update, init_adam  # noqa: F401  (re-exported for callers)
 from .qmc import draws_for
-# Not called here: the benchmark's layer tracer rebinds martnet.dual.flow and
-# fails at import when the name is missing.
-from .rk5 import flow  # noqa: F401
+from .rk5 import STAGES, rk5_vjp
 from .schemes import simulate
+
+# Not called here: the benchmark's layer tracer rebinds martnet.dual.flow and
+# martnet.dual.mlp_forward_t and fails at import when a name is missing.
+from .mlp import mlp_forward_t  # noqa: F401
+from .rk5 import flow  # noqa: F401
 
 PILOT_PATHS = 10
 SIGMA_FLOOR = 1e-8
@@ -175,7 +180,7 @@ def center_cols(cols):
     return Tensor._node(out, cols, backward)
 
 
-def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
+def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None, donate=False):
     """Sample dual loss: mean over paths of the supremum of Z - M.
 
     With bridge=False the supremum is the maximum over all grid points.
@@ -193,12 +198,15 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
     grid columns with the float operations of the same loss taped op by
     op. Where the root is 0 (a = b at u = 0) it takes the symmetric
     subgradient, half to each endpoint.
+
+    With donate=True the caller gives up Z, a float ndarray, and a Tensor
+    M's values: D is formed in Z's buffer and M's data is dropped, so
+    neither is held while the bridge's buffers are filled.
     """
     taped = isinstance(M, Tensor)
     md = M.data if taped else np.asarray(M, dtype=np.float64)
     if md.shape != np.shape(Z) or md.ndim != 2:
         raise ShapeError("Z and M must be congruent (batch, steps + 1) arrays")
-    D = Z - md
     if bridge:
         if sigma is None or uniforms is None or deltas is None:
             raise InvalidParameterError("bridge=True needs sigma, uniforms and deltas")
@@ -209,6 +217,11 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
             raise ShapeError(f"bridge sigma and deltas must be shaped ({steps},)")
         if uniforms.shape != (batch, steps):
             raise ShapeError(f"bridge uniforms must be shaped ({batch}, {steps})")
+    D = np.subtract(Z, md, out=Z if donate else None)
+    del md
+    if donate and taped:
+        M.data = None  # the tape keeps M for its gradient only
+    if bridge:
         G, root = _bridge_g(D[:, :-1], D[:, 1:], sigma * sigma * deltas, uniforms)
     else:
         G = D
@@ -217,7 +230,7 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
     loss = G[rows, idx].mean()
     if not taped:
         return float(loss)
-    shape = md.shape
+    shape = D.shape
     if bridge:
         diff, root = D[rows, idx] - D[rows, idx + 1], root[rows, idx]
 
@@ -266,39 +279,38 @@ def _encoder(model, partition):
     return encode, sm
 
 
-def _bind_nets(nets, taped, model, partition):
+def _bind_nets(nets, model, partition, flows=None):
     """Callable net(j, t, x, m) = V^M_j(t, x, m): network j on the encoded input, times K.
 
-    Taped, each evaluation is one ``mlp_forward_t`` node; plain, it is
-    ``mlp_forward`` on the same input, so both give the same bits.
+    Given a list ``flows`` it is a recording net (see ``schemes``): its
+    ``begin_flow`` appends a record (t, h, weights, rows, evals) for each
+    joint RK5 flow, and each evaluation appends (j, encoded input) to the
+    last record's evals.
     """
     encode, sm = _encoder(model, partition)
 
     def net_fn(j, t, X, m):
-        if taped:
-            return mlp_forward_t(nets[j], encode(t, X), m=m, scale=sm, check=True)
-        return mlp_forward(nets[j], encode(t, X, m)) * sm
+        xd = encode(t, X, m)
+        if flows is not None:
+            flows[-1].evals.append((j, xd))
+        return mlp_forward(nets[j], xd) * sm
 
+    if flows is not None:
+        net_fn.begin_flow = lambda t, h, weights, rows: flows.append(
+            SimpleNamespace(t=t, h=h, weights=weights, rows=rows, evals=[])
+        )
     return net_fn
 
 
-def _em_node(config, nets, model, draws):
-    """The taped ``resnet-em`` pass: the plain Euler kernel's knots as one tape node.
+def _em_backward(nets, config, model, draws, states, knots):
+    """Backward of the taped ``resnet-em`` pass, from the states, the knots and the draws.
 
-    The asset and M_{k+1} = M_k + sum_i sqrt(dt_k) eta_{k,i} net_i(t_k, X_k, M_k)
-    run once on arrays through ``simulate``; the node's parents are the
-    parameter leaves and it keeps only the states, the knots and the draws.
-    Its backward walks k = n-1 .. 0, recomputes each network at
+    The pass is M_{k+1} = M_k + sum_i sqrt(dt_k) eta_{k,i} net_i(t_k, X_k, M_k).
+    The backward walks k = n-1 .. 0, recomputes each network at
     (t_k, X_k, M_k), feeds it the cotangent gbar_{k+1} sqrt(dt_k) eta_{k,i}
     and forms gbar_k = ((G_k + gbar_{k+1}) + dm_0) + dm_1 ..., the float
     operations of the same pass taped one node per evaluation.
-    Returns (states, [knots]) with knots a (batch, steps + 1) Tensor.
     """
-    plain = [rebuild_params(p, [a.data for a in param_arrays(p)]) for p in nets]
-    net = _bind_nets(plain, False, model, config.partition)
-    states, cols = simulate(model, "em", config.partition, draws, net=net)
-    knots = np.concatenate(cols, axis=1)
-    del cols
     encode, sm = _encoder(model, config.partition)
     times, deltas, eta = config.partition.times, config.partition.deltas, draws.eta
 
@@ -314,7 +326,64 @@ def _em_node(config, nets, model, draws):
                     gm += gh[:, -1:] * (1.0 / sm)
             gbar = gm
 
-    return states, [Tensor._node(knots, [a for p in nets for a in param_arrays(p)], backward)]
+    return backward
+
+
+def _flow_backward(nets, flows, sm):
+    """Backward of the taped ``nvnet``/``nnet`` pass, from its flow records.
+
+    It replays the flows last step first (a step's flows share t_k); within
+    a step it takes the row sets in the forward's order and each one's flows
+    last first, the order of the tape that records one node per evaluation.
+    Per flow, ``rk5_vjp`` hands each stage its cotangent kbar, and one
+    ``mlp_vjp`` per evaluation is fed kbar * w * K and gives the stage input
+    its input gradient's m column / K. A row set's cotangent is gathered from
+    its step's output and scattered into its input the way ``merge_rows`` and
+    the tape's row gather do.
+    """
+    steps = []  # per step, its row sets in order: [(rows, [flow, ...]), ...]
+    for i, f in enumerate(flows):
+        if i == 0 or f.t != flows[i - 1].t:
+            steps.append([])
+        if not steps[-1] or steps[-1][-1][0] is not f.rows:
+            steps[-1].append((f.rows, []))
+        steps[-1][-1][1].append(f)
+
+    def stage_vjp(f):
+        per = len(f.evals) // STAGES
+
+        def run(s, kbar, need):
+            parts = []
+            for j, xd in f.evals[s * per : (s + 1) * per]:
+                gk = kbar if f.weights is None else kbar * f.weights[:, j : j + 1]
+                gh = mlp_vjp(nets[j], xd, gk * sm, need)
+                if need:
+                    parts.append(gh[:, -1:] * (1.0 / sm))
+            return parts
+
+        return run
+
+    def replay(seg, gout, acc, need):
+        for i in reversed(range(len(seg))):
+            gout = rk5_vjp(seg[i].h, gout, stage_vjp(seg[i]), acc if i == 0 else None, need or i > 0)
+        return gout
+
+    def backward(g):
+        gbar = g[:, -1:]
+        for k in reversed(range(len(steps))):
+            gk = g[:, k : k + 1] if k > 0 else None  # M_0 = 0 is no Tensor
+            if steps[k][0][0] is None:
+                gbar = replay(steps[k][0][1], gbar, gk, k > 0)
+                continue
+            ins = [(rows, replay(seg, gbar[rows], None, k > 0)) for rows, seg in steps[k]]
+            if k > 0:
+                gbar = gk.copy()
+                for rows, gin in ins:
+                    gx = np.zeros(gbar.shape)
+                    np.add.at(gx, rows, gin)
+                    gbar += gx
+
+    return backward
 
 
 def _simulate_coupled(config, nets, model, draws, taped):
@@ -322,14 +391,24 @@ def _simulate_coupled(config, nets, model, draws, taped):
 
     The martingale rides the configured scheme's kernel as one more state
     component, so both see the same draws and the same within-step asset
-    trajectory; returns (states, cols), the knots as 2-D blocks side by
-    side: one (batch, 1) column per knot, or under taped ``resnet-em`` one
-    (batch, steps + 1) node (``_em_node``).
+    trajectory; returns (states, [knots]) with the (batch, steps + 1) knots
+    an ndarray. Taped, the kernel still runs once on arrays and the knots
+    are one node over the parameter leaves: under ``resnet-em`` it keeps the
+    states, the knots and the draws (``_em_backward``), under ``nvnet`` and
+    ``nnet`` one record per joint RK5 flow and no state (``_flow_backward``).
     """
-    if taped and config.scheme == "resnet-em":
-        return _em_node(config, nets, model, draws)
-    net = _bind_nets(nets, taped, model, config.partition)
-    return simulate(model, _ASSET_TAG[config.scheme], config.partition, draws, net=net)
+    em = config.scheme == "resnet-em"
+    flows = None if em or not taped else []
+    plain = [rebuild_params(p, [a.data for a in param_arrays(p)]) for p in nets] if taped else nets
+    net = _bind_nets(plain, model, config.partition, flows)
+    states, knots = simulate(model, _ASSET_TAG[config.scheme], config.partition, draws, net=net)
+    if not taped:
+        return states, [knots]
+    if em:
+        backward = _em_backward(nets, config, model, draws, states, knots)
+    else:
+        backward = _flow_backward(nets, flows, float(model.payoff.strike))
+    return states, [Tensor._node(knots, [a for p in nets for a in param_arrays(p)], backward)]
 
 
 def _validate_setup(config, mlps, model, draws):
@@ -359,21 +438,29 @@ def _check_bridge_batch(bridge, batch):
 
 
 def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, taped):
+    """(loss, centering residual, sigma_hat) of one batch: a float loss, or taped a scalar Tensor.
+
+    The residual is the largest per-time |batch mean| of the centered M. Z and
+    M's values are read for it and for the pilot sigma, then given up to the
+    loss, which forms D = Z - M in Z's buffer.
+    """
     states, cols = _simulate_coupled(config, nets, model, draws, taped)
     Z = payoff_eval(model.payoff, states)
     Z *= np.exp(-model.params.get("mu", 0.0) * config.partition.times)  # exactly 1.0 at mu = 0
     M = center_cols(cols)
     del states, cols  # past this point only the tape holds what its backward reads
     mdata = M.data if taped else M
+    resid = float(np.abs(mdata.mean(axis=0)).max())
+    if bridge and sigma_hat is None:
+        sigma_hat = estimate_sigma(Z[:PILOT_PATHS] - mdata[:PILOT_PATHS], config.partition.deltas)
+    del mdata
     if bridge:
-        if sigma_hat is None:
-            sigma_hat = estimate_sigma(Z[:PILOT_PATHS] - mdata[:PILOT_PATHS], config.partition.deltas)
         loss = rogers_loss(
-            Z, M, bridge=True, sigma=sigma_hat, uniforms=uniforms, deltas=config.partition.deltas
+            Z, M, bridge=True, sigma=sigma_hat, uniforms=uniforms, deltas=config.partition.deltas, donate=True
         )
     else:
-        loss = rogers_loss(Z, M, bridge=False)
-    return loss, M, sigma_hat
+        loss = rogers_loss(Z, M, bridge=False, donate=True)
+    return loss, resid, sigma_hat
 
 
 def loss_value(config, mlps, model, draws, bridge=True, uniforms=None, sigma_hat=None):
@@ -454,8 +541,8 @@ def train(
         uniforms = _bridge_uniforms(seed, it, B, n) if bridge else None
 
         def loss_fn(tensors):
-            loss, M, _ = _loss_core(config, tensors, model, draws, bridge, uniforms, None, True)
-            resid.append(float(np.abs(M.data.mean(axis=0)).max()))
+            loss, residual, _ = _loss_core(config, tensors, model, draws, bridge, uniforms, None, True)
+            resid.append(residual)
             if not np.isfinite(loss.data):
                 if out_dir:
                     save_checkpoint(os.path.join(out_dir, f"diagnostic_iter{it:05d}.ckpt"), current)

@@ -2,11 +2,11 @@
 
 The network is three ReLU layers of 32 nodes (two hidden plus the stated
 output layer) followed by a bias-free linear projection to the requested
-output dimension. Forward passes come in two flavours: a plain numpy path
-for evaluation, and a taped path over autodiff Tensors for training.
-``mlp_vjp``, the one reverse pass, recomputes the hidden layers from the
-input; the taped evaluation's node and the node of a whole ``resnet-em``
-martingale pass (which runs the plain forward) both call it.
+output dimension. Forward passes come in two flavours: a plain numpy path,
+and ``mlp_forward_t``, one taped evaluation as one node. ``mlp_vjp``, the one
+reverse pass, recomputes the hidden layers from the input; the taped
+evaluation's node and the node of a whole martingale pass (which runs the
+plain forward, under every network scheme) both call it.
 """
 
 import math
@@ -130,15 +130,18 @@ def mlp_vjp(tensors, xd, g, need_input):
     """
     layers = [(w.data, b.data) for w, b in tensors.layers]
     hs = [xd, *_hidden_layers(layers, xd)]
-    gh = g @ tensors.proj.data.T
-    tensors.proj._accumulate(hs[-1].T @ g)
+    proj = tensors.proj.data
+    # a one-column g: the outer product as a broadcast multiply, the bits of g @ proj.T
+    gh = g * proj.T if proj.shape[1] == 1 else g @ proj.T
+    tensors.proj._accumulate(hs[-1].T @ g, own=True)
     for i in reversed(range(len(layers))):
         w, b = tensors.layers[i]
-        gz = gh * (hs[i + 1] > 0.0)
+        gz = gh
+        gz *= hs[i + 1] > 0.0  # gh is fresh: the ReLU mask goes on in place
         if i > 0 or need_input:
             gh = gz @ layers[i][0].T
-        w._accumulate(hs[i].T @ gz)
-        b._accumulate(gz.sum(axis=0))
+        w._accumulate(hs[i].T @ gz, own=True)
+        b._accumulate(gz.sum(axis=0), own=True)
     return gh if need_input else None
 
 

@@ -1,18 +1,20 @@
 """Explicit fixed-step Runge-Kutta integration of order 5.
 
 Used to realise the frozen-field flows exp(V)x that the splitting schemes
-compose. The step kernel is generic over the state container: plain
-ndarrays (possibly batched) and autodiff Tensors both work, and the step
-length may be a per-path column so a whole batch of flows with different
-durations integrates in one call. A joint state is a tuple of parts, for
-example (X, m) with the martingale beside the asset; its field returns one
-derivative per part and the stages combine the parts one by one.
+compose, one RK5 step per flow. The step kernel is generic over the state
+container: plain ndarrays (possibly batched) and autodiff Tensors both
+work, and the step length may be a per-path column so a whole batch of
+flows with different durations integrates in one call. A joint state is a
+tuple of parts, for example (X, m) with the martingale beside the asset;
+its field returns one derivative per part and the stages combine the parts
+one by one. ``rk5_vjp`` runs the same stage table backwards for the
+martingale part of a recorded step, the discrete Runge-Kutta adjoint.
 """
 
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import InvalidParameterError, NumericError
+from .errors import NumericError
 
 # 6-stage tableau; the weights sum to one and the resulting update matches
 # the exponential series through h^5 (the h^6 coefficient is 1/1280, the
@@ -79,8 +81,43 @@ def rk5_step(f, x, h):
     return out
 
 
-def flow(field, t_eval, x, total_time, substeps=1):
-    """Approximate exp(total_time * field) applied to ``x``.
+def rk5_vjp(h, g, stage_vjp, acc=None, need_input=True):
+    """The cotangent of one RK5 step's input part, given its output's cotangent ``g``.
+
+    The step is ``rk5_step`` on one part m of a state: stage inputs
+    y_s = m + sum_{l<s} h a_sl k_l and output m + sum_s h b_s k_s.
+    ``stage_vjp(s, kbar, need)`` is called for s = 5 .. 0 with the stage's
+    cotangent kbar_s = g h b_s + sum_{l>s} ybar_l h a_ls (l descending), and
+    returns the cotangents its evaluations give y_s, in evaluation order
+    (it may skip them when ``need`` is false). The input's cotangent is
+    acc + g + ybar_5 + ... + ybar_1, then stage 0's cotangents one by one,
+    with ybar_s the sum of stage s's; None when not ``need_input``. These are
+    the float operations, in the order, of ``rk5_step`` taped op by op.
+    """
+    ybar = [None] * STAGES
+    for s in reversed(range(STAGES)):
+        kbar = g * (h * B[s]) if B[s] != 0.0 else None
+        for l in range(STAGES - 1, s, -1):
+            if A[l][s] != 0.0:
+                term = ybar[l] * (h * A[l][s])
+                kbar = term if kbar is None else np.add(kbar, term, out=kbar)
+        parts = stage_vjp(s, kbar, s > 0 or need_input)
+        if s > 0:
+            ybar[s] = parts[0]
+            for p in parts[1:]:
+                ybar[s] += p
+    if not need_input:
+        return None
+    out = g.copy() if acc is None else acc + g
+    for s in range(STAGES - 1, 0, -1):
+        out += ybar[s]
+    for p in parts:  # stage 0's, the loop's last
+        out += p
+    return out
+
+
+def flow(field, t_eval, x, total_time):
+    """Approximate exp(total_time * field) applied to ``x`` by one RK5 step.
 
     Parameters
     ----------
@@ -92,17 +129,6 @@ def flow(field, t_eval, x, total_time, substeps=1):
         Starting state; a tuple is a joint state (see ``rk5_step``).
     total_time : float or ndarray
         Flow duration, possibly per-path (batch, 1).
-    substeps : int
-        Number of equal RK5 steps covering the duration.
     """
-    if substeps < 1:
-        raise InvalidParameterError("substeps must be >= 1")
     eval_fn = field.eval if hasattr(field, "eval") else field
-
-    def f(z):
-        return eval_fn(t_eval, z)
-
-    h = total_time / substeps if substeps > 1 else total_time
-    for _ in range(substeps):
-        x = rk5_step(f, x, h)
-    return x
+    return rk5_step(lambda z: eval_fn(t_eval, z), x, total_time)

@@ -11,6 +11,8 @@ state and its network fields, and ``simulate`` returns the martingale's
 knots beside the asset paths in a single pass. The flow-reversal kernel
 splits a batch by each path's sign, so every path, and every network
 evaluation on it, flows through the one diffusion order its sign selects.
+A recording net (one with a ``begin_flow`` method) is told each joint flow's
+time, duration, martingale field weights and row set before the flow runs.
 """
 
 from dataclasses import dataclass
@@ -86,6 +88,19 @@ def _coupled(field, net, j):
     return lambda t, z: (field.eval(t, z[0]), net(j, t, z[0], z[1]))
 
 
+def _joint_flow(field, t, state, h, net, weights=None, rows=None):
+    """One RK5 flow of ``state`` along ``field`` for the duration ``h``.
+
+    A recording ``net`` first gets begin_flow(t, h, weights, rows): the
+    martingale part of the field is sum_j weights[:, j] * net(j, ...), or the
+    one network the field names when ``weights`` is None, over the batch rows
+    ``rows`` (None for all of them).
+    """
+    if hasattr(net, "begin_flow"):
+        net.begin_flow(t, h, weights, rows)
+    return flow(field, t, state, h)
+
+
 def em_step(model, x, dt, eta_row, t=0.0, m=None, net=None):
     """One Euler step x + dt * V~_0(x) + sqrt(dt) sum_i V_i(x) eta^i.
 
@@ -108,11 +123,11 @@ def cub3_step(model, x, dt, eta_row, t=0.0):
     return flow(_frozen_field(model, dt, np.sqrt(dt) * eta_row), t, x, 1.0)
 
 
-def _nv_diffusions(model, state, net, tau, descending, t):
+def _nv_diffusions(model, state, net, tau, descending, t, rows=None):
     order = range(model.d - 1, -1, -1) if descending else range(model.d)
     for i in order:
         field = _coupled(model.stratonovich_fields[1 + i], net, i)
-        state = flow(field, t, state, tau[:, i : i + 1])
+        state = _joint_flow(field, t, state, tau[:, i : i + 1], net, rows=rows)
     return state
 
 
@@ -138,8 +153,8 @@ def nv_step(model, x, dt, eta_row, lam, t=0.0, m=None, net=None):
         state = _nv_diffusions(model, state, net, tau, model.d == 1 or bool(pos.all()), t)
     else:
         ia, ib = np.flatnonzero(pos), np.flatnonzero(~pos)
-        a = _nv_diffusions(model, tuple(p[ia] for p in state), net, tau[ia], True, t)
-        b = _nv_diffusions(model, tuple(p[ib] for p in state), net, tau[ib], False, t)
+        a = _nv_diffusions(model, tuple(p[ia] for p in state), net, tau[ia], True, t, ia)
+        b = _nv_diffusions(model, tuple(p[ib] for p in state), net, tau[ib], False, t, ib)
         state = tuple(merge_rows(ia, pa, ib, pb) for pa, pb in zip(a, b))
     x = flow(v0, t, state[0], dt / 2.0)
     return x if m is None else (x, state[1])
@@ -170,10 +185,12 @@ def nn_step(model, x, dt, eta_row, xi_row, t=0.0, m=None, net=None):
     the same diffusion weights and no drift.
     """
     sdt = np.sqrt(dt)
-    f_second = _frozen_field(model, NN_C2 * dt, sdt * nn_zeta(eta_row, xi_row), net)
-    f_first = _frozen_field(model, NN_C1 * dt, np.sqrt(NN_R11) * sdt * eta_row, net)
-    state = flow(f_second, t, x if m is None else (x, m), 1.0)
-    return flow(f_first, t, state, 1.0)
+    w_second = sdt * nn_zeta(eta_row, xi_row)
+    w_first = np.sqrt(NN_R11) * sdt * eta_row
+    f_second = _frozen_field(model, NN_C2 * dt, w_second, net)
+    f_first = _frozen_field(model, NN_C1 * dt, w_first, net)
+    state = _joint_flow(f_second, t, x if m is None else (x, m), 1.0, net, w_second)
+    return _joint_flow(f_first, t, state, 1.0, net, w_first)
 
 
 def step_kernel(model, scheme, draws, net=None):
@@ -208,9 +225,10 @@ def simulate(model, scheme, partition, draws, net=None):
     flow-reversal scheme needs lam of shape (batch, steps), and the
     two-family scheme needs xi congruent to eta.
 
-    Given ``net``, the martingale M (M_0 = 0) rides the same kernel as one
-    more state component, and the result is (states, cols) with cols the
-    (batch, 1) values M_{t_0}, ..., M_{t_n}; a taped net makes them Tensors.
+    Given ``net``, a callable on ndarrays, the martingale M (M_0 = 0) rides
+    the same kernel as one more state component, and the result is
+    (states, knots) with knots the (batch, steps + 1) values
+    M_{t_0}, ..., M_{t_n}.
 
     Each step reads the running state, a contiguous (batch, N) array, and
     the result is copied once into its knot of ``states``; a strided knot
@@ -235,13 +253,13 @@ def simulate(model, scheme, partition, draws, net=None):
     x = np.full((nb, model.N), model.x0)
     states[:, 0, :] = x
     m = None if net is None else np.zeros((nb, 1))
-    cols = [m]
+    knots = None if net is None else np.zeros((nb, steps + 1))
     for k in range(steps):
         out = step(x, m, k, float(times[k]), float(deltas[k]))
         if m is None:
             x = out
         else:
             x, m = out
-            cols.append(m)
+            knots[:, k + 1 : k + 2] = m
         states[:, k + 1, :] = x
-    return states if net is None else (states, cols)
+    return states if net is None else (states, knots)

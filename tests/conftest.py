@@ -6,7 +6,9 @@ import pytest
 from hypothesis import settings
 
 import martnet as mn
+from martnet.autodiff import Tensor
 from martnet.mlp import MlpParams, DEPTH, HIDDEN
+from martnet.rk5 import flow
 
 # Property tests run numpy work of uneven cost, so no per-example deadline;
 # a failing run prints the blob that reproduces its example.
@@ -53,3 +55,24 @@ def force_cores(monkeypatch, n):
     """Make the process report ``n`` usable CPUs for the monkeypatch's lifetime."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def flow_substeps(field, t, x, total_time, substeps):
+    """``substeps`` equal RK5 flows covering ``total_time``; ``rk5.flow`` takes one."""
+    h = total_time / substeps if substeps > 1 else total_time
+    for _ in range(substeps):
+        x = flow(field, t, x, h)
+    return x
+
+
+def count_tensors(monkeypatch):
+    """A list that gains one entry per Tensor made for the monkeypatch's lifetime."""
+    made = []
+    real_init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    return made

@@ -1,11 +1,10 @@
 """Op-by-op tape references for the tests.
 
-The package tapes a network evaluation, the centering and the dual loss as
-one node each, a whole ``resnet-em`` martingale pass as one node, and
-keeps only the ops its pipeline records. Here are the ops only the tests
-use, built with ``Tensor._node``, and the coupled pass, the network
-evaluation, the centering and the loss composed from them the way the
-package taped them op by op. The tests check every op against finite
+The package tapes a whole martingale pass, the centering and the dual loss
+as one node each, and keeps only the ops its pipeline records. Here are the
+ops only the tests use, built with ``Tensor._node``, and the coupled pass,
+the network evaluation, the centering and the loss composed from them the
+way the package taped them op by op. The tests check every op against finite
 differences and the one-node versions against these compositions bit for
 bit.
 """
@@ -15,7 +14,7 @@ import numpy as np
 from martnet import dual
 from martnet.autodiff import Tensor, _data, _unbroadcast
 from martnet.mlp import mlp_forward_t
-from martnet.schemes import simulate
+from martnet.schemes import step_kernel
 
 
 def sub(a, b):
@@ -152,11 +151,23 @@ def simulate_coupled(config, nets, model, draws, taped):
     """dual._simulate_coupled on the generic tape under every scheme.
 
     The scheme's kernel advances M one taped step at a time, each network
-    evaluation built from separate nodes (``bind_nets``), so ``resnet-em``
-    records its Euler products and sums per step instead of one node.
+    evaluation built from separate nodes (``bind_nets``), so every stage
+    combination, product, sum and row gather of the pass is a node of its
+    own instead of one node for the pass. Returns (states, cols) with cols
+    the (batch, 1) knots M_{t_0} (an ndarray), M_{t_1}, ..., M_{t_n}.
     """
     net = bind_nets(nets, taped, model, config.partition)
-    return simulate(model, dual._ASSET_TAG[config.scheme], config.partition, draws, net=net)
+    step = step_kernel(model, dual._ASSET_TAG[config.scheme], draws, net=net)
+    part = config.partition
+    x = np.full((draws.eta.shape[0], model.N), model.x0)
+    states = np.empty((x.shape[0], part.steps + 1, model.N))
+    states[:, 0, :] = x
+    cols = [np.zeros((x.shape[0], 1))]
+    for k in range(part.steps):
+        x, m = step(x, cols[-1], k, float(part.times[k]), float(part.deltas[k]))
+        cols.append(m)
+        states[:, k + 1, :] = x
+    return states, cols
 
 
 def center_cols(cols):
@@ -173,8 +184,11 @@ def bridge_g(a, b, var_dt, u):
     return 0.5 * (a + b + root)
 
 
-def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
-    """The dual loss of a Tensor M as Z - M, the bridge ops, max_rows and mean."""
+def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None, donate=False):
+    """The dual loss of a Tensor M as Z - M, the bridge ops, max_rows and mean.
+
+    ``donate`` is accepted and ignored: the reference keeps Z and M intact.
+    """
     D = rsub(Z, M)
     if bridge:
         sigma = np.asarray(sigma, dtype=np.float64)

@@ -27,7 +27,8 @@ from martnet.mlp import init_mlp, param_arrays, rebuild_params
 from martnet.oracles import binomial_american_put
 from martnet.qmc import draws_for
 from martnet.report import plateau_iteration
-from martnet.rk5 import flow
+
+from conftest import flow_substeps
 
 pytestmark = pytest.mark.slow
 
@@ -91,7 +92,7 @@ def test_binomial_reference_price():
 def test_rk5_order():
     errs = {}
     for m in (2, 4, 8, 16):
-        out = flow(lambda t, y: y, 0.0, np.array([1.0]), 1.0, m)
+        out = flow_substeps(lambda t, y: y, 0.0, np.array([1.0]), 1.0, m)
         errs[m] = abs(out[0] - math.e)
     ratios = [errs[m] / errs[2 * m] for m in (2, 4, 8)]
     assert all(24.0 <= r <= 40.0 for r in ratios)

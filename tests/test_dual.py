@@ -27,7 +27,7 @@ from martnet.schemes import NN_R11, NN_R12, NN_R22
 from martnet.oracles import binomial_american_put
 from martnet.errors import InvalidParameterError, ShapeError
 
-from conftest import constant_output_mlp, traced_peak_bytes
+from conftest import constant_output_mlp, count_tensors, traced_peak_bytes
 import tape_reference
 from tape_reference import mean, square
 
@@ -386,14 +386,7 @@ def test_resnet_em_pass_is_one_tape_node(request, monkeypatch, model_name):
     # centering and the loss, however many steps the pass takes
     model = request.getfixturevalue(model_name)
     nets = [init_mlp(model.N + 2, 1, seed=j) for j in range(model.d)]
-    made = []
-    real_init = Tensor.__init__
-
-    def counting_init(self, *args, **kwargs):
-        made.append(1)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    made = count_tensors(monkeypatch)
 
     def tensors(steps):
         made.clear()
@@ -405,6 +398,29 @@ def test_resnet_em_pass_is_one_tape_node(request, monkeypatch, model_name):
         return len(made)
 
     assert tensors(8) == tensors(64) == 7 * model.d + 3
+
+
+@pytest.mark.parametrize("scheme,tag", [("nvnet", "nv"), ("nnet", "nn")])
+@pytest.mark.parametrize("model_name", ["bsm", "heston"])
+def test_nv_nn_pass_is_one_tape_node(request, monkeypatch, model_name, scheme, tag):
+    # an nvnet/nnet iteration's tape holds the parameter leaves, the pass, the centering
+    # and the loss: no tensor per stage combination, product, sum, row gather or evaluation
+    model = request.getfixturevalue(model_name)
+    nets = [init_mlp(model.N + 2, 1, seed=j) for j in range(model.d)]
+    made = count_tensors(monkeypatch)
+
+    def tensors(steps):
+        made.clear()
+        part = mn.uniform_partition(1.0, steps)
+        cfg = MartingaleNetConfig(scheme=scheme, d_M=model.d, partition=part, batch=16)
+        draws = draws_for(tag, model.d, steps, 16, seed=4)
+        if tag == "nv" and model.d > 1:
+            assert 0 < np.count_nonzero(draws.lam > 0) < draws.lam.size  # the split runs
+        uniforms = np.random.default_rng(5).random((16, steps))
+        loss_and_grads(cfg, nets, model, draws, bridge=True, uniforms=uniforms)
+        return len(made)
+
+    assert tensors(2) == tensors(8) == 7 * model.d + 3
 
 
 def test_tape_growth_per_step_one_em_node(bsm):
@@ -424,6 +440,45 @@ def test_tape_growth_per_step_one_em_node(bsm):
     peak(64)  # warm-up: first-call allocations stay out of the slope
     per_step = (peak(128) - peak(64)) / 64
     assert per_step < 8 * batch * 8, f"tape grows {per_step / (batch * 8):.1f} x batch x 8 B per step"
+
+
+def test_loss_gives_up_z_and_m_once_d_exists(bsm):
+    # past D = Z - M the loss keeps neither Z nor the centered M: the states and
+    # knots the resnet-em node keeps, D in Z's buffer and the bridge's two buffers
+    # stay under 5.5 (batch,) arrays per step (7.0 when Z and M are held)
+    batch = 256
+    net = init_mlp(bsm.N + 2, 1, seed=3)
+
+    def peak(steps):
+        part = mn.uniform_partition(1.0, steps)
+        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=part, batch=batch)
+        draws = draws_for("em", 1, steps, batch, seed=4)
+        uniforms = np.random.default_rng(5).random((batch, steps))
+        return traced_peak_bytes(lambda: loss_and_grads(cfg, [net], bsm, draws, bridge=True, uniforms=uniforms))
+
+    peak(64)  # warm-up: first-call allocations stay out of the slope
+    per_step = (peak(128) - peak(64)) / 64
+    assert per_step < 5.5 * batch * 8, f"the loss holds {per_step / (batch * 8):.1f} x batch x 8 B per step"
+
+
+def test_rogers_loss_donate_keeps_the_bits():
+    # D formed in Z's buffer, and a Tensor M's data dropped, give the loss and gradient
+    # of the loss that keeps both
+    rng = np.random.default_rng(11)
+    Z, M = np.abs(rng.standard_normal((32, 9))), rng.standard_normal((32, 9))
+    kwargs = _bridge_args(32, 8, rng)
+
+    def run(donate):
+        leaf = Tensor(M, requires_grad=True)
+        loss = rogers_loss(Z.copy(), leaf, donate=donate, **kwargs)
+        loss.backward()
+        return loss.data.tobytes(), leaf.grad.tobytes(), leaf.data is None
+
+    assert run(True)[:2] == run(False)[:2]
+    assert run(True)[2] and not run(False)[2]
+    plain = Z.copy()
+    assert rogers_loss(plain, M, donate=True, **kwargs) == rogers_loss(Z, M, **kwargs)
+    assert plain.tobytes() == (Z - M).tobytes()  # Z's buffer holds D
 
 
 # -- provisional martingale paths ---------------------------------------------

@@ -203,15 +203,15 @@ def test_simulate_knots_are_kernel_steps(request, name, scheme, tag, coupled):
     draws = draws_for(tag, model.d, 5, 257, seed=4)
     net = _closed_form_net if coupled else None
     out = sch.simulate(model, scheme, p, draws, net=net)
-    states, cols = out if coupled else (out, None)
+    states, knots = out if coupled else (out, None)
     step = sch.step_kernel(model, scheme, draws, net=net)
     for k in range(5):
-        m = cols[k] if coupled else None
+        m = knots[:, k : k + 1] if coupled else None
         got = step(states[:, k, :], m, k, float(p.times[k]), float(p.deltas[k]))
         want_x, want_m = got if coupled else (got, None)
         assert states[:, k + 1, :].tobytes() == np.ascontiguousarray(want_x).tobytes()
         if coupled:
-            assert cols[k + 1].tobytes() == want_m.tobytes()
+            assert knots[:, k + 1 : k + 2].tobytes() == want_m.tobytes()
 
 
 @pytest.mark.parametrize(
