@@ -49,7 +49,7 @@ from .mlp import (
     mlp_forward,
     save_checkpoint,
 )
-from .oracles import binomial_american_put, bs_european_call, bs_european_put
+from .oracles import binomial_american_put, bs_european_put
 from .qmc import draws_for, inv_normal_cdf, sobol_points
 from .rk5 import flow, rk5_step
 from .schemes import (
@@ -88,7 +88,6 @@ __all__ = [
     "adam_update",
     "binomial_american_put",
     "bridge_sup",
-    "bs_european_call",
     "bs_european_put",
     "center",
     "cub3_step",

@@ -12,17 +12,19 @@ suprema of Z - M, optionally refined by sampling the within-interval
 supremum of a pinned bridge with volatility estimated from pilot paths.
 The payoff is discounted at the model's rate mu, Z_k = exp(-mu t_k)(K - S_k)^+.
 
-Networks read the encoded input (t/T, x/x0, m * (1/K)) and their output is
-scaled by K, plain and taped alike. On the tape, a whole martingale pass is
-one node over the parameter leaves under every network scheme: it runs the
-plain kernel once. Under ``resnet-em`` it keeps the states, the knots and
-the draws, and its backward recomputes each step's networks from them, last
-step first. Under ``nvnet``/``nnet`` it keeps each RK5 flow's record (its
-duration, martingale field weights, row set and encoded inputs), and its
-backward replays the flows through the discrete RK5 adjoint. The centering
-is one node that keeps only the martingale's columns, and the loss is one
-node that keeps only each path's argmax and, with the bridge, a - b and the
-root there. All give the bits of the same computation taped op by op.
+Networks read the encoded input (t/T, x/x0, m * (1/K)), followed by a column
+of ones for their packed layers, and their output is scaled by K, plain and
+taped alike. A pass packs each network once (``mlp.pack``). On the tape, a
+whole martingale pass is one node over the parameter leaves under every
+network scheme: it runs the plain kernel once. Under ``resnet-em`` it keeps
+the states, the knots and the draws, and its backward recomputes each step's
+networks from them, last step first. Under ``nvnet``/``nnet`` it keeps each
+RK5 flow's record (its duration, martingale field weights, row set and
+encoded inputs), and its backward replays the flows through the discrete RK5
+adjoint. The centering is one node that keeps only the martingale's columns,
+and the loss is one node that keeps only each path's argmax and, with the
+bridge, a - b and the root there. All give the bits of the same computation
+taped op by op.
 """
 
 import os
@@ -35,7 +37,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import InvalidParameterError, NumericError, ShapeError
 from .fields import payoff_eval
-from .mlp import grad, mlp_forward, mlp_vjp, param_arrays, rebuild_params, save_checkpoint
+from .mlp import grad, mlp_forward, mlp_vjp, pack, param_arrays, rebuild_params, save_checkpoint
 from .mlp import AdamState, adam_update, init_adam  # noqa: F401  (re-exported for callers)
 from .qmc import draws_for
 from .rk5 import STAGES, rk5_vjp
@@ -256,31 +258,38 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None, dona
 
 
 def _encoder(model, partition):
-    """(encode, K): encode(t, X[, m]) is the networks' input [t/T, X/x0, m * (1/K)].
+    """(encode, K): encode(t, X, m) is the networks' input [t/T, X/x0, m * (1/K), 1].
 
     Time is in units of the horizon, state in units of x0 and value in
     strike units K. Networks see O(1) features and produce O(1) outputs
     regardless of the currency scale of the model, which keeps the
     He-initialised layers well conditioned and the output head within a few
     optimiser steps of the magnitudes the martingale increments need.
-    Without m it gives the constant block [t/T, X/x0] alone.
+
+    The trailing column of ones is what ``mlp.pack``'s blocks read: each
+    layer's bias rides its GEMM. encode fills one fresh (n, N + 3) array in
+    place, column-major, so each column is one contiguous write; BLAS reads
+    either order with the same sums, and this array is what a recording net
+    keeps for the backward.
     """
     sx = np.abs(np.asarray(model.x0, dtype=np.float64))
-    sx = np.where(sx > 0, sx, 1.0)[None, :]
+    sx = np.where(sx > 0, sx, 1.0)[:, None]
     sm = float(model.payoff.strike)
     T = partition.T if partition.T > 0 else 1.0
 
-    def encode(t, X, m=None):
-        parts = [np.full((X.shape[0], 1), t / T), X / sx]
-        if m is not None:
-            parts.append(m * (1.0 / sm))
-        return np.concatenate(parts, axis=1)
+    def encode(t, X, m):
+        xt = np.empty((X.shape[1] + 3, X.shape[0]))
+        xt[0] = t / T
+        np.divide(X.T, sx, out=xt[1:-2])
+        np.multiply(m.T, 1.0 / sm, out=xt[-2:-1])
+        xt[-1] = 1.0
+        return xt.T
 
     return encode, sm
 
 
-def _bind_nets(nets, model, partition, flows=None):
-    """Callable net(j, t, x, m) = V^M_j(t, x, m): network j on the encoded input, times K.
+def _bind_nets(packs, model, partition, flows=None):
+    """Callable net(j, t, x, m) = V^M_j(t, x, m): packed network j on the encoded input, times K.
 
     Given a list ``flows`` it is a recording net (see ``schemes``): its
     ``begin_flow`` appends a record (t, h, weights, rows, evals) for each
@@ -293,7 +302,7 @@ def _bind_nets(nets, model, partition, flows=None):
         xd = encode(t, X, m)
         if flows is not None:
             flows[-1].evals.append((j, xd))
-        return mlp_forward(nets[j], xd) * sm
+        return mlp_forward(packs[j], xd) * sm
 
     if flows is not None:
         net_fn.begin_flow = lambda t, h, weights, rows: flows.append(
@@ -302,14 +311,15 @@ def _bind_nets(nets, model, partition, flows=None):
     return net_fn
 
 
-def _em_backward(nets, config, model, draws, states, knots):
+def _em_backward(nets, packs, config, model, draws, states, knots):
     """Backward of the taped ``resnet-em`` pass, from the states, the knots and the draws.
 
     The pass is M_{k+1} = M_k + sum_i sqrt(dt_k) eta_{k,i} net_i(t_k, X_k, M_k).
     The backward walks k = n-1 .. 0, recomputes each network at
     (t_k, X_k, M_k), feeds it the cotangent gbar_{k+1} sqrt(dt_k) eta_{k,i}
     and forms gbar_k = ((G_k + gbar_{k+1}) + dm_0) + dm_1 ..., the float
-    operations of the same pass taped one node per evaluation.
+    operations of the same pass taped one node per evaluation. ``packs``
+    are the forward's packed networks, the values of the leaves ``nets``.
     """
     encode, sm = _encoder(model, config.partition)
     times, deltas, eta = config.partition.times, config.partition.deltas, draws.eta
@@ -320,8 +330,8 @@ def _em_backward(nets, config, model, draws, states, knots):
             gm = g[:, k : k + 1] + gbar if k > 0 else None  # M_0 = 0 is no Tensor
             sdt = np.sqrt(float(deltas[k]))
             xd = encode(float(times[k]), states[:, k, :], knots[:, k : k + 1])
-            for i, net in enumerate(nets):
-                gh = mlp_vjp(net, xd, gbar * (sdt * eta[:, k, i : i + 1]) * sm, k > 0)
+            for i, (net, packed) in enumerate(zip(nets, packs)):
+                gh = mlp_vjp(net, packed, xd, gbar * (sdt * eta[:, k, i : i + 1]) * sm, k > 0)
                 if k > 0:
                     gm += gh[:, -1:] * (1.0 / sm)
             gbar = gm
@@ -329,7 +339,7 @@ def _em_backward(nets, config, model, draws, states, knots):
     return backward
 
 
-def _flow_backward(nets, flows, sm):
+def _flow_backward(nets, packs, flows, sm):
     """Backward of the taped ``nvnet``/``nnet`` pass, from its flow records.
 
     It replays the flows last step first (a step's flows share t_k); within
@@ -356,7 +366,7 @@ def _flow_backward(nets, flows, sm):
             parts = []
             for j, xd in f.evals[s * per : (s + 1) * per]:
                 gk = kbar if f.weights is None else kbar * f.weights[:, j : j + 1]
-                gh = mlp_vjp(nets[j], xd, gk * sm, need)
+                gh = mlp_vjp(nets[j], packs[j], xd, gk * sm, need)
                 if need:
                     parts.append(gh[:, -1:] * (1.0 / sm))
             return parts
@@ -399,15 +409,15 @@ def _simulate_coupled(config, nets, model, draws, taped):
     """
     em = config.scheme == "resnet-em"
     flows = None if em or not taped else []
-    plain = [rebuild_params(p, [a.data for a in param_arrays(p)]) for p in nets] if taped else nets
-    net = _bind_nets(plain, model, config.partition, flows)
+    packs = [pack(p) for p in nets]  # the weights hold for the pass and its backward
+    net = _bind_nets(packs, model, config.partition, flows)
     states, knots = simulate(model, _ASSET_TAG[config.scheme], config.partition, draws, net=net)
     if not taped:
         return states, [knots]
     if em:
-        backward = _em_backward(nets, config, model, draws, states, knots)
+        backward = _em_backward(nets, packs, config, model, draws, states, knots)
     else:
-        backward = _flow_backward(nets, flows, float(model.payoff.strike))
+        backward = _flow_backward(nets, packs, flows, float(model.payoff.strike))
     return states, [Tensor._node(knots, [a for p in nets for a in param_arrays(p)], backward)]
 
 

@@ -2,11 +2,18 @@
 
 The network is three ReLU layers of 32 nodes (two hidden plus the stated
 output layer) followed by a bias-free linear projection to the requested
-output dimension. Forward passes come in two flavours: a plain numpy path,
-and ``mlp_forward_t``, one taped evaluation as one node. ``mlp_vjp``, the one
-reverse pass, recomputes the hidden layers from the input; the taped
-evaluation's node and the node of a whole martingale pass (which runs the
-plain forward, under every network scheme) both call it.
+output dimension. ``pack`` stores each layer (w, b) as one block
+[[w, 0], [b, 1]], so on an input that ends in a column of ones a layer is
+one GEMM and an in-place ReLU, with no bias pass. The bits are those of
+``h @ w + b``: BLAS's dgemm sums each output in order along the inner
+dimension, so the bias row, placed last, is added last with one rounding
+(gemv, which numpy uses for a single row, does not, so one row keeps
+h @ w + b). Forward passes come in two flavours: a plain numpy path, and
+``mlp_forward_t``, one taped evaluation as one node. ``mlp_vjp``, the one
+reverse pass, recomputes the hidden layers from the input with the
+forward's packs; the taped evaluation's node and the node of a whole
+martingale pass (which packs each network once and runs the plain
+forward, under every network scheme) both call it.
 """
 
 import math
@@ -54,25 +61,81 @@ def init_mlp(in_dim, out_dim=1, seed=0):
     return MlpParams(layers=layers, proj=proj, seed=seed)
 
 
-def _hidden_layers(layers, h, check=False):
-    """Yield relu(h @ w + b) layer by layer; each is a fresh array, written in place."""
-    for i, (w, b) in enumerate(layers):
-        h = h @ w  # a fresh array, so the layers below never write the caller's input
-        h += b
-        np.maximum(h, 0.0, out=h)
+def _values(a):
+    return a.data if isinstance(a, Tensor) else a
+
+
+@dataclass(frozen=True)
+class PackedMlp:
+    """A network's layers as blocks [[w, 0], [b, 1]] and its projection (see ``pack``)."""
+
+    blocks: list
+    proj: np.ndarray
+
+    @property
+    def in_dim(self):
+        return self.blocks[0].shape[0] - 1
+
+
+def pack(params):
+    """Each layer (w, b) as one (K + 1) x (H + 1) block [[w, 0], [b, 1]].
+
+    ``params`` may hold arrays or leaf Tensors; the blocks copy their
+    values and the projection is shared. An input row that ends in 1 times a block gives h @ w + b and,
+    in its last column, the exact 1 that the next block needs.
+    """
+    blocks = []
+    for w, b in params.layers:
+        w, b = _values(w), _values(b)
+        k, h = w.shape
+        block = np.zeros((k + 1, h + 1))
+        block[:k, :h] = w
+        block[k, :h] = b
+        block[k, h] = 1.0
+        blocks.append(block)
+    return PackedMlp(blocks=blocks, proj=_values(params.proj))
+
+
+def _hidden_layers(blocks, a, check=False):
+    """Yield relu(h @ w + b) layer by layer, each a view of a fresh array.
+
+    ``a`` is the input h followed by a column of ones, and each layer is one
+    GEMM with its packed block and an in-place ReLU; the fresh array keeps
+    its own ones column for the next block, and the view leaves it out.
+    BLAS's dgemm sums each output in order along the inner dimension, so
+    the bias row, placed last, is added last with one rounding: the bits of
+    ``h @ w + b``. A single row goes through gemv instead, which sums a
+    packed row in another order, so one row runs h @ w + b on the block.
+    """
+    for i, block in enumerate(blocks):
+        if a.shape[0] == 1:
+            z = a[:, :-1] @ block[:-1]
+            z += block[-1]
+        else:
+            z = a @ block
+        a = np.maximum(z, 0.0, out=z)
+        h = a[:, :-1]
         if check and not np.all(np.isfinite(h)):
             raise NumericError(f"mlp layer {i + 1} produced non-finite values")
         yield h
 
 
 def mlp_forward(params, x):
-    """Plain numpy forward pass; accepts a single row or a batch."""
+    """Plain numpy forward pass; accepts a single row or a batch.
+
+    ``params`` is an MlpParams, or its ``pack``: then ``x`` ends in a column
+    of ones after the network's inputs, the layout ``dual``'s encoder writes.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    h = np.atleast_2d(x)
-    if h.shape[1] != params.in_dim:
-        raise ShapeError(f"input width {h.shape[1]}, network expects {params.in_dim}")
-    for h in _hidden_layers(params.layers, h):
+    a = np.atleast_2d(x)
+    packed = isinstance(params, PackedMlp)
+    if a.shape[1] != params.in_dim + packed:
+        ones = " and a ones column" if packed else ""
+        raise ShapeError(f"input width {a.shape[1]}, network expects {params.in_dim}{ones}")
+    if not packed:
+        params, a = pack(params), np.concatenate([a, np.ones((a.shape[0], 1))], axis=1)
+    for h in _hidden_layers(params.blocks, a):
         pass
     out = h @ params.proj
     return out[0] if single else out
@@ -102,44 +165,45 @@ def mlp_forward_t(tensors, x, m, scale, check=False):
     taped_m = isinstance(m, Tensor)
 
     def encoded():
-        return np.concatenate([x, (m.data if taped_m else m) * (1.0 / scale)], axis=1)
+        ms = (m.data if taped_m else m) * (1.0 / scale)
+        return np.concatenate([x, ms, np.ones((x.shape[0], 1))], axis=1)
 
-    layers = [(w.data, b.data) for w, b in tensors.layers]
-    proj = tensors.proj.data
-    for h in _hidden_layers(layers, encoded(), check):
+    packed = pack(tensors)
+    for h in _hidden_layers(packed.blocks, encoded(), check):
         pass
-    out = h @ proj
+    out = h @ packed.proj
     if check and not np.all(np.isfinite(out)):
         raise NumericError("mlp projection produced non-finite values")
     out *= scale
 
     def backward(g):
-        gh = mlp_vjp(tensors, encoded(), g * scale, taped_m)
+        gh = mlp_vjp(tensors, packed, encoded(), g * scale, taped_m)
         if taped_m:
             m._accumulate(gh[:, x.shape[1] :] * (1.0 / scale))
 
     return Tensor._node(out, (m, *param_arrays(tensors)), backward)
 
 
-def mlp_vjp(tensors, xd, g, need_input):
+def mlp_vjp(tensors, packed, xd, g, need_input):
     """Add the gradient of sum(net(xd) * g) to the parameter leaves of ``tensors``.
 
-    The hidden layers are recomputed from the input ``xd`` with the forward's
-    arithmetic, one layer's vector-Jacobian product at a time, last layer
-    first. Returns the gradient in ``xd`` when ``need_input``, else None.
+    ``packed`` is the ``pack`` of the leaves' values and ``xd`` the input
+    followed by a column of ones. The hidden layers are recomputed from it
+    with the forward's arithmetic, one layer's vector-Jacobian product at a
+    time, last layer first. Returns the gradient in the input (without the
+    ones column) when ``need_input``, else None.
     """
-    layers = [(w.data, b.data) for w, b in tensors.layers]
-    hs = [xd, *_hidden_layers(layers, xd)]
-    proj = tensors.proj.data
+    hs = [xd[:, :-1], *_hidden_layers(packed.blocks, xd)]
+    proj = packed.proj
     # a one-column g: the outer product as a broadcast multiply, the bits of g @ proj.T
     gh = g * proj.T if proj.shape[1] == 1 else g @ proj.T
     tensors.proj._accumulate(hs[-1].T @ g, own=True)
-    for i in reversed(range(len(layers))):
+    for i in reversed(range(len(packed.blocks))):
         w, b = tensors.layers[i]
         gz = gh
         gz *= hs[i + 1] > 0.0  # gh is fresh: the ReLU mask goes on in place
         if i > 0 or need_input:
-            gh = gz @ layers[i][0].T
+            gh = gz @ w.data.T
         w._accumulate(hs[i].T @ gz, own=True)
         b._accumulate(gz.sum(axis=0), own=True)
     return gh if need_input else None

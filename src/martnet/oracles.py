@@ -1,4 +1,4 @@
-"""Independent reference prices: CRR binomial American put, BS closed forms.
+"""Independent reference prices: CRR binomial American put, Black-Scholes put.
 
 The binomial default of 64 steps reproduces the reference value 12.66 for
 the (100, 100, 0.32, 1, 0) configuration; the tree converges to
@@ -64,14 +64,3 @@ def bs_european_put(S0, K, sigma, T, r):
     d2 = d1 - v
     return float(K * math.exp(-r * T) * _phi(-d2) - S0 * _phi(-d1))
 
-
-def bs_european_call(S0, K, sigma, T, r):
-    """Black-Scholes call; the put's parity partner."""
-    if sigma <= 0 or T <= 0:
-        raise InvalidParameterError("bs_european_call needs sigma > 0 and T > 0")
-    if S0 <= 0 or K <= 0:
-        raise InvalidParameterError("bs_european_call needs positive S0 and K")
-    v = sigma * math.sqrt(T)
-    d1 = (math.log(S0 / K) + (r + 0.5 * sigma * sigma) * T) / v
-    d2 = d1 - v
-    return float(S0 * _phi(d1) - K * math.exp(-r * T) * _phi(d2))

@@ -10,6 +10,7 @@ from martnet.mlp import (
     init_mlp,
     mlp_forward,
     mlp_forward_t,
+    pack,
     params_to_tensors,
     param_arrays,
     rebuild_params,
@@ -71,16 +72,26 @@ def test_forward_dimension_check():
     p = init_mlp(3, 1, seed=0)
     with pytest.raises(ShapeError):
         mlp_forward(p, np.ones((2, 4)))
+    with pytest.raises(ShapeError):  # a packed network also reads the ones column
+        mlp_forward(pack(p), np.ones((2, 3)))
 
 
-@pytest.mark.parametrize("batch", [1, 513, 8192])
-def test_forward_in_place_matches_composition(batch):
-    p = init_mlp(4, 1, seed=3)
+@pytest.mark.parametrize(
+    "batch, width",  # widths 3 and 4: the bsm and heston encoded inputs
+    [
+        pytest.param(batch, width, id=str(batch) if width == 4 else f"{batch}-w{width}")
+        for width in (4, 3)
+        for batch in (1, 2, 3, 255, 256, 257, 512, 513, 4096, 8192)
+    ],
+)
+def test_forward_in_place_matches_composition(batch, width):
+    # the packed layers keep the bits of relu(h @ w + b) at every batch size
+    p = init_mlp(width, 1, seed=3)
     rng = np.random.default_rng(batch)
     for w, b in p.layers:
         b[:] = rng.standard_normal(b.shape) * 0.1
     p.proj[:] = rng.standard_normal(p.proj.shape)
-    x = rng.standard_normal((batch, 4))
+    x = rng.standard_normal((batch, width))
     x_before = x.copy()
     h = x
     for w, b in p.layers:
@@ -89,6 +100,10 @@ def test_forward_in_place_matches_composition(batch):
     got = mlp_forward(p, x)
     assert got.tobytes() == want.tobytes()
     assert x.tobytes() == x_before.tobytes()
+    xd = np.empty((width + 1, batch)).T  # the encoder's column-major layout, ending in ones
+    xd[:, :-1] = x
+    xd[:, -1] = 1.0
+    assert mlp_forward(pack(p), xd).tobytes() == want.tobytes()
 
 
 def test_taped_forward_matches_plain():

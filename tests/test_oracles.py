@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -7,8 +8,8 @@ from scipy.stats import binom
 from martnet.oracles import (
     binomial_american_put,
     bs_european_put,
-    bs_european_call,
     DEFAULT_TREE_STEPS,
+    _phi,
 )
 from martnet.errors import InvalidParameterError
 
@@ -66,6 +67,14 @@ def test_binomial_monotone_in_vol():
 
 def test_bs_put_frozen_value():
     assert abs(bs_european_put(100.0, 100.0, 0.32, 1.0, 0.0) - 12.7118925783) < 1e-9
+
+
+def bs_european_call(S0, K, sigma, T, r):
+    """Black-Scholes call, the put's parity partner: S0 N(d1) - K exp(-rT) N(d2)."""
+    v = sigma * math.sqrt(T)
+    d1 = (math.log(S0 / K) + (r + 0.5 * sigma * sigma) * T) / v
+    d2 = d1 - v
+    return float(S0 * _phi(d1) - K * math.exp(-r * T) * _phi(d2))
 
 
 def test_bs_put_call_parity():
