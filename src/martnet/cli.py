@@ -5,13 +5,7 @@ import os
 import sys
 
 from .atomic import atomic_open
-from .config import (
-    NET_SCHEMES,
-    build_model,
-    load_config,
-    resolve_config,
-    snapshot_text,
-)
+from .config import build_model, load_config, resolve_config, snapshot_text
 from .convergence import run_convergence
 from .dual import MartingaleNetConfig, train
 from .errors import MartnetError, UsageError
@@ -19,9 +13,7 @@ from .fields import make_bsm_model
 from .mlp import init_mlp, save_checkpoint
 from .oracles import DEFAULT_TREE_STEPS, binomial_american_put, bs_european_put
 from .report import read_loss_csv, render_text, summarize, write_loss_csv, write_report
-from .schemes import uniform_partition
-
-_CONVERGE_DEFAULT_LADDERS = {"em": "8,16,32,64", "cub3": "1,2,4,8", "nv": "1,2,4,8", "nn": "1,2,4,8"}
+from .schemes import NETS, SCHEMES, uniform_partition
 
 
 def _build_parser():
@@ -30,7 +22,7 @@ def _build_parser():
 
     p = sub.add_parser("train", help="train martingale networks on the dual loss")
     p.add_argument("--model", choices=("bsm", "heston"), default=None)
-    p.add_argument("--net", choices=("resnet", "nvnet", "nnet"), default=None)
+    p.add_argument("--net", choices=tuple(NETS), default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--iters", type=int, default=None)
@@ -41,7 +33,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("converge", help="weak-order ladder on the lognormal model")
-    p.add_argument("--scheme", choices=("em", "cub3", "nv", "nn"), required=True)
+    p.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     p.add_argument("--steps", default=None, help="comma-separated ascending step counts")
     p.add_argument("--points", type=int, default=65536)
     p.add_argument("--seed", type=int, default=0)
@@ -83,7 +75,7 @@ def _cmd_train(args):
 
     partition = uniform_partition(resolved["T"], resolved["steps"])
     net_config = MartingaleNetConfig(
-        scheme=NET_SCHEMES[resolved["net"]],
+        scheme=NETS[resolved["net"]].config,
         d_M=model.d,
         partition=partition,
         batch=resolved["batch"],
@@ -110,11 +102,12 @@ def _cmd_train(args):
 
 
 def _cmd_converge(args):
-    ladder = args.steps if args.steps is not None else _CONVERGE_DEFAULT_LADDERS[args.scheme]
-    try:
-        counts = [int(tok) for tok in ladder.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"bad step list: {ladder!r}")
+    counts = SCHEMES[args.scheme].ladder
+    if args.steps is not None:
+        try:
+            counts = [int(tok) for tok in args.steps.split(",") if tok.strip()]
+        except ValueError:
+            raise UsageError(f"bad step list: {args.steps!r}")
     model = make_bsm_model(100.0, 0.0, 0.32)
     rows = run_convergence(
         model, args.scheme, counts, args.points, seed=args.seed, protocol=args.protocol

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import UsageError
 from .fields import make_bsm_model, make_heston_model
+from .schemes import NETS
 
 _FLOAT_KEYS = ("S0", "U0", "mu", "sigma", "theta", "alpha", "rho", "beta", "K", "T")
 _INT_KEYS = ("steps", "batch", "iters", "seed")
@@ -39,9 +40,6 @@ _MODELS = {"bsm": (BSM_DEFAULTS, 1), "heston": (HESTON_DEFAULTS, 2)}
 _MAX_SEED = 2**63 - 1
 
 RUN_DEFAULTS = {"net": "nvnet", "batch": 512, "iters": 300, "seed": 0, "bridge": "on", "out": "run.csv"}
-
-NET_STEP_DEFAULTS = {"resnet": 1024, "nvnet": 4, "nnet": 4}
-NET_SCHEMES = {"resnet": "resnet-em", "nvnet": "nvnet", "nnet": "nnet"}
 
 
 def parse_config_text(text, origin="<config>"):
@@ -106,12 +104,12 @@ def resolve_config(cfg):
         else:
             raise UsageError(f"unknown configuration key {key!r}")
     merged["model"] = name
-    if merged["net"] not in NET_SCHEMES:
+    if merged["net"] not in NETS:
         raise UsageError(f"unknown net: {merged['net']!r}")
     if merged["bridge"] not in ("on", "off"):
         raise UsageError(f"bridge must be on or off, got {merged['bridge']!r}")
     if "steps" not in merged:
-        merged["steps"] = NET_STEP_DEFAULTS[merged["net"]]
+        merged["steps"] = NETS[merged["net"]].steps
     for key in ("steps", "batch", "iters"):
         if merged[key] < 1:
             raise UsageError(f"{key} must be >= 1")

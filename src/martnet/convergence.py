@@ -11,9 +11,8 @@ paired
     Error against the exact lognormal terminal state built from the same
     driving draws. Common draws cancel the integration error, leaving the
     scheme's own defect, so coarse ladders resolve cleanly. The exact
-    reference exponent sums the per-step Brownian weights: the Gaussian
-    (or cubature) draws themselves, or the combined two-factor increment
-    for the split-Gaussian scheme.
+    reference exponent is each path's summed Brownian weight, the scheme
+    record's ``weight``.
 
 A ladder draws once, at its top rung, and every rung runs on the first
 ``steps`` steps of that block. Those are exactly the draws the rung would
@@ -45,12 +44,10 @@ from .errors import UsageError
 from .oracles import bs_european_put
 from .parallel import run_shared
 from .qmc import DrawBlock, draws_for
-from .schemes import NN_R11, nn_zeta, step_kernel, uniform_partition
+from .schemes import SCHEMES, step_kernel, uniform_partition
 # Not called here: the benchmark's layer tracer rebinds
 # martnet.convergence.simulate and fails at import when the name is missing.
 from .schemes import simulate  # noqa: F401
-
-_SCHEMES = ("em", "cub3", "nv", "nn")
 
 
 @dataclass(frozen=True)
@@ -60,13 +57,6 @@ class ConvergenceRow:
     steps: int
     abs_err: float
     slope: object
-
-
-def _terminal_weights(scheme, draws):
-    if scheme != "nn":
-        return draws.eta[:, :, 0].sum(axis=1)
-    zeta = nn_zeta(draws.eta, draws.xi)
-    return (np.sqrt(NN_R11) * draws.eta[:, :, 0] + zeta[:, :, 0]).sum(axis=1)
 
 
 def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="auto"):
@@ -82,7 +72,7 @@ def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="au
     """
     if getattr(model, "name", None) != "bsm":
         raise UsageError("convergence study supports the lognormal model only")
-    if scheme not in _SCHEMES:
+    if scheme not in SCHEMES:
         raise UsageError(f"unknown scheme for convergence study: {scheme!r}")
     counts = [int(c) for c in step_counts]
     if not counts or any(c < 1 for c in counts):
@@ -95,7 +85,7 @@ def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="au
         raise UsageError(f"unknown protocol: {protocol!r}")
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
-    proto = protocol if protocol != "auto" else ("direct" if scheme == "em" else "paired")
+    proto = protocol if protocol != "auto" else SCHEMES[scheme].protocol
 
     s0 = float(model.params["S0"])
     mu = float(model.params["mu"])
@@ -121,7 +111,7 @@ def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="au
         if proto == "direct":
             err = abs(price - ref_direct)
         else:
-            w = _terminal_weights(scheme, draws)
+            w = SCHEMES[scheme].weight(draws)
             dt = T / steps
             exact = s0 * np.exp((mu - 0.5 * sigma * sigma) * T + sigma * np.sqrt(dt) * w)
             ref = float(np.maximum(strike - exact, 0.0).mean())

@@ -7,7 +7,7 @@ as one more state component of the asset's step kernel: one kernel table
 it advances (X, M) with the same Brownian draws. Its Stratonovich drift is
 zero, so under ``nv``/``nn`` M carries an O(1) Ito drift (``em``'s M is an
 exact discrete martingale); per-time centering removes only that drift's
-unconditional mean (ROADMAP item 2). Losses are the batch mean of per-path
+unconditional mean (ROADMAP item 4). Losses are the batch mean of per-path
 suprema of Z - M, optionally refined by sampling the within-interval
 supremum of a pinned bridge with volatility estimated from pilot paths.
 The payoff is discounted at the model's rate mu, Z_k = exp(-mu t_k)(K - S_k)^+.
@@ -39,9 +39,9 @@ from .errors import InvalidParameterError, NumericError, ShapeError
 from .fields import payoff_eval
 from .mlp import grad, mlp_forward, mlp_vjp, pack, param_arrays, rebuild_params, save_checkpoint
 from .mlp import AdamState, adam_update, init_adam  # noqa: F401  (re-exported for callers)
-from .qmc import draws_for
+from .qmc import check_seed, draws_for
 from .rk5 import STAGES, rk5_vjp
-from .schemes import simulate
+from .schemes import NET_CONFIGS, SCHEMES, simulate
 
 # Not called here: the benchmark's layer tracer rebinds martnet.dual.flow and
 # martnet.dual.mlp_forward_t and fails at import when a name is missing.
@@ -56,8 +56,6 @@ SIGMA_FLOOR = 1e-8
 # (_EVAL_TAG, k), so it matches no training key for any seed below 2^128.
 _EVAL_TAG = 0xE7A1
 
-_ASSET_TAG = {"resnet-em": "em", "nvnet": "nv", "nnet": "nn"}
-
 
 @dataclass(frozen=True)
 class MartingaleNetConfig:
@@ -68,7 +66,7 @@ class MartingaleNetConfig:
     model's driving dimension (the Brownians are shared); batch is the
     number of QMC paths per update. The drift field V^M_0 is identically
     zero, so under ``nvnet``/``nnet`` M has an O(1) Ito drift; centering
-    removes only its unconditional mean (ROADMAP item 2).
+    removes only its unconditional mean (ROADMAP item 4).
     """
 
     scheme: str
@@ -77,7 +75,7 @@ class MartingaleNetConfig:
     batch: int
 
     def __post_init__(self):
-        if self.scheme not in _ASSET_TAG:
+        if self.scheme not in NET_CONFIGS:
             raise InvalidParameterError(f"unknown martingale scheme: {self.scheme!r}")
         if self.d_M < 1:
             raise InvalidParameterError("d_M must be >= 1")
@@ -192,7 +190,7 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None, dona
     (steps,). G dominates both endpoints, so the grid is covered, but only
     up to rounding: at u = 0 it is (a + b + |a - b|) / 2 in floating point,
     which can fall below max(a, b) by about an ulp of |a| + |b| (ROADMAP
-    item 7).
+    item 9).
 
     A Tensor M gives one tape node. It keeps each path's argmax and, with
     the bridge, a - b and the root there (a - b formed again from
@@ -407,14 +405,14 @@ def _simulate_coupled(config, nets, model, draws, taped):
     states, the knots and the draws (``_em_backward``), under ``nvnet`` and
     ``nnet`` one record per joint RK5 flow and no state (``_flow_backward``).
     """
-    em = config.scheme == "resnet-em"
-    flows = None if em or not taped else []
+    tag = NET_CONFIGS[config.scheme].scheme
+    flows = [] if taped and SCHEMES[tag].flows else None
     packs = [pack(p) for p in nets]  # the weights hold for the pass and its backward
     net = _bind_nets(packs, model, config.partition, flows)
-    states, knots = simulate(model, _ASSET_TAG[config.scheme], config.partition, draws, net=net)
+    states, knots = simulate(model, tag, config.partition, draws, net=net)
     if not taped:
         return states, [knots]
-    if em:
+    if flows is None:
         backward = _em_backward(nets, packs, config, model, draws, states, knots)
     else:
         backward = _flow_backward(nets, packs, flows, float(model.payoff.strike))
@@ -496,9 +494,10 @@ def evaluate_loss(config, mlps, model, batch=5000, seed=0, bridge=True):
     evaluation, so no seed makes them repeat a training iteration's.
     """
     _check_bridge_batch(bridge, batch)
+    check_seed(seed)
     n = config.partition.steps
     shift_key, bridge_key = np.random.SeedSequence(seed, spawn_key=(_EVAL_TAG,)).spawn(2)
-    draws = draws_for(_ASSET_TAG[config.scheme], model.d, n, batch, seed=shift_key)
+    draws = draws_for(NET_CONFIGS[config.scheme].scheme, model.d, n, batch, seed=shift_key)
     uniforms = np.random.Generator(np.random.Philox(bridge_key)).random((batch, n)) if bridge else None
     return loss_value(config, mlps, model, draws, bridge=bridge, uniforms=uniforms)
 
@@ -538,6 +537,7 @@ def train(
     if len(mlps) != config.d_M or config.d_M != model.d:
         raise ShapeError("need one network per driving Brownian dimension")
     _check_bridge_batch(bridge, config.batch)
+    check_seed(seed)
     current = list(mlps)
     counts = [len(param_arrays(p)) for p in current]
     all_arrays = [a for p in current for a in param_arrays(p)]
@@ -547,7 +547,7 @@ def train(
     losses, wall, resid = [], [], []
     for it in range(iterations):
         t0 = time.perf_counter()
-        draws = draws_for(_ASSET_TAG[config.scheme], model.d, n, B, seed=seed + it)
+        draws = draws_for(NET_CONFIGS[config.scheme].scheme, model.d, n, B, seed=seed + it)
         uniforms = _bridge_uniforms(seed, it, B, n) if bridge else None
 
         def loss_fn(tensors):

@@ -48,10 +48,10 @@ from .errors import (
     DomainError,
     InvalidParameterError,
     MartnetError,
-    UnknownSchemeError,
     UnsupportedDimensionError,
 )
 from .parallel import run_shared
+from .schemes import get_scheme
 
 _MAXDIM = 21201
 _BITS = 30
@@ -70,13 +70,12 @@ _directions = np.empty((0, _BITS), dtype=np.uint32)
 
 @dataclass(frozen=True)
 class DrawBlock:
-    """Draws shaped [batch, steps, d] plus scheme extras.
+    """Draws shaped [batch, steps, d] plus the extras the scheme's record declares.
 
-    eta (and xi) hold standard normals, or for the cubature scheme the
-    discrete third-order cubature values {-sqrt(3), 0, +sqrt(3)} with masses
+    eta (and xi) hold standard normals, or under ``cubature`` the discrete
+    third-order cubature values {-sqrt(3), 0, +sqrt(3)} with masses
     (1/6, 2/3, 1/6), which match standard normal moments through order 5.
-    xi is present for the two-family scheme only; lam holds the +-1 signs
-    for the flow-reversal scheme. Entries of lam are exactly -1.0 or +1.0.
+    lam, under ``sign``, holds signs that are exactly -1.0 or +1.0.
     """
 
     eta: np.ndarray
@@ -219,38 +218,24 @@ def _cubature_map(u, out):
     return out
 
 
-# Per step, a scheme takes `normals` coordinates per Brownian dimension (eta,
-# then xi when there are two), then one sign coordinate when `sign`;
-# `cubature` maps the normal coordinates to cubature values instead of
-# through the normal quantile.
-_LAYOUT = {  # scheme: (normals, sign, cubature)
-    "em": (1, False, False),
-    "cub3": (1, False, True),
-    "nv": (1, True, False),
-    "nn": (2, False, False),
-}
-
-
-def _layout(scheme):
-    if scheme not in _LAYOUT:
-        raise UnknownSchemeError(f"unknown scheme tag: {scheme!r}")
-    return _LAYOUT[scheme]
+def check_seed(seed):
+    """Refuse a negative int seed, which numpy's seeding rejects with a bare ValueError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
 
 
 def dims_for(scheme, d, steps):
     """QMC coordinates consumed per path by each scheme."""
-    normals, sign, _ = _layout(scheme)
-    return (normals * d + sign) * steps
+    s = get_scheme(scheme)
+    return (s.normals * d + s.sign) * steps
 
 
 def draws_for(scheme, d, steps, batch, seed=None):
     """Generate the per-path randomness a scheme consumes.
 
-    Coordinates are allocated per step: the flow-reversal scheme takes d
-    normals plus one sign coordinate (thresholded at 1/2), the two-family
-    scheme takes 2d normals, the others d. The cubature scheme maps its
-    coordinates to {-sqrt(3), 0, +sqrt(3)} with probabilities
-    (1/6, 2/3, 1/6) instead of through the normal quantile.
+    Coordinates are allocated per step as the scheme's record
+    (``schemes.SCHEMES``) lays them out; a sign coordinate is thresholded
+    at 1/2 (see ``DrawBlock``).
 
     The outputs are allocated once and filled in blocks of 2^13 points,
     shared between the caller and a thread pool (``parallel.run_shared``).
@@ -264,17 +249,18 @@ def draws_for(scheme, d, steps, batch, seed=None):
     if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
         # a stateful seed would give each block, in thread order, its own shift
         raise InvalidParameterError("draws_for needs an int or SeedSequence seed, not a generator")
-    normals, sign, cubature = _layout(scheme)
+    check_seed(seed)
+    s = get_scheme(scheme)
+    eta = np.empty((batch, steps, d))
+    xi = np.empty((batch, steps, d)) if s.normals == 2 else None
+    lam = np.empty((batch, steps)) if s.sign else None
     if steps == 0:
-        return DrawBlock(eta=np.empty((batch, 0, d)))
+        return DrawBlock(eta=eta, xi=xi, lam=lam)
 
     dim = dims_for(scheme, d, steps)
-    eta = np.empty((batch, steps, d))
-    xi = np.empty((batch, steps, d)) if normals == 2 else None
-    lam = np.empty((batch, steps)) if sign else None
     # module globals read per call (as is sobol_points in fill), so a rebinding
     # such as the benchmark's layer tracer sees every block
-    transform = _cubature_map if cubature else inv_normal_cdf
+    transform = _cubature_map if s.cubature else inv_normal_cdf
 
     def fill(lo):
         hi = min(lo + _BLOCK, batch)
@@ -283,7 +269,7 @@ def draws_for(scheme, d, steps, batch, seed=None):
         if xi is not None:
             transform(u[:, :, d : 2 * d], out=xi[lo:hi])
         if lam is not None:
-            lam[lo:hi] = np.where(u[:, :, normals * d] < 0.5, -1.0, 1.0)
+            lam[lo:hi] = np.where(u[:, :, s.normals * d] < 0.5, -1.0, 1.0)
 
     run_shared(fill, range(0, batch, _BLOCK))
     return DrawBlock(eta=eta, xi=xi, lam=lam)

@@ -16,6 +16,7 @@ time, duration, martingale field weights and row set before the flow runs.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,37 +194,82 @@ def nn_step(model, x, dt, eta_row, xi_row, t=0.0, m=None, net=None):
     return _joint_flow(f_first, t, state, 1.0, net, w_first)
 
 
+def _nn_weight(d):
+    return (np.sqrt(NN_R11) * d.eta[:, :, 0] + nn_zeta(d.eta, d.xi)[:, :, 0]).sum(axis=1)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """Every fact about one weak scheme that another module reads."""
+
+    step: object  # step(model, x, dt, eta_row, [lam_row | xi_row], t, [m, net]): one kernel step
+    normals: int = 1  # normal coordinates per step and Brownian dimension: eta, then xi
+    sign: bool = False  # one sign coordinate per step after the normals: lam
+    cubature: bool = False  # the normal coordinates map to cubature values, not normal quantiles
+    martingale: bool = True  # the kernel carries a martingale state
+    flows: bool = True  # the kernel is made of RK5 flows
+    weight: object = lambda d: d.eta[:, :, 0].sum(axis=1)  # each path's Brownian weight (paired protocol)
+    protocol: str = "paired"  # the convergence study's default protocol
+    ladder: tuple = (1, 2, 4, 8)  # and its default step counts
+
+
+SCHEMES = {
+    "em": Scheme(em_step, flows=False, protocol="direct", ladder=(8, 16, 32, 64)),
+    "cub3": Scheme(cub3_step, cubature=True, martingale=False),
+    "nv": Scheme(nv_step, sign=True),
+    "nn": Scheme(nn_step, normals=2, weight=_nn_weight),
+}
+
+
+class NetFamily(NamedTuple):
+    config: str  # the family's MartingaleNetConfig scheme name
+    scheme: str  # the asset scheme its martingale rides
+    steps: int  # the default step count
+
+
+# Network families by their CLI and config-file name (``--net``, ``net =``),
+# then by their MartingaleNetConfig scheme name.
+NETS = {
+    "resnet": NetFamily("resnet-em", "em", 1024),
+    "nvnet": NetFamily("nvnet", "nv", 4),
+    "nnet": NetFamily("nnet", "nn", 4),
+}
+NET_CONFIGS = {n.config: n for n in NETS.values()}
+
+
+def get_scheme(tag):
+    """The record of the scheme ``tag``; raises UnknownSchemeError for any other value."""
+    if tag not in SCHEMES:
+        raise UnknownSchemeError(f"unknown scheme tag: {tag!r}")
+    return SCHEMES[tag]
+
+
 def step_kernel(model, scheme, draws, net=None):
     """The scheme's one-step map step(x, m, k, t, dt) over step k of ``draws``.
 
-    The Euler, flow-reversal and two-family kernels take an optional
-    martingale state m, shaped (batch, 1), and the network callable
-    net(j, t, x, m) giving its diffusion fields V^M_j. Given m, a step
-    returns (x, m) advanced with the same draws, the martingale riding along
-    as one more state component; otherwise it returns x alone. No network
-    scheme composes the cubature kernel, so it takes no martingale.
+    A kernel whose record carries a martingale (all but the cubature one)
+    takes an optional martingale state m, shaped (batch, 1), and the network
+    callable net(j, t, x, m) giving its diffusion fields V^M_j. Given m, a
+    step returns (x, m) advanced with the same draws, the martingale riding
+    along as one more state component; otherwise it returns x alone.
     """
-    eta, xi, lam = draws.eta, draws.xi, draws.lam
-    kernels = {
-        "em": lambda x, m, k, t, dt: em_step(model, x, dt, eta[:, k], t=t, m=m, net=net),
-        "cub3": lambda x, m, k, t, dt: cub3_step(model, x, dt, eta[:, k], t=t),
-        "nv": lambda x, m, k, t, dt: nv_step(model, x, dt, eta[:, k], lam[:, k], t=t, m=m, net=net),
-        "nn": lambda x, m, k, t, dt: nn_step(model, x, dt, eta[:, k], xi[:, k], t=t, m=m, net=net),
-    }
-    if scheme not in kernels:
-        raise UnknownSchemeError(f"unknown scheme tag: {scheme!r}")
-    if scheme == "cub3" and net is not None:
-        raise InvalidParameterError("the cubature kernel carries no martingale")
-    return kernels[scheme]
+    s = get_scheme(scheme)
+    # eta, then the extras the record declares, in the step's argument order
+    rows = [draws.eta] + [draws.lam] * s.sign + [draws.xi] * (s.normals - 1)
+    if s.martingale:
+        return lambda x, m, k, t, dt: s.step(model, x, dt, *(r[:, k] for r in rows), t=t, m=m, net=net)
+    if net is not None:
+        raise InvalidParameterError(f"the {scheme} kernel carries no martingale")
+    return lambda x, m, k, t, dt: s.step(model, x, dt, *(r[:, k] for r in rows), t=t)
 
 
 def simulate(model, scheme, partition, draws, net=None):
     """Run the chosen kernel across the partition for every path.
 
     Returns the states, shaped (batch, steps + 1, N). Shapes are validated
-    before any computation: eta must be (batch, steps, model.d), the
-    flow-reversal scheme needs lam of shape (batch, steps), and the
-    two-family scheme needs xi congruent to eta.
+    before any computation: eta must be (batch, steps, model.d), a scheme
+    with a sign coordinate needs lam of shape (batch, steps), and one with
+    two normals per dimension needs xi congruent to eta.
 
     Given ``net``, a callable on ndarrays, the martingale M (M_0 = 0) rides
     the same kernel as one more state component, and the result is
@@ -235,17 +281,16 @@ def simulate(model, scheme, partition, draws, net=None):
     column is never a kernel's input.
     """
     step = step_kernel(model, scheme, draws, net)
+    s = SCHEMES[scheme]
     eta, xi, lam = draws.eta, draws.xi, draws.lam
     steps = partition.steps
     if eta.ndim != 3 or eta.shape[1] != steps or eta.shape[2] != model.d:
         raise ShapeError(f"eta shaped {eta.shape}, expected (batch, {steps}, {model.d})")
     nb = eta.shape[0]
-    if scheme == "nv":
-        if lam is None or lam.shape != (nb, steps):
-            raise ShapeError("flow-reversal scheme needs lam shaped (batch, steps)")
-    if scheme == "nn":
-        if xi is None or xi.shape != eta.shape:
-            raise ShapeError("two-family scheme needs xi congruent to eta")
+    if s.sign and (lam is None or lam.shape != (nb, steps)):
+        raise ShapeError(f"scheme {scheme!r} needs lam shaped (batch, steps)")
+    if s.normals == 2 and (xi is None or xi.shape != eta.shape):
+        raise ShapeError(f"scheme {scheme!r} needs xi congruent to eta")
 
     times = partition.times
     deltas = partition.deltas

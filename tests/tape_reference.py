@@ -11,10 +11,9 @@ bit.
 
 import numpy as np
 
-from martnet import dual
 from martnet.autodiff import Tensor, _data, _unbroadcast
 from martnet.mlp import mlp_forward_t
-from martnet.schemes import step_kernel
+from martnet.schemes import NET_CONFIGS, step_kernel
 
 
 def sub(a, b):
@@ -157,7 +156,7 @@ def simulate_coupled(config, nets, model, draws, taped):
     the (batch, 1) knots M_{t_0} (an ndarray), M_{t_1}, ..., M_{t_n}.
     """
     net = bind_nets(nets, taped, model, config.partition)
-    step = step_kernel(model, dual._ASSET_TAG[config.scheme], draws, net=net)
+    step = step_kernel(model, NET_CONFIGS[config.scheme].scheme, draws, net=net)
     part = config.partition
     x = np.full((draws.eta.shape[0], model.N), model.x0)
     states = np.empty((x.shape[0], part.steps + 1, model.N))

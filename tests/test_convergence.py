@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 import martnet as mn
 import martnet.convergence
 import martnet.parallel
-from martnet.convergence import _terminal_weights
 from martnet.errors import NumericError, UsageError
 from martnet.qmc import draws_for
-from martnet.schemes import simulate, uniform_partition
+from martnet.schemes import SCHEMES, simulate, uniform_partition
 
 from conftest import force_cores as _force_cores
 
@@ -33,7 +32,7 @@ def _reference_ladder(model, scheme, counts, points, seed, proto):
         if proto == "direct":
             err = abs(price - ref_direct)
         else:
-            w = _terminal_weights(scheme, draws)
+            w = SCHEMES[scheme].weight(draws)
             exact = s0 * np.exp(mu - 0.5 * sigma * sigma + sigma * np.sqrt(1.0 / steps) * w)
             err = abs(price - float(np.maximum(strike - exact, 0.0).mean()))
         errs.append(max(err, 1e-16))

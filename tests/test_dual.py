@@ -741,6 +741,27 @@ def test_bridge_needs_two_paths(bsm):
     assert np.isfinite(evaluate_loss(cfg, mlps, bsm, batch=1, seed=0, bridge=False))
 
 
+@pytest.mark.parametrize("entry", ["draws_for", "train", "evaluate_loss"])
+def test_negative_seed_is_refused_by_name(bsm, tmp_path, monkeypatch, entry):
+    # a MartnetError naming the seed, before numpy seeds anything or a file is written
+    cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=mn.uniform_partition(1.0, 2), batch=8)
+    mlps = [init_mlp(bsm.N + 2, 1, seed=0)]
+
+    def no_seeding(*args, **kwargs):
+        raise AssertionError("a seed was built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_seeding)
+    monkeypatch.setattr(np.random, "Philox", no_seeding)
+    calls = {
+        "draws_for": lambda: draws_for("nv", 1, 2, 8, seed=-1),
+        "train": lambda: train(cfg, mlps, 2, bsm, seed=-1, out_dir=tmp_path, checkpoint_every=1),
+        "evaluate_loss": lambda: evaluate_loss(cfg, mlps, bsm, batch=8, seed=-1),
+    }
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+        calls[entry]()
+    assert not any(tmp_path.iterdir())
+
+
 def test_train_smoke_and_residuals(bsm):
     p = mn.uniform_partition(1.0, 4)
     cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=128)

@@ -1,14 +1,19 @@
+import argparse
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import martnet as mn
+from martnet import cli
 from martnet import schemes as sch
+from martnet.config import resolve_config
 from martnet.dual import MartingaleNetConfig, _bridge_uniforms, loss_and_grads, loss_value
 from martnet.mlp import init_mlp, param_arrays, rebuild_params
-from martnet.qmc import draws_for
+from martnet.qmc import SQRT3, dims_for, draws_for
 from martnet.oracles import bs_european_put
 from martnet.errors import InvalidParameterError, ShapeError
 
@@ -287,3 +292,82 @@ def test_heston_nvnet_mixed_lam_gradient(heston):
 def test_network_scheme_gradient(request, name, scheme, tag, steps):
     # the taped gradient through each network scheme's kernel against central differences
     assert _worst_gradient_error(request.getfixturevalue(name), scheme, tag, steps) < 1e-3
+
+
+# -- the scheme table --------------------------------------------------------
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+@pytest.mark.parametrize("tag", sorted(sch.SCHEMES))
+def test_scheme_record_matches_draws_and_simulate(heston, tag, steps):
+    # the draws, their coordinate count and simulate's refusals follow the record alone
+    record = sch.SCHEMES[tag]
+    batch = 16
+    draws = draws_for(tag, heston.d, steps, batch, seed=2)
+    assert (draws.xi is not None) == (record.normals == 2)
+    assert (draws.lam is not None) == record.sign
+    values = np.unique(draws.eta)
+    if record.cubature:
+        assert set(values) <= {-SQRT3, 0.0, SQRT3}
+    else:
+        assert values.size > 3 or steps == 0
+    assert dims_for(tag, heston.d, steps) == (record.normals * heston.d + record.sign) * steps
+    p = mn.uniform_partition(1.0, steps)
+    assert sch.simulate(heston, tag, p, draws).shape == (batch, steps + 1, heston.N)
+    if record.martingale:
+        _, knots = sch.simulate(heston, tag, p, draws, net=_closed_form_net)
+        assert knots.shape == (batch, steps + 1)
+    else:
+        with pytest.raises(InvalidParameterError, match="martingale"):
+            sch.simulate(heston, tag, p, draws, net=_closed_form_net)
+
+
+def _parser_choices(command, dest):
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(next(a.choices for a in sub.choices[command]._actions if a.dest == dest))
+
+
+def test_cli_choices_and_defaults_read_the_tables(monkeypatch):
+    # the CLI's choices and the train and converge defaults come from the tables
+    assert _parser_choices("converge", "scheme") == tuple(sch.SCHEMES)
+    assert _parser_choices("train", "net") == tuple(sch.NETS)
+    for name, family in sch.NETS.items():
+        assert resolve_config({"net": name})["steps"] == family.steps
+        assert sch.NET_CONFIGS[family.config] is family
+    ladders = []
+
+    def record_ladder(model, scheme, counts, *args, **kwargs):
+        ladders.append(tuple(counts))
+        return []
+
+    monkeypatch.setattr(cli, "run_convergence", record_ladder)
+    for tag, record in sch.SCHEMES.items():
+        assert cli.main(["converge", "--scheme", tag]) == 0
+        assert ladders[-1] == record.ladder
+
+
+@pytest.mark.parametrize("tag", sorted(sch.SCHEMES))
+def test_auto_protocol_is_the_record_default(bsm, tag):
+    # the convergence study's "auto" protocol is the record's
+    record = sch.SCHEMES[tag]
+    counts = list(record.ladder[:2])
+    auto = mn.run_convergence(bsm, tag, counts, 256, seed=3)
+    assert auto == mn.run_convergence(bsm, tag, counts, 256, seed=3, protocol=record.protocol)
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src" / "martnet"
+_TAG_TEST = re.compile(r'(==|!=) *"(em|nv|nn|cub3)"')
+_NAME_LITERAL = re.compile(r'"(em|cub3|nv|nn|resnet|resnet-em|nvnet|nnet)"')
+
+
+def test_scheme_names_live_in_the_table():
+    # no module tests a scheme tag, and only schemes.py names a scheme or net;
+    # config.RUN_DEFAULTS' default net is the one literal allowed elsewhere
+    found = []
+    for path in sorted(_SRC.glob("*.py")):
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            named = path.name != "schemes.py" and _NAME_LITERAL.search(line)
+            default_net = line.startswith('RUN_DEFAULTS = {"net": "nvnet",') and _NAME_LITERAL.findall(line) == ["nvnet"]
+            if _TAG_TEST.search(line) or (named and not (path.name == "config.py" and default_net)):
+                found.append(f"{path.name}:{n}: {line.strip()}")
+    assert not found, "\n".join(found)
