@@ -3,11 +3,13 @@
 The package layers a fixed-step order-5 Runge-Kutta flow integrator, four
 weak-approximation step kernels (Euler, cubature, and two second-order flow
 compositions), digitally shifted Sobol quasi-Monte Carlo driving noise, a
-small reverse-mode MLP stack, and a dual (upper-bound) option pricer that
-learns martingale increments by stochastic gradient descent.
+small MLP stack with its hand-written reverse pass, and a dual
+(upper-bound) option pricer that learns martingale increments by
+stochastic gradient descent. Its gradient is an explicit chain of
+vector-Jacobian products; ``autodiff`` is the tests' reference tape and is
+not exported here.
 """
 
-from .autodiff import Tensor
 from .convergence import ConvergenceRow, run_convergence
 from .dual import (
     BridgeParams,
@@ -78,7 +80,6 @@ __all__ = [
     "Partition",
     "Payoff",
     "ShapeError",
-    "Tensor",
     "TrainResult",
     "UnknownSchemeError",
     "UnsupportedDimensionError",

@@ -1,17 +1,18 @@
-"""Reverse-mode automatic differentiation on numpy arrays.
+"""Reverse-mode automatic differentiation on numpy arrays: the tests' reference tape.
 
 A ``Tensor`` wraps an ndarray and records the operations applied to it.
 Calling :meth:`Tensor.backward` on a scalar result walks the recorded graph
 in reverse topological order and accumulates gradients into every tensor
 created with ``requires_grad=True``.
 
-The whole martingale pass (under every network scheme), the centering and
-the dual loss build their own nodes with ``Tensor._node``. The arithmetic
-operators, row indexing and the merge of two row subsets remain so that the
-step kernels run on Tensors too: the tests' op-by-op reference tapes a pass
-through them. Operands that are plain ndarrays or python scalars are
-treated as constants and receive no gradient. A node's backward may hand a
-gradient array it gives up to ``_accumulate`` without a copy.
+No production gradient runs on it: ``dual`` differentiates its loss as an
+explicit chain of vector-Jacobian products. The arithmetic operators, row
+indexing and the merge of two row subsets remain so that the step kernels
+run on Tensors too, and ``mlp.mlp_forward_t`` makes one network evaluation
+one node: the tests' op-by-op reference (``tests/tape_reference.py``)
+tapes a whole pass, centering and loss through them and checks the chain
+against it bit for bit. Operands that are plain ndarrays or python scalars
+are treated as constants and receive no gradient.
 """
 
 import numpy as np
@@ -63,18 +64,10 @@ class Tensor:
         out._backward = backward
         return out
 
-    def _accumulate(self, g, own=False):
-        """Add ``g`` to this tensor's gradient.
-
-        The first gradient is copied unless ``own`` says the caller gives the
-        array up: a later ``+=`` then writes into it. An array the caller
-        also hands to another tensor, or still reads, is never given up.
-        """
+    def _accumulate(self, g):
+        """Add ``g`` to this tensor's gradient; the first one is copied, as its caller may share it."""
         if self.grad is None:
-            if own:
-                self.grad = g
-            else:
-                self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
         else:
             self.grad += g
 

@@ -1,5 +1,6 @@
 """Dual martingale learning: coupled (X, M) simulation, centering, the
-Brownian-bridge supremum correction, the dual loss, and the training loop.
+Brownian-bridge supremum correction, the dual loss and its gradient, and
+the training loop.
 
 The martingale candidate M is driven by mlp-backed fields V^M_j(t, X_t, M_t)
 as one more state component of the asset's step kernel: one kernel table
@@ -13,18 +14,20 @@ supremum of a pinned bridge with volatility estimated from pilot paths.
 The payoff is discounted at the model's rate mu, Z_k = exp(-mu t_k)(K - S_k)^+.
 
 Networks read the encoded input (t/T, x/x0, m * (1/K)), followed by a column
-of ones for their packed layers, and their output is scaled by K, plain and
-taped alike. A pass packs each network once (``mlp.pack``). On the tape, a
-whole martingale pass is one node over the parameter leaves under every
-network scheme: it runs the plain kernel once. Under ``resnet-em`` it keeps
-the states, the knots and the draws, and its backward recomputes each step's
+of ones for their packed layers, and their output is scaled by K. A pass
+packs each network once (``mlp.pack``) and runs the plain kernel once.
+
+The gradient is an explicit chain of three vector-Jacobian products, the
+last operation's first: the loss's, which keeps only each path's argmax
+and, with the bridge, a - b and the root there; the centering's,
+g + sum(-g, axis 0) / batch; and the pass's. Under ``resnet-em`` the pass's
+keeps the states, the knots and the draws and recomputes each step's
 networks from them, last step first. Under ``nvnet``/``nnet`` it keeps each
 RK5 flow's record (its duration, martingale field weights, row set and
-encoded inputs), and its backward replays the flows through the discrete RK5
-adjoint. The centering is one node that keeps only the martingale's columns,
-and the loss is one node that keeps only each path's argmax and, with the
-bridge, a - b and the root there. All give the bits of the same computation
-taped op by op.
+encoded inputs) and replays the flows through the discrete RK5 adjoint.
+``mlp.mlp_vjp`` adds each network's parameter gradients into plain arrays.
+The chain gives the bits of the same loss taped op by op, the tests'
+reference.
 """
 
 import os
@@ -34,10 +37,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import InvalidParameterError, NumericError, ShapeError
 from .fields import payoff_eval
-from .mlp import grad, mlp_forward, mlp_vjp, pack, param_arrays, rebuild_params, save_checkpoint
+from .mlp import mlp_forward, mlp_vjp, pack, param_arrays, rebuild_params, save_checkpoint
 from .mlp import AdamState, adam_update, init_adam  # noqa: F401  (re-exported for callers)
 from .qmc import check_seed, draws_for
 from .rk5 import STAGES, rk5_vjp
@@ -151,36 +153,19 @@ def estimate_sigma(pilot, deltas):
 
 
 def center(mprime):
-    """Subtract the per-time batch mean; accepts ndarray or Tensor."""
-    return center_cols([mprime])
-
-
-def center_cols(cols):
-    """The 2-D blocks ``cols`` side by side, minus their per-time batch mean.
-
-    Blocks may be ndarrays or Tensors. With a Tensor among them the result
-    is one tape node that keeps only the blocks: its backward hands each
-    Tensor block its slice of g + sum(-g, axis 0) / batch, the float
-    operations of concatenating, averaging and subtracting taped op by op.
-    """
-    datas = [c.data if isinstance(c, Tensor) else np.asarray(c, dtype=np.float64) for c in cols]
-    out = np.concatenate(datas, axis=1)
+    """M' minus its per-time batch mean, as a fresh row-major array."""
+    out = np.array(mprime, dtype=np.float64, order="C")
     out -= out.mean(axis=0, keepdims=True)
-    if not any(isinstance(c, Tensor) for c in cols):
-        return out
-    n = out.shape[0]
-    bounds = np.cumsum([0] + [d.shape[1] for d in datas])
-
-    def backward(g):
-        g = g + (-g).sum(axis=0, keepdims=True) / n
-        for c, lo, hi in zip(cols, bounds[:-1], bounds[1:]):
-            if isinstance(c, Tensor):
-                c._accumulate(g[:, lo:hi], own=hi - lo == bounds[-1])
-
-    return Tensor._node(out, cols, backward)
+    return out
 
 
-def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None, donate=False):
+def _center_vjp(g):
+    """The centering's vector-Jacobian product g + sum(-g, axis 0) / batch, in g's buffer."""
+    g += (-g).sum(axis=0, keepdims=True) / g.shape[0]
+    return g
+
+
+def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
     """Sample dual loss: mean over paths of the supremum of Z - M.
 
     With bridge=False the supremum is the maximum over all grid points.
@@ -191,54 +176,46 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None, dona
     up to rounding: at u = 0 it is (a + b + |a - b|) / 2 in floating point,
     which can fall below max(a, b) by about an ulp of |a| + |b| (ROADMAP
     item 9).
-
-    A Tensor M gives one tape node. It keeps each path's argmax and, with
-    the bridge, a - b and the root there (a - b formed again from
-    D = Z - M); its backward writes the gradient at the argmax's one or two
-    grid columns with the float operations of the same loss taped op by
-    op. Where the root is 0 (a = b at u = 0) it takes the symmetric
-    subgradient, half to each endpoint.
-
-    With donate=True the caller gives up Z, a float ndarray, and a Tensor
-    M's values: D is formed in Z's buffer and M's data is dropped, so
-    neither is held while the bridge's buffers are filled.
     """
-    taped = isinstance(M, Tensor)
-    md = M.data if taped else np.asarray(M, dtype=np.float64)
-    if md.shape != np.shape(Z) or md.ndim != 2:
+    M = np.asarray(M, dtype=np.float64)
+    if M.shape != np.shape(Z) or M.ndim != 2:
         raise ShapeError("Z and M must be congruent (batch, steps + 1) arrays")
+    return _rogers_and_vjp(Z - M, bridge, sigma, uniforms, deltas)[0]
+
+
+def _rogers_and_vjp(D, bridge, sigma, uniforms, deltas):
+    """(loss, vjp) of ``rogers_loss`` on D = Z - M, a float array the caller gives up.
+
+    vjp() returns d loss / d M, a fresh array that is zero outside each
+    path's argmax's one or two grid columns, formed with the float
+    operations of the same loss taped op by op. It keeps only each path's
+    argmax and, with the bridge, a - b and the root there, so D and the
+    bridge's buffers are freed with the loss. Where the root is 0 (a = b at
+    u = 0) it takes the symmetric subgradient, half to each endpoint.
+    """
     if bridge:
         if sigma is None or uniforms is None or deltas is None:
             raise InvalidParameterError("bridge=True needs sigma, uniforms and deltas")
-        batch, steps = md.shape[0], md.shape[1] - 1
+        batch, steps = D.shape[0], D.shape[1] - 1
         sigma, uniforms = _bridge_inputs(sigma, uniforms)
         deltas = np.asarray(deltas, dtype=np.float64)
         if sigma.shape != (steps,) or deltas.shape != (steps,):
             raise ShapeError(f"bridge sigma and deltas must be shaped ({steps},)")
         if uniforms.shape != (batch, steps):
             raise ShapeError(f"bridge uniforms must be shaped ({batch}, {steps})")
-    D = np.subtract(Z, md, out=Z if donate else None)
-    del md
-    if donate and taped:
-        M.data = None  # the tape keeps M for its gradient only
-    if bridge:
         G, root = _bridge_g(D[:, :-1], D[:, 1:], sigma * sigma * deltas, uniforms)
     else:
         G = D
     rows = np.arange(G.shape[0])
     idx = np.argmax(G, axis=1)
-    loss = G[rows, idx].mean()
-    if not taped:
-        return float(loss)
+    loss = float(G[rows, idx].mean())
     shape = D.shape
     if bridge:
         diff, root = D[rows, idx] - D[rows, idx + 1], root[rows, idx]
 
-    def backward(g):
-        # d loss / d D at each path's argmax, as the op-by-op tape forms it;
-        # M receives its negative
-        gd = np.zeros(shape)
-        gs = g / shape[0]
+    def vjp():
+        gd = np.zeros(shape)  # d loss / d D; M receives its negative
+        gs = 1.0 / shape[0]
         if bridge:
             gs = gs * 0.5
             gdiff = np.divide(gs, 2.0 * root, out=np.zeros(shape[0]), where=root > 0.0)
@@ -247,9 +224,9 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None, dona
             gd[rows, idx + 1] = gs - gdiff
         else:
             gd[rows, idx] = gs
-        M._accumulate(np.negative(gd, out=gd), own=True)
+        return np.negative(gd, out=gd)
 
-    return Tensor._node(loss, (M,), backward)
+    return loss, vjp
 
 
 # -- coupled (X, M) simulation ----------------------------------------------
@@ -309,27 +286,28 @@ def _bind_nets(packs, model, partition, flows=None):
     return net_fn
 
 
-def _em_backward(nets, packs, config, model, draws, states, knots):
-    """Backward of the taped ``resnet-em`` pass, from the states, the knots and the draws.
+def _em_backward(packs, config, model, draws, states, knots):
+    """Backward of the ``resnet-em`` pass, from the states, the knots and the draws.
 
     The pass is M_{k+1} = M_k + sum_i sqrt(dt_k) eta_{k,i} net_i(t_k, X_k, M_k).
-    The backward walks k = n-1 .. 0, recomputes each network at
-    (t_k, X_k, M_k), feeds it the cotangent gbar_{k+1} sqrt(dt_k) eta_{k,i}
-    and forms gbar_k = ((G_k + gbar_{k+1}) + dm_0) + dm_1 ..., the float
-    operations of the same pass taped one node per evaluation. ``packs``
-    are the forward's packed networks, the values of the leaves ``nets``.
+    backward(g, grads) takes the knots' cotangent g, walks k = n-1 .. 0,
+    recomputes each network at (t_k, X_k, M_k), feeds it the cotangent
+    gbar_{k+1} sqrt(dt_k) eta_{k,i} and forms
+    gbar_k = ((G_k + gbar_{k+1}) + dm_0) + dm_1 ..., the float operations of
+    the same pass taped one node per evaluation. ``packs`` are the forward's
+    packed networks; network i's parameter gradients go into ``grads[i]``.
     """
     encode, sm = _encoder(model, config.partition)
     times, deltas, eta = config.partition.times, config.partition.deltas, draws.eta
 
-    def backward(g):
+    def backward(g, grads):
         gbar = g[:, -1:]
         for k in reversed(range(deltas.size)):
-            gm = g[:, k : k + 1] + gbar if k > 0 else None  # M_0 = 0 is no Tensor
+            gm = g[:, k : k + 1] + gbar if k > 0 else None  # M_0 = 0 is a constant
             sdt = np.sqrt(float(deltas[k]))
             xd = encode(float(times[k]), states[:, k, :], knots[:, k : k + 1])
-            for i, (net, packed) in enumerate(zip(nets, packs)):
-                gh = mlp_vjp(net, packed, xd, gbar * (sdt * eta[:, k, i : i + 1]) * sm, k > 0)
+            for i, packed in enumerate(packs):
+                gh = mlp_vjp(packed, xd, gbar * (sdt * eta[:, k, i : i + 1]) * sm, grads[i], k > 0)
                 if k > 0:
                     gm += gh[:, -1:] * (1.0 / sm)
             gbar = gm
@@ -337,17 +315,18 @@ def _em_backward(nets, packs, config, model, draws, states, knots):
     return backward
 
 
-def _flow_backward(nets, packs, flows, sm):
-    """Backward of the taped ``nvnet``/``nnet`` pass, from its flow records.
+def _flow_backward(packs, flows, sm):
+    """Backward of the ``nvnet``/``nnet`` pass, from its flow records.
 
-    It replays the flows last step first (a step's flows share t_k); within
-    a step it takes the row sets in the forward's order and each one's flows
-    last first, the order of the tape that records one node per evaluation.
-    Per flow, ``rk5_vjp`` hands each stage its cotangent kbar, and one
-    ``mlp_vjp`` per evaluation is fed kbar * w * K and gives the stage input
-    its input gradient's m column / K. A row set's cotangent is gathered from
-    its step's output and scattered into its input the way ``merge_rows`` and
-    the tape's row gather do.
+    backward(g, grads) replays the flows last step first (a step's flows
+    share t_k); within a step it takes the row sets in the forward's order
+    and each one's flows last first, the order of the tape that records one
+    node per evaluation. Per flow, ``rk5_vjp`` hands each stage its
+    cotangent kbar, and one ``mlp_vjp`` per evaluation is fed kbar * w * K,
+    adds network j's parameter gradients into ``grads[j]`` and gives the
+    stage input its input gradient's m column / K. A row set's cotangent is
+    gathered from its step's output and scattered into its input the way
+    ``merge_rows`` and the tape's row gather do.
     """
     steps = []  # per step, its row sets in order: [(rows, [flow, ...]), ...]
     for i, f in enumerate(flows):
@@ -357,29 +336,29 @@ def _flow_backward(nets, packs, flows, sm):
             steps[-1].append((f.rows, []))
         steps[-1][-1][1].append(f)
 
-    def stage_vjp(f):
-        per = len(f.evals) // STAGES
+    def backward(g, grads):
+        def stage_vjp(f):
+            per = len(f.evals) // STAGES
 
-        def run(s, kbar, need):
-            parts = []
-            for j, xd in f.evals[s * per : (s + 1) * per]:
-                gk = kbar if f.weights is None else kbar * f.weights[:, j : j + 1]
-                gh = mlp_vjp(nets[j], packs[j], xd, gk * sm, need)
-                if need:
-                    parts.append(gh[:, -1:] * (1.0 / sm))
-            return parts
+            def run(s, kbar, need):
+                parts = []
+                for j, xd in f.evals[s * per : (s + 1) * per]:
+                    gk = kbar if f.weights is None else kbar * f.weights[:, j : j + 1]
+                    gh = mlp_vjp(packs[j], xd, gk * sm, grads[j], need)
+                    if need:
+                        parts.append(gh[:, -1:] * (1.0 / sm))
+                return parts
 
-        return run
+            return run
 
-    def replay(seg, gout, acc, need):
-        for i in reversed(range(len(seg))):
-            gout = rk5_vjp(seg[i].h, gout, stage_vjp(seg[i]), acc if i == 0 else None, need or i > 0)
-        return gout
+        def replay(seg, gout, acc, need):
+            for i in reversed(range(len(seg))):
+                gout = rk5_vjp(seg[i].h, gout, stage_vjp(seg[i]), acc if i == 0 else None, need or i > 0)
+            return gout
 
-    def backward(g):
         gbar = g[:, -1:]
         for k in reversed(range(len(steps))):
-            gk = g[:, k : k + 1] if k > 0 else None  # M_0 = 0 is no Tensor
+            gk = g[:, k : k + 1] if k > 0 else None  # M_0 = 0 is a constant
             if steps[k][0][0] is None:
                 gbar = replay(steps[k][0][1], gbar, gk, k > 0)
                 continue
@@ -394,40 +373,37 @@ def _flow_backward(nets, packs, flows, sm):
     return backward
 
 
-def _simulate_coupled(config, nets, model, draws, taped):
-    """Asset paths and provisional martingale knots M'_{t_k} in one pass.
+def _simulate_coupled(config, nets, model, draws, need_grad):
+    """Asset paths, provisional martingale knots M'_{t_k} and the pass's backward, in one pass.
 
     The martingale rides the configured scheme's kernel as one more state
     component, so both see the same draws and the same within-step asset
-    trajectory; returns (states, [knots]) with the (batch, steps + 1) knots
-    an ndarray. Taped, the kernel still runs once on arrays and the knots
-    are one node over the parameter leaves: under ``resnet-em`` it keeps the
-    states, the knots and the draws (``_em_backward``), under ``nvnet`` and
-    ``nnet`` one record per joint RK5 flow and no state (``_flow_backward``).
+    trajectory; returns (states, knots, backward) with the knots a
+    (batch, steps + 1) array. The kernel runs once on arrays; with
+    ``need_grad`` backward is the pass's vector-Jacobian product, which
+    under ``resnet-em`` keeps the states, the knots and the draws
+    (``_em_backward``) and under ``nvnet``/``nnet`` one record per joint RK5
+    flow and no state (``_flow_backward``); otherwise it is None.
     """
     tag = NET_CONFIGS[config.scheme].scheme
-    flows = [] if taped and SCHEMES[tag].flows else None
+    flows = [] if need_grad and SCHEMES[tag].flows else None
     packs = [pack(p) for p in nets]  # the weights hold for the pass and its backward
     net = _bind_nets(packs, model, config.partition, flows)
     states, knots = simulate(model, tag, config.partition, draws, net=net)
-    if not taped:
-        return states, [knots]
-    if flows is None:
-        backward = _em_backward(nets, packs, config, model, draws, states, knots)
+    if not need_grad:
+        backward = None
+    elif flows is None:
+        backward = _em_backward(packs, config, model, draws, states, knots)
     else:
-        backward = _flow_backward(nets, packs, flows, float(model.payoff.strike))
-    return states, [Tensor._node(knots, [a for p in nets for a in param_arrays(p)], backward)]
+        backward = _flow_backward(packs, flows, float(model.payoff.strike))
+    return states, knots, backward
 
 
-def _validate_setup(config, mlps, model, draws):
+def _validate_setup(config, mlps, model):
     if config.d_M != model.d:
         raise ShapeError("d_M must match the asset model's driving dimension (shared Brownians)")
     if len(mlps) != config.d_M:
         raise ShapeError(f"expected {config.d_M} networks, got {len(mlps)}")
-    eta = draws.eta
-    n = config.partition.steps
-    if eta.shape[1] != n or eta.shape[2] != model.d:
-        raise ShapeError("draws do not match the partition and model dimension")
 
 
 # -- loss assembly and training ----------------------------------------------
@@ -445,46 +421,58 @@ def _check_bridge_batch(bridge, batch):
         )
 
 
-def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, taped):
-    """(loss, centering residual, sigma_hat) of one batch: a float loss, or taped a scalar Tensor.
+def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, need_grad):
+    """(loss, centering residual, backward) of one batch.
 
     The residual is the largest per-time |batch mean| of the centered M. Z and
-    M's values are read for it and for the pilot sigma, then given up to the
-    loss, which forms D = Z - M in Z's buffer.
+    M's values are read for it and for the pilot sigma, then D = Z - M is
+    formed in Z's buffer and M is given up before the loss fills its
+    buffers. With ``need_grad``, backward() returns the gradient lists
+    congruent to each network's ``param_arrays``: the loss's, the
+    centering's and the pass's vector-Jacobian products in turn. It holds
+    what the pass's backward reads until it is dropped. Otherwise backward
+    is None.
     """
-    states, cols = _simulate_coupled(config, nets, model, draws, taped)
+    states, knots, pass_vjp = _simulate_coupled(config, nets, model, draws, need_grad)
     Z = payoff_eval(model.payoff, states)
     Z *= np.exp(-model.params.get("mu", 0.0) * config.partition.times)  # exactly 1.0 at mu = 0
-    M = center_cols(cols)
-    del states, cols  # past this point only the tape holds what its backward reads
-    mdata = M.data if taped else M
-    resid = float(np.abs(mdata.mean(axis=0)).max())
+    M = center(knots)
+    del states, knots  # past this point only pass_vjp holds what its backward reads
+    resid = float(np.abs(M.mean(axis=0)).max())
     if bridge and sigma_hat is None:
-        sigma_hat = estimate_sigma(Z[:PILOT_PATHS] - mdata[:PILOT_PATHS], config.partition.deltas)
-    del mdata
-    if bridge:
-        loss = rogers_loss(
-            Z, M, bridge=True, sigma=sigma_hat, uniforms=uniforms, deltas=config.partition.deltas, donate=True
-        )
-    else:
-        loss = rogers_loss(Z, M, bridge=False, donate=True)
-    return loss, resid, sigma_hat
+        sigma_hat = estimate_sigma(Z[:PILOT_PATHS] - M[:PILOT_PATHS], config.partition.deltas)
+    Z -= M  # Z's buffer holds D
+    del M
+    loss, loss_vjp = _rogers_and_vjp(Z, bridge, sigma_hat, uniforms, config.partition.deltas)
+    del Z
+    if not need_grad:
+        return loss, resid, None
+
+    def backward():
+        g = _center_vjp(loss_vjp())
+        grads = [[None] * len(param_arrays(p)) for p in nets]
+        pass_vjp(g, grads)
+        return [
+            [np.zeros_like(a) if ga is None else ga for ga, a in zip(per_net, param_arrays(p))]
+            for per_net, p in zip(grads, nets)
+        ]
+
+    return loss, resid, backward
 
 
 def loss_value(config, mlps, model, draws, bridge=True, uniforms=None, sigma_hat=None):
     """Plain numpy evaluation of one iteration's loss; returns a float."""
-    _validate_setup(config, mlps, model, draws)
-    loss, _, _ = _loss_core(config, mlps, model, draws, bridge, uniforms, sigma_hat, False)
-    return loss
+    _validate_setup(config, mlps, model)
+    return _loss_core(config, mlps, model, draws, bridge, uniforms, sigma_hat, False)[0]
 
 
 def loss_and_grads(config, mlps, model, draws, bridge=True, uniforms=None, sigma_hat=None):
-    """Taped evaluation; returns (loss, gradient lists congruent to params)."""
-    _validate_setup(config, mlps, model, draws)
-    return grad(
-        lambda tensors: _loss_core(config, tensors, model, draws, bridge, uniforms, sigma_hat, True)[0],
-        mlps,
-    )
+    """One iteration's loss and its gradient lists, congruent to each network's ``param_arrays``."""
+    _validate_setup(config, mlps, model)
+    loss, _, backward = _loss_core(config, mlps, model, draws, bridge, uniforms, sigma_hat, True)
+    if not np.isfinite(loss):
+        raise NumericError(f"loss non-finite ({loss}): no gradient")
+    return loss, backward()
 
 
 def evaluate_loss(config, mlps, model, batch=5000, seed=0, bridge=True):
@@ -534,8 +522,7 @@ def train(
     """
     if iterations < 1:
         raise InvalidParameterError("iterations must be >= 1")
-    if len(mlps) != config.d_M or config.d_M != model.d:
-        raise ShapeError("need one network per driving Brownian dimension")
+    _validate_setup(config, mlps, model)
     _check_bridge_batch(bridge, config.batch)
     check_seed(seed)
     current = list(mlps)
@@ -549,17 +536,14 @@ def train(
         t0 = time.perf_counter()
         draws = draws_for(NET_CONFIGS[config.scheme].scheme, model.d, n, B, seed=seed + it)
         uniforms = _bridge_uniforms(seed, it, B, n) if bridge else None
-
-        def loss_fn(tensors):
-            loss, residual, _ = _loss_core(config, tensors, model, draws, bridge, uniforms, None, True)
-            resid.append(residual)
-            if not np.isfinite(loss.data):
-                if out_dir:
-                    save_checkpoint(os.path.join(out_dir, f"diagnostic_iter{it:05d}.ckpt"), current)
-                raise NumericError(f"training loss non-finite at iteration {it}")
-            return loss
-
-        value, grads = grad(loss_fn, current)
+        value, residual, backward = _loss_core(config, current, model, draws, bridge, uniforms, None, True)
+        resid.append(residual)
+        if not np.isfinite(value):
+            if out_dir:
+                save_checkpoint(os.path.join(out_dir, f"diagnostic_iter{it:05d}.ckpt"), current)
+            raise NumericError(f"training loss non-finite at iteration {it}")
+        grads = backward()
+        del backward  # it holds this pass's states, knots and draws: drop them before the next forward
         state, all_arrays = adam_update(state, all_arrays, [g for per_net in grads for g in per_net])
         pos = 0
         for idx, cnt in enumerate(counts):

@@ -1,4 +1,4 @@
-"""Minimal multilayer perceptron, reverse-mode gradients, and Adam.
+"""Minimal multilayer perceptron, its reverse pass, and Adam.
 
 The network is three ReLU layers of 32 nodes (two hidden plus the stated
 output layer) followed by a bias-free linear projection to the requested
@@ -8,12 +8,12 @@ one GEMM and an in-place ReLU, with no bias pass. The bits are those of
 ``h @ w + b``: BLAS's dgemm sums each output in order along the inner
 dimension, so the bias row, placed last, is added last with one rounding
 (gemv, which numpy uses for a single row, does not, so one row keeps
-h @ w + b). Forward passes come in two flavours: a plain numpy path, and
-``mlp_forward_t``, one taped evaluation as one node. ``mlp_vjp``, the one
-reverse pass, recomputes the hidden layers from the input with the
-forward's packs; the taped evaluation's node and the node of a whole
-martingale pass (which packs each network once and runs the plain
-forward, under every network scheme) both call it.
+h @ w + b). ``mlp_forward`` is the forward pass and ``mlp_vjp`` the one
+reverse pass: it recomputes the hidden layers from the input with the
+forward's packs and adds the parameter gradients into plain arrays, the
+form ``dual``'s explicit gradient chain calls it in. ``mlp_forward_t``, one
+evaluation as one ``autodiff`` tape node over its own ``mlp_vjp``, serves
+the tests' op-by-op reference tape only.
 """
 
 import math
@@ -61,10 +61,6 @@ def init_mlp(in_dim, out_dim=1, seed=0):
     return MlpParams(layers=layers, proj=proj, seed=seed)
 
 
-def _values(a):
-    return a.data if isinstance(a, Tensor) else a
-
-
 @dataclass(frozen=True)
 class PackedMlp:
     """A network's layers as blocks [[w, 0], [b, 1]] and its projection (see ``pack``)."""
@@ -80,20 +76,19 @@ class PackedMlp:
 def pack(params):
     """Each layer (w, b) as one (K + 1) x (H + 1) block [[w, 0], [b, 1]].
 
-    ``params`` may hold arrays or leaf Tensors; the blocks copy their
-    values and the projection is shared. An input row that ends in 1 times a block gives h @ w + b and,
-    in its last column, the exact 1 that the next block needs.
+    The blocks copy the layers' values and the projection is shared. An
+    input row that ends in 1 times a block gives h @ w + b and, in its last
+    column, the exact 1 that the next block needs.
     """
     blocks = []
     for w, b in params.layers:
-        w, b = _values(w), _values(b)
         k, h = w.shape
         block = np.zeros((k + 1, h + 1))
         block[:k, :h] = w
         block[k, :h] = b
         block[k, h] = 1.0
         blocks.append(block)
-    return PackedMlp(blocks=blocks, proj=_values(params.proj))
+    return PackedMlp(blocks=blocks, proj=params.proj)
 
 
 def _hidden_layers(blocks, a, check=False):
@@ -141,34 +136,26 @@ def mlp_forward(params, x):
     return out[0] if single else out
 
 
-def params_to_tensors(params):
-    """MlpParams whose arrays are leaf Tensors, shared across one tape."""
-    layers = [
-        (Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
-        for w, b in params.layers
-    ]
-    return MlpParams(layers=layers, proj=Tensor(params.proj, requires_grad=True), seed=params.seed)
-
-
 def mlp_forward_t(tensors, x, m, scale, check=False):
     """Taped ``net([x, m * (1 / scale)]) * scale`` as one tape node.
 
-    ``x`` is a constant ndarray and ``m``, a Tensor or an ndarray of values
-    in the output's units, fills the input's last columns; a Tensor ``m`` is
-    the only input that receives a gradient. The node keeps ``x`` and ``m``
-    by reference, so the caller must not write to either afterwards; its
-    backward rebuilds the input and recomputes the hidden layers with the
-    forward's arithmetic, so the gradients have the bits of a tape that
-    stores every layer, and of one that tapes the encoding and the scaling
-    as nodes of their own.
+    ``tensors`` is an MlpParams of leaf Tensors. ``x`` is a constant ndarray
+    and ``m``, a Tensor or an ndarray of values in the output's units, fills
+    the input's last columns; a Tensor ``m`` is the only input that
+    receives a gradient. The node keeps ``x`` and ``m`` by reference, so the
+    caller must not write to either afterwards; its backward rebuilds the
+    input and recomputes the hidden layers with the forward's arithmetic,
+    so the gradients have the bits of a tape that stores every layer, and
+    of one that tapes the encoding and the scaling as nodes of their own.
     """
     taped_m = isinstance(m, Tensor)
+    leaves = param_arrays(tensors)
 
     def encoded():
         ms = (m.data if taped_m else m) * (1.0 / scale)
         return np.concatenate([x, ms, np.ones((x.shape[0], 1))], axis=1)
 
-    packed = pack(tensors)
+    packed = pack(rebuild_params(tensors, [a.data for a in leaves]))
     for h in _hidden_layers(packed.blocks, encoded(), check):
         pass
     out = h @ packed.proj
@@ -177,36 +164,47 @@ def mlp_forward_t(tensors, x, m, scale, check=False):
     out *= scale
 
     def backward(g):
-        gh = mlp_vjp(tensors, packed, encoded(), g * scale, taped_m)
+        grads = [None] * len(leaves)
+        gh = mlp_vjp(packed, encoded(), g * scale, grads, taped_m)
+        for leaf, ga in zip(leaves, grads):
+            leaf._accumulate(ga)
         if taped_m:
             m._accumulate(gh[:, x.shape[1] :] * (1.0 / scale))
 
-    return Tensor._node(out, (m, *param_arrays(tensors)), backward)
+    return Tensor._node(out, (m, *leaves), backward)
 
 
-def mlp_vjp(tensors, packed, xd, g, need_input):
-    """Add the gradient of sum(net(xd) * g) to the parameter leaves of ``tensors``.
+def mlp_vjp(packed, xd, g, grads, need_input):
+    """Add the gradient of sum(net(xd) * g) into ``grads``, one network's gradient list.
 
-    ``packed`` is the ``pack`` of the leaves' values and ``xd`` the input
-    followed by a column of ones. The hidden layers are recomputed from it
-    with the forward's arithmetic, one layer's vector-Jacobian product at a
-    time, last layer first. Returns the gradient in the input (without the
-    ones column) when ``need_input``, else None.
+    ``packed`` is the network's ``pack`` and ``xd`` the input followed by a
+    column of ones. ``grads`` is congruent to ``param_arrays``: an entry
+    that is None takes its first gradient as is, and later ones are added
+    into it in place. The hidden layers are recomputed from ``xd`` with the
+    forward's arithmetic, one layer's vector-Jacobian product at a time,
+    last layer first. Returns the gradient in the input (without the ones
+    column) when ``need_input``, else None.
     """
     hs = [xd[:, :-1], *_hidden_layers(packed.blocks, xd)]
     proj = packed.proj
     # a one-column g: the outer product as a broadcast multiply, the bits of g @ proj.T
     gh = g * proj.T if proj.shape[1] == 1 else g @ proj.T
-    tensors.proj._accumulate(hs[-1].T @ g, own=True)
+    _add_into(grads, -1, hs[-1].T @ g)
     for i in reversed(range(len(packed.blocks))):
-        w, b = tensors.layers[i]
         gz = gh
         gz *= hs[i + 1] > 0.0  # gh is fresh: the ReLU mask goes on in place
         if i > 0 or need_input:
-            gh = gz @ w.data.T
-        w._accumulate(hs[i].T @ gz, own=True)
-        b._accumulate(gz.sum(axis=0), own=True)
+            gh = gz @ packed.blocks[i][:-1, :-1].T  # the block's w
+        _add_into(grads, 2 * i, hs[i].T @ gz)
+        _add_into(grads, 2 * i + 1, gz.sum(axis=0))
     return gh if need_input else None
+
+
+def _add_into(grads, i, g):
+    if grads[i] is None:
+        grads[i] = g
+    else:
+        grads[i] += g
 
 
 def param_arrays(params):
@@ -223,26 +221,6 @@ def rebuild_params(template, arrays):
     n = len(template.layers)
     layers = [(arrays[2 * i], arrays[2 * i + 1]) for i in range(n)]
     return MlpParams(layers=layers, proj=arrays[2 * n], seed=template.seed)
-
-
-def grad(loss_fn, params_list):
-    """Reverse-mode gradient of a scalar loss over several networks.
-
-    loss_fn receives a list of taped MlpParams (one per network, leaves shared
-    with the returned gradient order) and must return a scalar Tensor.
-    Returns (loss value, list of gradient-array lists congruent to
-    param_arrays of each network).
-    """
-    tensors = [params_to_tensors(p) for p in params_list]
-    loss = loss_fn(tensors)
-    if not isinstance(loss, Tensor) or loss.data.size != 1:
-        raise ShapeError("loss_fn must return a scalar Tensor")
-    loss.backward()
-    grads = []
-    for ts in tensors:
-        arrs = param_arrays(ts)
-        grads.append([a.grad if a.grad is not None else np.zeros_like(a.data) for a in arrs])
-    return float(loss.data), grads
 
 
 # -- Adam ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import os
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -107,7 +108,7 @@ def render_svg(iterations, losses, title="loss", width=720, height=400):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{left}" y="18" font-family="sans-serif" font-size="13">{title}</text>',
+        f'<text x="{left}" y="18" font-family="sans-serif" font-size="13">{escape(title)}</text>',
     ]
     for yt in yticks:
         yy = py(yt)

@@ -2,13 +2,14 @@
 
 Used to realise the frozen-field flows exp(V)x that the splitting schemes
 compose, one RK5 step per flow. The step kernel is generic over the state
-container: plain ndarrays (possibly batched) and autodiff Tensors both
-work, and the step length may be a per-path column so a whole batch of
-flows with different durations integrates in one call. A joint state is a
-tuple of parts, for example (X, m) with the martingale beside the asset;
-its field returns one derivative per part and the stages combine the parts
-one by one. ``rk5_vjp`` runs the same stage table backwards for the
-martingale part of a recorded step, the discrete Runge-Kutta adjoint.
+container: plain ndarrays (possibly batched), and the autodiff Tensors of
+the tests' reference tape, and the step length may be a per-path column so
+a whole batch of flows with different durations integrates in one call. A
+joint state is a tuple of parts, for example (X, m) with the martingale
+beside the asset; its field returns one derivative per part and the stages
+combine the parts one by one. ``rk5_vjp`` runs the same stage table
+backwards for the martingale part of a recorded step, the discrete
+Runge-Kutta adjoint that ``dual``'s gradient chain calls.
 """
 
 import numpy as np

@@ -1,18 +1,22 @@
-"""Op-by-op tape references for the tests.
+"""The op-by-op reference tape for the tests.
 
-The package tapes a whole martingale pass, the centering and the dual loss
-as one node each, and keeps only the ops its pipeline records. Here are the
-ops only the tests use, built with ``Tensor._node``, and the coupled pass,
-the network evaluation, the centering and the loss composed from them the
-way the package taped them op by op. The tests check every op against finite
-differences and the one-node versions against these compositions bit for
-bit.
+The package differentiates its loss as an explicit chain of three
+vector-Jacobian products: the loss's, the centering's and the martingale
+pass's. Here is the same loss taped op by op on ``autodiff``: the ops only
+the tests use, built with ``Tensor._node``; the coupled pass, the network
+evaluation, the centering and the loss composed from them; and the tape's
+driver (``params_to_tensors``, ``grad``, ``loss_and_grads``). The tests
+check every op against finite differences and the package's chain against
+``loss_and_grads`` here bit for bit.
 """
 
 import numpy as np
 
 from martnet.autodiff import Tensor, _data, _unbroadcast
-from martnet.mlp import mlp_forward_t
+from martnet.dual import PILOT_PATHS, estimate_sigma
+from martnet.errors import ShapeError
+from martnet.fields import payoff_eval
+from martnet.mlp import MlpParams, mlp_forward_t, param_arrays
 from martnet.schemes import NET_CONFIGS, step_kernel
 
 
@@ -121,13 +125,12 @@ def mlp_node(net, x, check=False):
     return mlp_forward_t(net, x[:, :-1], x[:, -1:], 1.0, check=check)
 
 
-def bind_nets(nets, taped, model, partition):
-    """dual._bind_nets' taped evaluation as separate nodes.
+def bind_nets(nets, model, partition):
+    """dual._bind_nets' evaluation taped as separate nodes.
 
     The value encoding m * (1 / K), the column concatenation, the network
     and the scaling by K are each a node of their own.
     """
-    assert taped
     sx = np.abs(np.asarray(model.x0, dtype=np.float64))
     sx = np.where(sx > 0, sx, 1.0)[None, :]
     sm = float(model.payoff.strike)
@@ -146,7 +149,7 @@ def bind_nets(nets, taped, model, partition):
     return net_fn
 
 
-def simulate_coupled(config, nets, model, draws, taped):
+def simulate_coupled(config, nets, model, draws):
     """dual._simulate_coupled on the generic tape under every scheme.
 
     The scheme's kernel advances M one taped step at a time, each network
@@ -155,7 +158,7 @@ def simulate_coupled(config, nets, model, draws, taped):
     own instead of one node for the pass. Returns (states, cols) with cols
     the (batch, 1) knots M_{t_0} (an ndarray), M_{t_1}, ..., M_{t_n}.
     """
-    net = bind_nets(nets, taped, model, config.partition)
+    net = bind_nets(nets, model, config.partition)
     step = step_kernel(model, NET_CONFIGS[config.scheme].scheme, draws, net=net)
     part = config.partition
     x = np.full((draws.eta.shape[0], model.N), model.x0)
@@ -170,7 +173,7 @@ def simulate_coupled(config, nets, model, draws, taped):
 
 
 def center_cols(cols):
-    """dual.center_cols as concat_cols, mean and sub nodes."""
+    """dual.center on the knot columns side by side, as concat_cols, mean and sub nodes."""
     mmat = concat_cols(cols)
     return sub(mmat, mean(mmat, axis=0, keepdims=True))
 
@@ -183,14 +186,54 @@ def bridge_g(a, b, var_dt, u):
     return 0.5 * (a + b + root)
 
 
-def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None, donate=False):
-    """The dual loss of a Tensor M as Z - M, the bridge ops, max_rows and mean.
-
-    ``donate`` is accepted and ignored: the reference keeps Z and M intact.
-    """
+def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
+    """The dual loss of a Tensor M as Z - M, the bridge ops, max_rows and mean."""
     D = rsub(Z, M)
     if bridge:
         sigma = np.asarray(sigma, dtype=np.float64)
         u = np.asarray(uniforms, dtype=np.float64)
         D = bridge_g(D[:, :-1], D[:, 1:], sigma * sigma * np.asarray(deltas), u)
     return mean(max_rows(D))
+
+
+def params_to_tensors(params):
+    """MlpParams whose arrays are leaf Tensors, shared across one tape."""
+    layers = [(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)) for w, b in params.layers]
+    return MlpParams(layers=layers, proj=Tensor(params.proj, requires_grad=True), seed=params.seed)
+
+
+def grad(loss_fn, params_list):
+    """Reverse-mode gradient of a scalar loss over several networks.
+
+    loss_fn receives a list of taped MlpParams (one per network, leaves shared
+    with the returned gradient order) and must return a scalar Tensor.
+    Returns (loss value, list of gradient-array lists congruent to
+    param_arrays of each network).
+    """
+    tensors = [params_to_tensors(p) for p in params_list]
+    loss = loss_fn(tensors)
+    if not isinstance(loss, Tensor) or loss.data.size != 1:
+        raise ShapeError("loss_fn must return a scalar Tensor")
+    loss.backward()
+    grads = []
+    for ts in tensors:
+        arrs = param_arrays(ts)
+        grads.append([a.grad if a.grad is not None else np.zeros_like(a.data) for a in arrs])
+    return float(loss.data), grads
+
+
+def loss_and_grads(config, mlps, model, draws, bridge=True, uniforms=None, sigma_hat=None):
+    """dual.loss_and_grads with the pass, the centering and the loss taped op by op."""
+    deltas = config.partition.deltas
+
+    def loss_fn(tensors):
+        states, cols = simulate_coupled(config, tensors, model, draws)
+        Z = payoff_eval(model.payoff, states)
+        Z *= np.exp(-model.params.get("mu", 0.0) * config.partition.times)
+        M = center_cols(cols)
+        sigma = sigma_hat
+        if bridge and sigma is None:
+            sigma = estimate_sigma(Z[:PILOT_PATHS] - M.data[:PILOT_PATHS], deltas)
+        return rogers_loss(Z, M, bridge=bridge, sigma=sigma, uniforms=uniforms, deltas=deltas)
+
+    return grad(loss_fn, mlps)

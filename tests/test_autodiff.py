@@ -131,21 +131,6 @@ def test_grad_accumulates_through_reuse():
     np.testing.assert_allclose(x.grad, [7.0])
 
 
-def test_accumulate_owns_a_given_up_array():
-    # an owned first gradient is kept as is and later ones are added into it
-    t = Tensor(np.zeros(3), requires_grad=True)
-    g = np.array([1.0, 2.0, 3.0])
-    t._accumulate(g, own=True)
-    assert t.grad is g
-    t._accumulate(np.ones(3))
-    assert t.grad is g and g.tolist() == [2.0, 3.0, 4.0]
-    kept = np.array([1.0, 2.0, 3.0])
-    u = Tensor(np.zeros(3), requires_grad=True)
-    u._accumulate(kept)
-    u._accumulate(np.ones(3))
-    assert u.grad is not kept and kept.tolist() == [1.0, 2.0, 3.0]
-
-
 def test_add_copies_the_gradient_it_shares():
     # __add__ hands one array to both parents: each keeps its own copy, so the
     # gradient accumulated later into one never shows up in the other

@@ -1,5 +1,6 @@
 import os
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -201,9 +202,13 @@ def test_plateau_iteration_definition():
 
 
 def test_render_svg_wellformed():
-    svg = render_svg(np.arange(1, 11), np.linspace(20, 12, 10), title="losses")
-    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-    assert "polyline" in svg
+    # a run's title is its CSV's file name, which may hold XML's special characters
+    for title in ("losses", "r&d.csv", "<a> 'b' \"c\""):
+        svg = render_svg(np.arange(1, 11), np.linspace(20, 12, 10), title=title)
+        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+        root = ElementTree.fromstring(svg)
+        assert root.find("{http://www.w3.org/2000/svg}polyline") is not None
+        assert root.find("{http://www.w3.org/2000/svg}text").text == title
 
 
 def test_oracle_subcommand(capsys):

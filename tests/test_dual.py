@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -21,11 +22,11 @@ from martnet.dual import (
     train,
 )
 from martnet import dual
-from martnet.mlp import HIDDEN, init_mlp, params_to_tensors
-from martnet.qmc import draws_for
+from martnet.mlp import init_mlp, load_checkpoint, param_arrays
+from martnet.qmc import DrawBlock, draws_for
 from martnet.schemes import NN_R11, NN_R12, NN_R22
 from martnet.oracles import binomial_american_put
-from martnet.errors import InvalidParameterError, ShapeError
+from martnet.errors import InvalidParameterError, NumericError, ShapeError
 
 from conftest import constant_output_mlp, count_tensors, traced_peak_bytes
 import tape_reference
@@ -171,39 +172,32 @@ def test_center_mean_zero():
 
 
 def test_center_taped():
+    # the centering's vector-Jacobian product is the centering of the cotangent
     rng = np.random.default_rng(1)
-    m = Tensor(rng.standard_normal((8, 4)), requires_grad=True)
-    out = center(m)
-    assert np.max(np.abs(out.data.mean(axis=0))) < 1e-12
-    mean(square(out)).backward()
-    assert m.grad is not None
+    g = rng.standard_normal((8, 4))
+    out = dual._center_vjp(g.copy())
+    np.testing.assert_allclose(out, center(g), rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(out.sum(axis=0))) < 1e-12
 
 
 @settings(max_examples=40)
 @given(
     batch=st.integers(min_value=1, max_value=6),
-    widths=st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=5),
+    width=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_property_center_node_matches_ops_bitwise(batch, widths, seed):
-    # one centering node against concat_cols, mean and - taped op by op; block 0 is a
-    # constant, as the martingale's first knot is, and the cotangent's zeros give
-    # columns whose gradient sums to a signed zero
+def test_property_center_node_matches_ops_bitwise(batch, width, seed):
+    # center and its VJP against concat_cols, mean and - taped op by op; the cotangent's
+    # zeros give columns whose gradient sums to a signed zero
     rng = np.random.default_rng(seed)
-    blocks = [rng.standard_normal((batch, w)) * 10.0 for w in widths]
-    cot = rng.standard_normal((batch, sum(widths))) * (rng.random((batch, sum(widths))) < 0.5)
-
-    def run(center_fn):
-        leaves = [blocks[0]] + [Tensor(b, requires_grad=True) for b in blocks[1:]]
-        out = center_fn(leaves)
-        loss = mean(square(out) * cot)
-        loss.backward()
-        return out.data.tobytes(), loss.data.tobytes(), [t.grad.tobytes() for t in leaves[1:]]
-
-    node = dual.center_cols([blocks[0]] + [Tensor(b) for b in blocks[1:]])
-    assert len(node._parents) == len(widths) - 1
-    assert run(dual.center_cols) == run(tape_reference.center_cols)
-    assert dual.center_cols(blocks).tobytes() == node.data.tobytes()
+    m = rng.standard_normal((batch, width)) * 10.0
+    cot = rng.standard_normal((batch, width)) * (rng.random((batch, width)) < 0.5)
+    leaf = Tensor(m, requires_grad=True)
+    out = tape_reference.center_cols([leaf])
+    out.requires_grad = True  # the walk keeps the centering's cotangent
+    mean(square(out) * cot).backward()
+    assert center(m).tobytes() == out.data.tobytes()
+    assert dual._center_vjp(out.grad.copy()).tobytes() == leaf.grad.tobytes()
 
 
 # -- rogers loss ---------------------------------------------------------------
@@ -234,27 +228,32 @@ def test_rogers_loss_bridge_dominates():
 def test_rogers_loss_bridge_gradient_at_zero_root():
     # a = b at u = 0 makes the argmax's root 0: the gradient splits evenly between the
     # endpoints instead of reading 0 / 0
-    M = Tensor(np.zeros((1, 3)), requires_grad=True)
     kwargs = dict(bridge=True, sigma=np.ones(2), uniforms=np.zeros((1, 2)), deltas=np.full(2, 0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loss = rogers_loss(np.array([[2.0, 2.0, 0.0]]), M, **kwargs)
-        loss.backward()
-    assert float(loss.data) == 2.0
-    assert M.grad.tolist() == [[-0.5, -0.5, 0.0]]
+        loss, vjp = dual._rogers_and_vjp(np.array([[2.0, 2.0, 0.0]]), **kwargs)
+        gm = vjp()
+    assert loss == 2.0
+    assert gm.tolist() == [[-0.5, -0.5, 0.0]]
 
 
-@pytest.mark.parametrize("taped", [False, True])
-def test_rogers_loss_bridge_forward_peak(taped):
+def _loss_with_vjp(Z, M, **kwargs):
+    """The loss as the gradient chain takes it, D = Z - M given up to it."""
+    kwargs = dict(dict(bridge=False, sigma=None, uniforms=None, deltas=None), **kwargs)
+    return dual._rogers_and_vjp(Z - M, **kwargs)
+
+
+@pytest.mark.parametrize("with_vjp", [False, True])
+def test_rogers_loss_bridge_forward_peak(with_vjp):
     # D = Z - M and the two buffers G is filled from: under 3.5 (batch, steps + 1) arrays
     batch, steps = 512, 256
     rng = np.random.default_rng(8)
     Z, M = np.abs(rng.standard_normal((batch, steps + 1))), rng.standard_normal((batch, steps + 1))
     kwargs = _bridge_args(batch, steps, rng)
-    arg = Tensor(M) if taped else M
-    rogers_loss(Z, arg, **kwargs)  # warm-up: first-call allocations stay out of the peak
-    peak = traced_peak_bytes(lambda: rogers_loss(Z, arg, **kwargs))
-    assert peak < 3.5 * Z.nbytes, f"rogers_loss peaks at {peak / Z.nbytes:.2f} x (batch, steps + 1) arrays"
+    loss_fn = _loss_with_vjp if with_vjp else rogers_loss
+    loss_fn(Z, M, **kwargs)  # warm-up: first-call allocations stay out of the peak
+    peak = traced_peak_bytes(lambda: loss_fn(Z, M, **kwargs))
+    assert peak < 3.5 * Z.nbytes, f"the loss peaks at {peak / Z.nbytes:.2f} x (batch, steps + 1) arrays"
 
 
 def _bridge_args(batch, steps, rng):
@@ -276,9 +275,9 @@ _BAD_BRIDGE_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("with_vjp", [False, True])
 @pytest.mark.parametrize("case", _BAD_BRIDGE_SHAPES)
-def test_rogers_loss_bridge_shapes(case, taped):
+def test_rogers_loss_bridge_shapes(case, with_vjp):
     # nothing broadcasts: every path has its own uniform per step, every step one sigma
     rng = np.random.default_rng(3)
     Z, M = np.abs(rng.standard_normal((8, 5))), rng.standard_normal((8, 5))
@@ -286,7 +285,7 @@ def test_rogers_loss_bridge_shapes(case, taped):
     key, make = _BAD_BRIDGE_SHAPES[case]
     kwargs[key] = make(8, 4)
     with pytest.raises(ShapeError):
-        rogers_loss(Z, Tensor(M) if taped else M, **kwargs)
+        (_loss_with_vjp if with_vjp else rogers_loss)(Z, M, **kwargs)
 
 
 @settings(max_examples=60)
@@ -297,6 +296,7 @@ def test_rogers_loss_bridge_shapes(case, taped):
     bridge=st.booleans(),
 )
 def test_property_loss_node_matches_ops_bitwise(batch, steps, seed, bridge):
+    # the loss's VJP in the gradient chain against the loss taped op by op
     # Z - M walks the integers in nonzero steps, row 0 as 0, 1, 0, 1, ...: grid maxima tie,
     # and where u = 0 so do the bridge's G = max(a, b), while a != b keeps every root positive
     rng = np.random.default_rng(seed)
@@ -311,16 +311,13 @@ def test_property_loss_node_matches_ops_bitwise(batch, steps, seed, bridge):
         kwargs["uniforms"][rng.random((batch, steps)) < 0.5] = 0.0
         kwargs["sigma"] = rng.uniform(0.5, 2.0, steps)
 
-    def run(loss_fn):
-        leaf = Tensor(M, requires_grad=True)
-        loss = loss_fn(Z, leaf, **kwargs)
-        loss.backward()
-        return loss.data.tobytes(), leaf.grad.tobytes()
-
-    node = rogers_loss(Z, Tensor(M), **kwargs)
-    assert node._parents and len(node._parents) == 1 and node._parents[0]._parents == ()
-    assert run(rogers_loss) == run(tape_reference.rogers_loss)
-    assert float(node.data) == rogers_loss(Z, M, **kwargs)
+    leaf = Tensor(M, requires_grad=True)
+    want = tape_reference.rogers_loss(Z, leaf, **kwargs)
+    want.backward()
+    loss, vjp = _loss_with_vjp(Z, M, **kwargs)
+    assert np.float64(loss).tobytes() == want.data.tobytes()
+    assert vjp().tobytes() == leaf.grad.tobytes()
+    assert loss == rogers_loss(Z, M, **kwargs)
 
 
 _NODE_CASES = [
@@ -351,22 +348,19 @@ def _node_case(request, model_name, scheme, tag, steps, bridge):
 
 @pytest.mark.parametrize("bridge", [False, True])
 @pytest.mark.parametrize("model_name,scheme,tag,steps", _NODE_CASES)
-def test_one_node_tape_matches_op_by_op_bitwise(request, monkeypatch, model_name, scheme, tag, steps, bridge):
-    # one node per network evaluation (per resnet-em pass) and one for the loss give
-    # the loss and every gradient array of the tape that records each of their operations
+def test_one_node_tape_matches_op_by_op_bitwise(request, model_name, scheme, tag, steps, bridge):
+    # the gradient chain (the loss's, the centering's and the pass's vector-Jacobian
+    # products) gives the loss and every gradient array of the tape that records each
+    # operation of the pass, the centering and the loss
     model, cfg, nets, draws, uniforms = _node_case(request, model_name, scheme, tag, steps, bridge)
     if tag == "nv":
         assert 0 < np.count_nonzero(draws.lam > 0) < draws.lam.size  # both diffusion orders run
 
-    def run():
-        value, grads = loss_and_grads(cfg, nets, model, draws, bridge=bridge, uniforms=uniforms)
+    def run(entry):
+        value, grads = entry(cfg, nets, model, draws, bridge=bridge, uniforms=uniforms)
         return np.float64(value).tobytes(), [g.tobytes() for per_net in grads for g in per_net]
 
-    got = run()
-    monkeypatch.setattr(dual, "_simulate_coupled", tape_reference.simulate_coupled)
-    monkeypatch.setattr(dual, "center_cols", tape_reference.center_cols)
-    monkeypatch.setattr(dual, "rogers_loss", tape_reference.rogers_loss)
-    assert got == run()
+    assert run(loss_and_grads) == run(tape_reference.loss_and_grads)
 
 
 @pytest.mark.parametrize("bridge", [False, True])
@@ -380,72 +374,29 @@ def test_taped_loss_equals_plain_loss_bitwise(request, model_name, scheme, tag, 
     assert np.float64(taped).tobytes() == np.float64(plain).tobytes()
 
 
-@pytest.mark.parametrize("model_name", ["bsm", "heston"])
-def test_resnet_em_pass_is_one_tape_node(request, monkeypatch, model_name):
-    # the tape of a resnet-em iteration holds the parameter leaves, the pass, the
-    # centering and the loss, however many steps the pass takes
-    model = request.getfixturevalue(model_name)
-    nets = [init_mlp(model.N + 2, 1, seed=j) for j in range(model.d)]
+def test_gradient_makes_no_tensor(bsm, heston, monkeypatch):
+    # the gradient is an explicit chain over plain arrays: neither entry point makes a
+    # Tensor under any network scheme, the nv split (heston) included
     made = count_tensors(monkeypatch)
-
-    def tensors(steps):
-        made.clear()
-        part = mn.uniform_partition(1.0, steps)
-        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=model.d, partition=part, batch=16)
-        draws = draws_for("em", model.d, steps, 16, seed=4)
-        uniforms = np.random.default_rng(5).random((16, steps))
-        loss_and_grads(cfg, nets, model, draws, bridge=True, uniforms=uniforms)
-        return len(made)
-
-    assert tensors(8) == tensors(64) == 7 * model.d + 3
-
-
-@pytest.mark.parametrize("scheme,tag", [("nvnet", "nv"), ("nnet", "nn")])
-@pytest.mark.parametrize("model_name", ["bsm", "heston"])
-def test_nv_nn_pass_is_one_tape_node(request, monkeypatch, model_name, scheme, tag):
-    # an nvnet/nnet iteration's tape holds the parameter leaves, the pass, the centering
-    # and the loss: no tensor per stage combination, product, sum, row gather or evaluation
-    model = request.getfixturevalue(model_name)
-    nets = [init_mlp(model.N + 2, 1, seed=j) for j in range(model.d)]
-    made = count_tensors(monkeypatch)
-
-    def tensors(steps):
-        made.clear()
-        part = mn.uniform_partition(1.0, steps)
-        cfg = MartingaleNetConfig(scheme=scheme, d_M=model.d, partition=part, batch=16)
-        draws = draws_for(tag, model.d, steps, 16, seed=4)
-        if tag == "nv" and model.d > 1:
-            assert 0 < np.count_nonzero(draws.lam > 0) < draws.lam.size  # the split runs
-        uniforms = np.random.default_rng(5).random((16, steps))
-        loss_and_grads(cfg, nets, model, draws, bridge=True, uniforms=uniforms)
-        return len(made)
-
-    assert tensors(2) == tensors(8) == 7 * model.d + 3
-
-
-def test_tape_growth_per_step_one_em_node(bsm):
-    # the resnet-em node keeps the states and the knots, which the centered M, Z, D
-    # and the bridge's two buffers join past the simulation: fewer than 8 (batch,)
-    # arrays per step
-    batch = 256
-    net = init_mlp(bsm.N + 2, 1, seed=3)
-
-    def peak(steps):
-        part = mn.uniform_partition(1.0, steps)
-        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=part, batch=batch)
-        draws = draws_for("em", 1, steps, batch, seed=4)
-        uniforms = np.random.default_rng(5).random((batch, steps))
-        return traced_peak_bytes(lambda: loss_and_grads(cfg, [net], bsm, draws, bridge=True, uniforms=uniforms))
-
-    peak(64)  # warm-up: first-call allocations stay out of the slope
-    per_step = (peak(128) - peak(64)) / 64
-    assert per_step < 8 * batch * 8, f"tape grows {per_step / (batch * 8):.1f} x batch x 8 B per step"
+    for model in (bsm, heston):
+        nets = [init_mlp(model.N + 2, 1, seed=j) for j in range(model.d)]
+        for scheme, tag in (("resnet-em", "em"), ("nvnet", "nv"), ("nnet", "nn")):
+            cfg = MartingaleNetConfig(scheme=scheme, d_M=model.d, partition=mn.uniform_partition(1.0, 4), batch=16)
+            draws = draws_for(tag, model.d, 4, 16, seed=4)
+            if tag == "nv" and model.d > 1:
+                assert 0 < np.count_nonzero(draws.lam > 0) < draws.lam.size  # the split runs
+            loss_and_grads(cfg, nets, model, draws, uniforms=np.random.default_rng(5).random((16, 4)))
+            train(cfg, nets, 2, model, seed=0)
+    assert made == []
+    Tensor(np.zeros(1))
+    assert made == [1]  # the counter sees a Tensor when one is made
 
 
 def test_loss_gives_up_z_and_m_once_d_exists(bsm):
-    # past D = Z - M the loss keeps neither Z nor the centered M: the states and
-    # knots the resnet-em node keeps, D in Z's buffer and the bridge's two buffers
-    # stay under 5.5 (batch,) arrays per step (7.0 when Z and M are held)
+    # past D = Z - M the loss keeps neither Z nor the centered M, and the pass's
+    # backward keeps no network's hidden layers: the states and knots it keeps, D in
+    # Z's buffer and the bridge's two buffers stay under 5.5 (batch,) arrays per step
+    # (7.0 when Z and M are held)
     batch = 256
     net = init_mlp(bsm.N + 2, 1, seed=3)
 
@@ -461,33 +412,13 @@ def test_loss_gives_up_z_and_m_once_d_exists(bsm):
     assert per_step < 5.5 * batch * 8, f"the loss holds {per_step / (batch * 8):.1f} x batch x 8 B per step"
 
 
-def test_rogers_loss_donate_keeps_the_bits():
-    # D formed in Z's buffer, and a Tensor M's data dropped, give the loss and gradient
-    # of the loss that keeps both
-    rng = np.random.default_rng(11)
-    Z, M = np.abs(rng.standard_normal((32, 9))), rng.standard_normal((32, 9))
-    kwargs = _bridge_args(32, 8, rng)
-
-    def run(donate):
-        leaf = Tensor(M, requires_grad=True)
-        loss = rogers_loss(Z.copy(), leaf, donate=donate, **kwargs)
-        loss.backward()
-        return loss.data.tobytes(), leaf.grad.tobytes(), leaf.data is None
-
-    assert run(True)[:2] == run(False)[:2]
-    assert run(True)[2] and not run(False)[2]
-    plain = Z.copy()
-    assert rogers_loss(plain, M, donate=True, **kwargs) == rogers_loss(Z, M, **kwargs)
-    assert plain.tobytes() == (Z - M).tobytes()  # Z's buffer holds D
-
-
 # -- provisional martingale paths ---------------------------------------------
 
 
 def _mart_cols(cfg, nets, model, draws):
     """The coupled pass's martingale knots M'_{t_0..t_n} as a (batch, steps + 1) matrix."""
-    _, cols = _simulate_coupled(cfg, nets, model, draws, taped=False)
-    return np.concatenate(cols, axis=1)
+    _, knots, _ = _simulate_coupled(cfg, nets, model, draws, need_grad=False)
+    return knots
 
 
 def test_mart_paths_zero_nets(bsm):
@@ -531,9 +462,9 @@ def test_mart_paths_shape_checks(bsm):
         loss_value(cfg, [init_mlp(bsm.N + 2, 1, 0)], bsm, bad, bridge=False)
 
 
-@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("need_grad", [False, True])
 @pytest.mark.parametrize("scheme,tag", [("resnet-em", "em"), ("nvnet", "nv"), ("nnet", "nn")])
-def test_coupled_pass_assets_match_plain(heston, scheme, tag, taped):
+def test_coupled_pass_assets_match_plain(heston, scheme, tag, need_grad):
     # the martingale rides the asset kernel without feeding back into X
     p = mn.uniform_partition(1.0, 4)
     cfg = MartingaleNetConfig(scheme=scheme, d_M=2, partition=p, batch=64)
@@ -541,13 +472,11 @@ def test_coupled_pass_assets_match_plain(heston, scheme, tag, taped):
     rng = np.random.default_rng(12)
     for net in nets:
         net.proj[:] = 0.05 * rng.standard_normal(net.proj.shape)
-    if taped:
-        nets = [params_to_tensors(net) for net in nets]
     draws = draws_for(tag, 2, 4, 64, seed=13)
-    states, cols = _simulate_coupled(cfg, nets, heston, draws, taped)
+    states, knots, backward = _simulate_coupled(cfg, nets, heston, draws, need_grad)
     np.testing.assert_array_equal(states, mn.simulate(heston, tag, p, draws))
-    knots = np.concatenate([c.data if taped else c for c in cols], axis=1)
     assert knots.shape == (64, 5) and np.abs(knots[:, -1]).max() > 0.0
+    assert (backward is not None) == need_grad
 
 
 def _one_step_increment(bsm, scheme, tag, c, batch=64):
@@ -592,29 +521,20 @@ def test_initial_loss_band(bsm):
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.06])
-def test_loss_discounts_the_payoff(monkeypatch, mu):
+def test_loss_discounts_the_payoff(mu):
     # Z_k = exp(-mu t_k) (K - S_k)^+ at the rate mu; at mu = 0 the factor is 1.0 and
-    # Z keeps the undiscounted payoff's bits
+    # Z keeps the undiscounted payoff's bits. Fresh networks make M = 0, so the grid
+    # loss is the batch mean of each path's largest Z_k
     model = mn.make_bsm_model(100.0, mu, 0.32)
     p = mn.uniform_partition(1.0, 8)
     cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=p, batch=64)
     draws = draws_for("em", 1, 8, 64, seed=9)
     nets = [init_mlp(model.N + 2, 1, seed=2)]
-    nets[0].proj[:] = 0.05 * np.random.default_rng(4).standard_normal(nets[0].proj.shape)
-    seen = []
-    real = dual.rogers_loss
-
-    def spy(Z, M, **kwargs):
-        seen.append(Z.copy())
-        return real(Z, M, **kwargs)
-
-    monkeypatch.setattr(dual, "rogers_loss", spy)
-    loss_value(cfg, nets, model, draws, bridge=False)
-    loss_and_grads(cfg, nets, model, draws, bridge=False)
     payoff = np.maximum(100.0 - mn.simulate(model, "em", p, draws)[:, :, 0], 0.0)
-    for Z in seen:
-        np.testing.assert_array_equal(Z, np.exp(-mu * p.times) * payoff)
-    assert (seen[0].tobytes() == payoff.tobytes()) == (mu == 0.0)
+    want = (np.exp(-mu * p.times) * payoff).max(axis=1).mean()
+    for got in (loss_value(cfg, nets, model, draws, bridge=False), loss_and_grads(cfg, nets, model, draws, bridge=False)[0]):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert (want == payoff.max(axis=1).mean()) == (mu == 0.0)
 
 
 def test_duality_direction(bsm):
@@ -673,59 +593,44 @@ def test_loss_and_grads_nonzero(bsm):
     assert total > 0.0
 
 
-def test_tape_memory_per_step(bsm):
-    # the tape may not hold a network evaluation's hidden layers: per step it
-    # must grow by less than two (batch, HIDDEN) float64 arrays
-    batch = 256
-    net = init_mlp(bsm.N + 2, 1, seed=3)
+def test_train_memory_does_not_grow_with_iterations(bsm):
+    # each iteration's backward, with the states, knots and draws it holds, is dropped
+    # before the next forward: three iterations peak where one does
+    cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=mn.uniform_partition(1.0, 256), batch=256)
 
-    def peak(steps):
-        part = mn.uniform_partition(1.0, steps)
-        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=part, batch=batch)
-        draws = draws_for("em", 1, steps, batch, seed=4)
-        uniforms = np.random.default_rng(5).random((batch, steps))
-        return traced_peak_bytes(lambda: loss_and_grads(cfg, [net], bsm, draws, uniforms=uniforms))
+    def peak(iterations):
+        return traced_peak_bytes(lambda: train(cfg, [init_mlp(bsm.N + 2, 1, seed=3)], iterations, bsm, seed=0))
 
-    peak(64)  # warm-up: first-call allocations stay out of the slope
-    per_step = (peak(128) - peak(64)) / 64
-    assert per_step < 2 * batch * HIDDEN * 8, f"tape grows {per_step:.0f} B per step"
+    peak(1)  # warm-up: first-call allocations stay out of the ratio
+    one, three = peak(1), peak(3)
+    assert three <= 1.1 * one, f"3 iterations peak at {three / one:.2f} x 1 iteration's"
 
 
-def test_tape_growth_per_step_with_bridge(bsm):
-    # a taped step keeps one network input and the martingale's columns; the loss node
-    # keeps per-path scalars: fewer than 20 (batch,) float64 arrays per step in all
-    batch = 256
-    net = init_mlp(bsm.N + 2, 1, seed=3)
-
-    def peak(steps):
-        part = mn.uniform_partition(1.0, steps)
-        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=part, batch=batch)
-        draws = draws_for("em", 1, steps, batch, seed=4)
-        uniforms = np.random.default_rng(5).random((batch, steps))
-        return traced_peak_bytes(lambda: loss_and_grads(cfg, [net], bsm, draws, bridge=True, uniforms=uniforms))
-
-    peak(64)  # warm-up: first-call allocations stay out of the slope
-    per_step = (peak(128) - peak(64)) / 64
-    assert per_step < 20 * batch * 8, f"tape grows {per_step / (batch * 8):.1f} x batch x 8 B per step"
+@pytest.mark.parametrize("entry", ["loss_value", "loss_and_grads"])
+def test_two_dimensional_eta_is_a_shape_error(bsm, entry):
+    cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=mn.uniform_partition(1.0, 4), batch=8)
+    call = {"loss_value": loss_value, "loss_and_grads": loss_and_grads}[entry]
+    with pytest.raises(ShapeError, match="eta shaped"):
+        call(cfg, [init_mlp(bsm.N + 2, 1, seed=0)], bsm, DrawBlock(eta=np.zeros((8, 4))), bridge=False)
 
 
-def test_tape_growth_per_step_keeps_only_backward_reads(bsm):
-    # per step the tape keeps the network's constant input block, its output, the
-    # noise coefficient, the increment and the new knot; past the simulation only
-    # Z, the centered M, D and the bridge's two buffers: fewer than 13 (batch,) arrays
-    batch = 256
-    net = init_mlp(bsm.N + 2, 1, seed=3)
-
-    def peak(steps):
-        part = mn.uniform_partition(1.0, steps)
-        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=part, batch=batch)
-        draws = draws_for("em", 1, steps, batch, seed=4)
-        uniforms = np.random.default_rng(5).random((batch, steps))
-        return traced_peak_bytes(lambda: loss_and_grads(cfg, [net], bsm, draws, bridge=True, uniforms=uniforms))
-
-    peak(64)  # warm-up: first-call allocations stay out of the slope
-    per_step = (peak(128) - peak(64)) / 64
-    assert per_step < 13 * batch * 8, f"tape grows {per_step / (batch * 8):.1f} x batch x 8 B per step"
+def test_non_finite_loss_aborts(bsm, tmp_path, monkeypatch):
+    # train writes the networks it was about to update and names the iteration;
+    # loss_and_grads refuses to differentiate
+    cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=mn.uniform_partition(1.0, 2), batch=16)
+    net = init_mlp(bsm.N + 2, 1, seed=0)
+    net.proj[:] = 0.05
+    trained = train(cfg, [net], 2, bsm, seed=0).mlps  # networks that differ from a fresh init
+    monkeypatch.setattr(dual, "payoff_eval", lambda payoff, states: np.full(states.shape[:2], np.nan))
+    with pytest.raises(NumericError, match="iteration 0"):
+        train(cfg, trained, 3, bsm, seed=0, out_dir=str(tmp_path), checkpoint_every=1)
+    assert sorted(os.listdir(tmp_path)) == ["diagnostic_iter00000.ckpt"]
+    (loaded,) = load_checkpoint(str(tmp_path / "diagnostic_iter00000.ckpt"))
+    for got, want in zip(param_arrays(loaded), param_arrays(trained[0])):
+        assert got.tobytes() == want.tobytes()
+    draws = draws_for("nv", 1, 2, 16, seed=1)
+    with pytest.raises(NumericError, match="non-finite"):
+        loss_and_grads(cfg, trained, bsm, draws, uniforms=np.random.default_rng(2).random((16, 2)))
 
 
 def test_bridge_needs_two_paths(bsm):

@@ -11,10 +11,8 @@ from martnet.mlp import (
     mlp_forward,
     mlp_forward_t,
     pack,
-    params_to_tensors,
     param_arrays,
     rebuild_params,
-    grad,
     init_adam,
     adam_update,
     save_checkpoint,
@@ -24,7 +22,7 @@ from martnet.mlp import (
 )
 from martnet.errors import NumericError, ShapeError
 
-from tape_reference import concat_cols, mean, mlp_ops, square
+from tape_reference import concat_cols, grad, mean, mlp_ops, params_to_tensors, square
 
 
 def test_architecture_dimensions():
