@@ -374,18 +374,58 @@ def test_taped_loss_equals_plain_loss_bitwise(request, model_name, scheme, tag, 
     assert np.float64(taped).tobytes() == np.float64(plain).tobytes()
 
 
+@pytest.mark.parametrize("model_name", ["bsm", "heston"])
+def test_resnet_em_pass_is_one_tape_node(request, monkeypatch, model_name):
+    # the resnet-em pass, once a single tape node, now makes no Tensor at all: the
+    # gradient is an explicit chain over plain arrays, however many steps the pass takes
+    model = request.getfixturevalue(model_name)
+    nets = [init_mlp(model.N + 2, 1, seed=j) for j in range(model.d)]
+    made = count_tensors(monkeypatch)
+
+    def tensors(steps):
+        made.clear()
+        part = mn.uniform_partition(1.0, steps)
+        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=model.d, partition=part, batch=16)
+        draws = draws_for("em", model.d, steps, 16, seed=4)
+        uniforms = np.random.default_rng(5).random((16, steps))
+        loss_and_grads(cfg, nets, model, draws, bridge=True, uniforms=uniforms)
+        return len(made)
+
+    assert tensors(8) == tensors(64) == 0
+
+
+@pytest.mark.parametrize("scheme,tag", [("nvnet", "nv"), ("nnet", "nn")])
+@pytest.mark.parametrize("model_name", ["bsm", "heston"])
+def test_nv_nn_pass_is_one_tape_node(request, monkeypatch, model_name, scheme, tag):
+    # an nvnet/nnet pass, once a single tape node, now makes no Tensor at all: no
+    # tensor per stage combination, product, sum, row gather or evaluation, the nv
+    # split (heston) included
+    model = request.getfixturevalue(model_name)
+    nets = [init_mlp(model.N + 2, 1, seed=j) for j in range(model.d)]
+    made = count_tensors(monkeypatch)
+
+    def tensors(steps):
+        made.clear()
+        part = mn.uniform_partition(1.0, steps)
+        cfg = MartingaleNetConfig(scheme=scheme, d_M=model.d, partition=part, batch=16)
+        draws = draws_for(tag, model.d, steps, 16, seed=4)
+        if tag == "nv" and model.d > 1:
+            assert 0 < np.count_nonzero(draws.lam > 0) < draws.lam.size  # the split runs
+        uniforms = np.random.default_rng(5).random((16, steps))
+        loss_and_grads(cfg, nets, model, draws, bridge=True, uniforms=uniforms)
+        return len(made)
+
+    assert tensors(2) == tensors(8) == 0
+
+
 def test_gradient_makes_no_tensor(bsm, heston, monkeypatch):
-    # the gradient is an explicit chain over plain arrays: neither entry point makes a
-    # Tensor under any network scheme, the nv split (heston) included
+    # train makes no Tensor under any network scheme either; the two tests above cover
+    # loss_and_grads alone
     made = count_tensors(monkeypatch)
     for model in (bsm, heston):
         nets = [init_mlp(model.N + 2, 1, seed=j) for j in range(model.d)]
-        for scheme, tag in (("resnet-em", "em"), ("nvnet", "nv"), ("nnet", "nn")):
+        for scheme in ("resnet-em", "nvnet", "nnet"):
             cfg = MartingaleNetConfig(scheme=scheme, d_M=model.d, partition=mn.uniform_partition(1.0, 4), batch=16)
-            draws = draws_for(tag, model.d, 4, 16, seed=4)
-            if tag == "nv" and model.d > 1:
-                assert 0 < np.count_nonzero(draws.lam > 0) < draws.lam.size  # the split runs
-            loss_and_grads(cfg, nets, model, draws, uniforms=np.random.default_rng(5).random((16, 4)))
             train(cfg, nets, 2, model, seed=0)
     assert made == []
     Tensor(np.zeros(1))
