@@ -12,7 +12,7 @@ from .errors import MartnetError, UsageError
 from .fields import make_bsm_model
 from .mlp import init_mlp, save_checkpoint
 from .oracles import DEFAULT_TREE_STEPS, binomial_american_put, bs_european_put
-from .report import read_loss_csv, render_text, summarize, write_loss_csv, write_report
+from .report import write_loss_csv, write_report
 from .schemes import NETS, SCHEMES, uniform_partition
 
 
@@ -95,9 +95,9 @@ def _cmd_train(args):
     write_loss_csv(out_csv, result.losses, result.wall_ms, result.centering_residuals)
     save_checkpoint(os.path.join(run_dir, "final.ckpt"), result.mlps)
     title = f"{resolved['model']} {resolved['net']} steps={resolved['steps']}"
-    write_report(run_dir, csv_name=os.path.basename(out_csv), title=title)
-    iterations, losses, wall = read_loss_csv(out_csv)
-    sys.stdout.write(render_text(summarize(iterations, losses, wall), title=title))
+    txt_path, _ = write_report(run_dir, csv_name=os.path.basename(out_csv), title=title)
+    with open(txt_path, "r", encoding="utf-8") as fh:
+        sys.stdout.write(fh.read())
     return 0
 
 

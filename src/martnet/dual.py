@@ -20,11 +20,13 @@ packs each network once (``mlp.pack``) and runs the plain kernel once.
 The gradient is an explicit chain of three vector-Jacobian products, the
 last operation's first: the loss's, which keeps only each path's argmax
 and, with the bridge, a - b and the root there; the centering's,
-g + sum(-g, axis 0) / batch; and the pass's. Under ``resnet-em`` the pass's
-keeps the states, the knots and the draws and recomputes each step's
-networks from them, last step first. Under ``nvnet``/``nnet`` it keeps each
-RK5 flow's record (its duration, martingale field weights, row set and
-encoded inputs) and replays the flows through the discrete RK5 adjoint.
+g + sum(-g, axis 0) / batch; and the pass's. The pass's is one walk back
+over flow records, each an explicit Runge-Kutta step of the martingale
+(its tableau, duration, field weights, row set and encoded inputs)
+replayed through the discrete Runge-Kutta adjoint ``rk5.rk5_vjp``. Under
+``nvnet``/``nnet`` the records are the RK5 flows the pass ran. Under
+``resnet-em`` each Euler step is a one-stage flow, rebuilt last step first
+from the states, the knots and the draws the pass keeps.
 ``mlp.mlp_vjp`` adds each network's parameter gradients into plain arrays.
 The chain gives the bits of the same loss taped op by op, the tests'
 reference.
@@ -33,6 +35,7 @@ reference.
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +45,7 @@ from .fields import payoff_eval
 from .mlp import mlp_forward, mlp_vjp, pack, param_arrays, rebuild_params, save_checkpoint
 from .mlp import AdamState, adam_update, init_adam  # noqa: F401  (re-exported for callers)
 from .qmc import check_seed, draws_for
-from .rk5 import STAGES, rk5_vjp
+from .rk5 import EULER, RK5, rk5_vjp
 from .schemes import NET_CONFIGS, SCHEMES, simulate
 
 # Not called here: the benchmark's layer tracer rebinds martnet.dual.flow and
@@ -267,9 +270,9 @@ def _bind_nets(packs, model, partition, flows=None):
     """Callable net(j, t, x, m) = V^M_j(t, x, m): packed network j on the encoded input, times K.
 
     Given a list ``flows`` it is a recording net (see ``schemes``): its
-    ``begin_flow`` appends a record (t, h, weights, rows, evals) for each
-    joint RK5 flow, and each evaluation appends (j, encoded input) to the
-    last record's evals.
+    ``begin_flow`` appends a record (t, h, weights, rows, evals, tableau)
+    for each joint RK5 flow, and each evaluation appends (j, encoded input)
+    to the last record's evals.
     """
     encode, sm = _encoder(model, partition)
 
@@ -281,94 +284,91 @@ def _bind_nets(packs, model, partition, flows=None):
 
     if flows is not None:
         net_fn.begin_flow = lambda t, h, weights, rows: flows.append(
-            SimpleNamespace(t=t, h=h, weights=weights, rows=rows, evals=[])
+            SimpleNamespace(t=t, h=h, weights=weights, rows=rows, evals=[], tableau=RK5)
         )
     return net_fn
 
 
-def _em_backward(packs, config, model, draws, states, knots):
-    """Backward of the ``resnet-em`` pass, from the states, the knots and the draws.
+def _recorded_steps(flows):
+    """An ``nvnet``/``nnet`` pass's flow records by step: steps(k) is step k's row sets.
 
-    The pass is M_{k+1} = M_k + sum_i sqrt(dt_k) eta_{k,i} net_i(t_k, X_k, M_k).
-    backward(g, grads) takes the knots' cotangent g, walks k = n-1 .. 0,
-    recomputes each network at (t_k, X_k, M_k), feeds it the cotangent
-    gbar_{k+1} sqrt(dt_k) eta_{k,i} and forms
-    gbar_k = ((G_k + gbar_{k+1}) + dm_0) + dm_1 ..., the float operations of
-    the same pass taped one node per evaluation. ``packs`` are the forward's
-    packed networks; network i's parameter gradients go into ``grads[i]``.
+    A step's flows share t_k. Its row sets, each (rows, [flow, ...]), and
+    each set's flows come in the forward's order.
     """
-    encode, sm = _encoder(model, config.partition)
-    times, deltas, eta = config.partition.times, config.partition.deltas, draws.eta
-
-    def backward(g, grads):
-        gbar = g[:, -1:]
-        for k in reversed(range(deltas.size)):
-            gm = g[:, k : k + 1] + gbar if k > 0 else None  # M_0 = 0 is a constant
-            sdt = np.sqrt(float(deltas[k]))
-            xd = encode(float(times[k]), states[:, k, :], knots[:, k : k + 1])
-            for i, packed in enumerate(packs):
-                gh = mlp_vjp(packed, xd, gbar * (sdt * eta[:, k, i : i + 1]) * sm, grads[i], k > 0)
-                if k > 0:
-                    gm += gh[:, -1:] * (1.0 / sm)
-            gbar = gm
-
-    return backward
-
-
-def _flow_backward(packs, flows, sm):
-    """Backward of the ``nvnet``/``nnet`` pass, from its flow records.
-
-    backward(g, grads) replays the flows last step first (a step's flows
-    share t_k); within a step it takes the row sets in the forward's order
-    and each one's flows last first, the order of the tape that records one
-    node per evaluation. Per flow, ``rk5_vjp`` hands each stage its
-    cotangent kbar, and one ``mlp_vjp`` per evaluation is fed kbar * w * K,
-    adds network j's parameter gradients into ``grads[j]`` and gives the
-    stage input its input gradient's m column / K. A row set's cotangent is
-    gathered from its step's output and scattered into its input the way
-    ``merge_rows`` and the tape's row gather do.
-    """
-    steps = []  # per step, its row sets in order: [(rows, [flow, ...]), ...]
+    steps = []
     for i, f in enumerate(flows):
         if i == 0 or f.t != flows[i - 1].t:
             steps.append([])
         if not steps[-1] or steps[-1][-1][0] is not f.rows:
             steps[-1].append((f.rows, []))
         steps[-1][-1][1].append(f)
+    return steps.__getitem__
+
+
+def _em_steps(config, model, draws, states, knots):
+    """The ``resnet-em`` pass by step, as one-stage flow records rebuilt from its states, knots and draws.
+
+    M_{k+1} = M_k + sum_i sqrt(dt_k) eta_{k,i} net_i(t_k, X_k, M_k) is the
+    one-stage explicit Runge-Kutta step m + h k_0 (``rk5.EULER``) with h = 1,
+    field weights sqrt(dt_k) eta_k and every network at one encoded input.
+    steps(k) rebuilds step k's record, so the backward holds one step's
+    encoded input at a time.
+    """
+    encode, _ = _encoder(model, config.partition)
+    times, deltas, eta = config.partition.times, config.partition.deltas, draws.eta
+
+    def steps(k):
+        xd = encode(float(times[k]), states[:, k, :], knots[:, k : k + 1])
+        weights = np.sqrt(float(deltas[k])) * eta[:, k]
+        evals = [(i, xd) for i in range(eta.shape[2])]
+        return [(None, [SimpleNamespace(h=1.0, weights=weights, evals=evals, tableau=EULER)])]
+
+    return steps
+
+
+def _flow_backward(packs, steps, n, sm):
+    """Backward of a pass of ``n`` steps, from its flow records: ``steps(k)`` is step k's row sets.
+
+    backward(g, grads) takes the knots' cotangent g and replays the steps
+    last first; within a step it takes the row sets in the forward's order
+    and each one's flows last first, the order of the tape that records one
+    node per evaluation. Per flow, ``rk5_vjp`` walks the flow's tableau
+    backwards and hands each stage its cotangent kbar, and one ``mlp_vjp``
+    per evaluation is fed kbar * w * K, adds network j's parameter gradients
+    into ``grads[j]`` and gives the stage input its input gradient's m
+    column / K. A row set's cotangent is gathered from its step's output and
+    scattered into its input the way ``merge_rows`` and the tape's row
+    gather do. Step 0's input cotangent is formed and discarded: M_0 = 0 is
+    a constant.
+    """
 
     def backward(g, grads):
-        def stage_vjp(f):
-            per = len(f.evals) // STAGES
+        def stage_vjp(f, s, kbar):
+            per = len(f.evals) // len(f.tableau[1])
+            parts = []
+            for j, xd in f.evals[s * per : (s + 1) * per]:
+                gk = kbar if f.weights is None else kbar * f.weights[:, j : j + 1]
+                gh = mlp_vjp(packs[j], xd, gk * sm, grads[j])
+                parts.append(gh[:, -1:] * (1.0 / sm))
+            return parts
 
-            def run(s, kbar, need):
-                parts = []
-                for j, xd in f.evals[s * per : (s + 1) * per]:
-                    gk = kbar if f.weights is None else kbar * f.weights[:, j : j + 1]
-                    gh = mlp_vjp(packs[j], xd, gk * sm, grads[j], need)
-                    if need:
-                        parts.append(gh[:, -1:] * (1.0 / sm))
-                return parts
-
-            return run
-
-        def replay(seg, gout, acc, need):
-            for i in reversed(range(len(seg))):
-                gout = rk5_vjp(seg[i].h, gout, stage_vjp(seg[i]), acc if i == 0 else None, need or i > 0)
+        def replay(seg, gout, acc):
+            for i, f in reversed(list(enumerate(seg))):
+                gout = rk5_vjp(f.h, gout, partial(stage_vjp, f), acc if i == 0 else None, f.tableau)
             return gout
 
         gbar = g[:, -1:]
-        for k in reversed(range(len(steps))):
-            gk = g[:, k : k + 1] if k > 0 else None  # M_0 = 0 is a constant
-            if steps[k][0][0] is None:
-                gbar = replay(steps[k][0][1], gbar, gk, k > 0)
+        for k in reversed(range(n)):
+            step = steps(k)
+            if step[0][0] is None:
+                gbar = replay(step[0][1], gbar, g[:, k : k + 1])
                 continue
-            ins = [(rows, replay(seg, gbar[rows], None, k > 0)) for rows, seg in steps[k]]
-            if k > 0:
-                gbar = gk.copy()
-                for rows, gin in ins:
-                    gx = np.zeros(gbar.shape)
-                    np.add.at(gx, rows, gin)
-                    gbar += gx
+            ins = [(rows, replay(seg, gbar[rows], None)) for rows, seg in step]
+            gbar = g[:, k : k + 1].copy()
+            for rows, gin in ins:
+                gx = np.zeros(gbar.shape)
+                np.add.at(gx, rows, gin)
+                gbar += gx
 
     return backward
 
@@ -380,10 +380,11 @@ def _simulate_coupled(config, nets, model, draws, need_grad):
     component, so both see the same draws and the same within-step asset
     trajectory; returns (states, knots, backward) with the knots a
     (batch, steps + 1) array. The kernel runs once on arrays; with
-    ``need_grad`` backward is the pass's vector-Jacobian product, which
-    under ``resnet-em`` keeps the states, the knots and the draws
-    (``_em_backward``) and under ``nvnet``/``nnet`` one record per joint RK5
-    flow and no state (``_flow_backward``); otherwise it is None.
+    ``need_grad`` backward is the pass's vector-Jacobian product
+    (``_flow_backward``), which under ``resnet-em`` keeps the states, the
+    knots and the draws and rebuilds each step's one-stage flow record from
+    them (``_em_steps``), and under ``nvnet``/``nnet`` keeps one record per
+    joint RK5 flow and no state (``_recorded_steps``); otherwise it is None.
     """
     tag = NET_CONFIGS[config.scheme].scheme
     flows = [] if need_grad and SCHEMES[tag].flows else None
@@ -391,12 +392,9 @@ def _simulate_coupled(config, nets, model, draws, need_grad):
     net = _bind_nets(packs, model, config.partition, flows)
     states, knots = simulate(model, tag, config.partition, draws, net=net)
     if not need_grad:
-        backward = None
-    elif flows is None:
-        backward = _em_backward(packs, config, model, draws, states, knots)
-    else:
-        backward = _flow_backward(packs, flows, float(model.payoff.strike))
-    return states, knots, backward
+        return states, knots, None
+    steps = _em_steps(config, model, draws, states, knots) if flows is None else _recorded_steps(flows)
+    return states, knots, _flow_backward(packs, steps, config.partition.steps, float(model.payoff.strike))
 
 
 def _validate_setup(config, mlps, model):

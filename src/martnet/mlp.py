@@ -10,8 +10,9 @@ dimension, so the bias row, placed last, is added last with one rounding
 (gemv, which numpy uses for a single row, does not, so one row keeps
 h @ w + b). ``mlp_forward`` is the forward pass and ``mlp_vjp`` the one
 reverse pass: it recomputes the hidden layers from the input with the
-forward's packs and adds the parameter gradients into plain arrays, the
-form ``dual``'s explicit gradient chain calls it in. ``mlp_forward_t``, one
+forward's packs, adds the parameter gradients into plain arrays and
+returns the input's gradient, the form in which every Runge-Kutta stage of
+``dual``'s explicit gradient chain calls it. ``mlp_forward_t``, one
 evaluation as one ``autodiff`` tape node over its own ``mlp_vjp``, serves
 the tests' op-by-op reference tape only.
 """
@@ -165,7 +166,7 @@ def mlp_forward_t(tensors, x, m, scale, check=False):
 
     def backward(g):
         grads = [None] * len(leaves)
-        gh = mlp_vjp(packed, encoded(), g * scale, grads, taped_m)
+        gh = mlp_vjp(packed, encoded(), g * scale, grads)
         for leaf, ga in zip(leaves, grads):
             leaf._accumulate(ga)
         if taped_m:
@@ -174,7 +175,7 @@ def mlp_forward_t(tensors, x, m, scale, check=False):
     return Tensor._node(out, (m, *leaves), backward)
 
 
-def mlp_vjp(packed, xd, g, grads, need_input):
+def mlp_vjp(packed, xd, g, grads):
     """Add the gradient of sum(net(xd) * g) into ``grads``, one network's gradient list.
 
     ``packed`` is the network's ``pack`` and ``xd`` the input followed by a
@@ -182,8 +183,8 @@ def mlp_vjp(packed, xd, g, grads, need_input):
     that is None takes its first gradient as is, and later ones are added
     into it in place. The hidden layers are recomputed from ``xd`` with the
     forward's arithmetic, one layer's vector-Jacobian product at a time,
-    last layer first. Returns the gradient in the input (without the ones
-    column) when ``need_input``, else None.
+    last layer first. Returns the gradient in the input, without the ones
+    column.
     """
     hs = [xd[:, :-1], *_hidden_layers(packed.blocks, xd)]
     proj = packed.proj
@@ -193,11 +194,10 @@ def mlp_vjp(packed, xd, g, grads, need_input):
     for i in reversed(range(len(packed.blocks))):
         gz = gh
         gz *= hs[i + 1] > 0.0  # gh is fresh: the ReLU mask goes on in place
-        if i > 0 or need_input:
-            gh = gz @ packed.blocks[i][:-1, :-1].T  # the block's w
+        gh = gz @ packed.blocks[i][:-1, :-1].T  # the block's w
         _add_into(grads, 2 * i, hs[i].T @ gz)
         _add_into(grads, 2 * i + 1, gz.sum(axis=0))
-    return gh if need_input else None
+    return gh
 
 
 def _add_into(grads, i, g):

@@ -1,4 +1,4 @@
-"""Explicit fixed-step Runge-Kutta integration of order 5.
+"""Explicit fixed-step Runge-Kutta integration of order 5, and its adjoint.
 
 Used to realise the frozen-field flows exp(V)x that the splitting schemes
 compose, one RK5 step per flow. The step kernel is generic over the state
@@ -7,9 +7,10 @@ the tests' reference tape, and the step length may be a per-path column so
 a whole batch of flows with different durations integrates in one call. A
 joint state is a tuple of parts, for example (X, m) with the martingale
 beside the asset; its field returns one derivative per part and the stages
-combine the parts one by one. ``rk5_vjp`` runs the same stage table
-backwards for the martingale part of a recorded step, the discrete
-Runge-Kutta adjoint that ``dual``'s gradient chain calls.
+combine the parts one by one. ``rk5_vjp`` runs a tableau's stages backwards
+for the martingale part of a recorded step, the discrete Runge-Kutta
+adjoint of ``dual``'s gradient chain: ``RK5`` for a flow, ``EULER`` for an
+Euler step.
 """
 
 import numpy as np
@@ -30,7 +31,8 @@ A = (
 )
 B = (7 / 90, 0.0, 32 / 90, 12 / 90, 32 / 90, 7 / 90)
 
-STAGES = len(B)
+RK5 = (A, B)
+EULER = (((),), (1.0,))  # the one-stage explicit step m + h k_0
 
 
 def _finite(z):
@@ -66,7 +68,7 @@ def rk5_step(f, x, h):
     State of the same kind as ``x``.
     """
     stages = []
-    for i in range(STAGES):
+    for i in range(len(B)):
         y = x
         for j, aij in enumerate(A[i]):
             if aij != 0.0:
@@ -82,35 +84,34 @@ def rk5_step(f, x, h):
     return out
 
 
-def rk5_vjp(h, g, stage_vjp, acc=None, need_input=True):
-    """The cotangent of one RK5 step's input part, given its output's cotangent ``g``.
+def rk5_vjp(h, g, stage_vjp, acc=None, tableau=RK5):
+    """The cotangent of one explicit Runge-Kutta step's input part, given its output's cotangent ``g``.
 
-    The step is ``rk5_step`` on one part m of a state: stage inputs
-    y_s = m + sum_{l<s} h a_sl k_l and output m + sum_s h b_s k_s.
-    ``stage_vjp(s, kbar, need)`` is called for s = 5 .. 0 with the stage's
-    cotangent kbar_s = g h b_s + sum_{l>s} ybar_l h a_ls (l descending), and
-    returns the cotangents its evaluations give y_s, in evaluation order
-    (it may skip them when ``need`` is false). The input's cotangent is
-    acc + g + ybar_5 + ... + ybar_1, then stage 0's cotangents one by one,
-    with ybar_s the sum of stage s's; None when not ``need_input``. These are
-    the float operations, in the order, of ``rk5_step`` taped op by op.
+    The step, by default ``rk5_step``, applies the tableau (a, b) to one part
+    m of a state: stage inputs y_s = m + sum_{l<s} h a_sl k_l and output
+    m + sum_s h b_s k_s. ``stage_vjp(s, kbar)`` is called for the last stage
+    s down to 0 with the stage's cotangent
+    kbar_s = g h b_s + sum_{l>s} ybar_l h a_ls (l descending), and returns
+    the cotangents its evaluations give y_s, in evaluation order. The
+    input's cotangent is acc + g + ybar_{last} + ... + ybar_1, then stage
+    0's cotangents one by one, with ybar_s the sum of stage s's. These are
+    the float operations, in the order, of the step taped op by op.
     """
-    ybar = [None] * STAGES
-    for s in reversed(range(STAGES)):
-        kbar = g * (h * B[s]) if B[s] != 0.0 else None
-        for l in range(STAGES - 1, s, -1):
-            if A[l][s] != 0.0:
-                term = ybar[l] * (h * A[l][s])
+    a, b = tableau
+    ybar = [None] * len(b)
+    for s in reversed(range(len(b))):
+        kbar = g * (h * b[s]) if b[s] != 0.0 else None
+        for l in range(len(b) - 1, s, -1):
+            if a[l][s] != 0.0:
+                term = ybar[l] * (h * a[l][s])
                 kbar = term if kbar is None else np.add(kbar, term, out=kbar)
-        parts = stage_vjp(s, kbar, s > 0 or need_input)
+        parts = stage_vjp(s, kbar)
         if s > 0:
             ybar[s] = parts[0]
             for p in parts[1:]:
                 ybar[s] += p
-    if not need_input:
-        return None
     out = g.copy() if acc is None else acc + g
-    for s in range(STAGES - 1, 0, -1):
+    for s in range(len(b) - 1, 0, -1):
         out += ybar[s]
     for p in parts:  # stage 0's, the loop's last
         out += p

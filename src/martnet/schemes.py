@@ -142,8 +142,8 @@ def nv_step(model, x, dt, eta_row, lam, t=0.0, m=None, net=None):
     through the order its sign selects only. The martingale rides the
     diffusion flows only, its drift being zero.
     """
-    if np.ndim(lam) == 0 and lam not in (-1, 1):
-        raise InvalidParameterError("lam must be +1 or -1")
+    if not np.all(np.abs(lam) == 1.0):
+        raise InvalidParameterError("lam must be +1 or -1 on every path")
     v0 = model.stratonovich_fields[0]
     tau = np.sqrt(dt) * eta_row
     x = flow(v0, t, x, dt / 2.0)

@@ -232,6 +232,8 @@ def test_train_and_report_subcommands(tmp_path, capsys):
     assert (run_dir / "config.txt").exists()
     assert (run_dir / "final.ckpt").exists()
     assert (run_dir / "report.svg").exists()
+    # train prints the report.txt it wrote, once
+    assert capsys.readouterr().out == (run_dir / "report.txt").read_text(encoding="utf-8")
     assert main(["report", "--run", str(run_dir)]) == 0
     out = capsys.readouterr().out
     assert "plateau" in out

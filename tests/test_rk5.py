@@ -99,3 +99,46 @@ def test_per_path_durations():
     out = flow(lambda t, y: y, 0.0, x, tt)
     # a single fifth-order step over duration 0.3 carries ~4e-7 truncation
     np.testing.assert_allclose(out[:, 0], np.exp(tt[:, 0]), rtol=1e-5)
+
+
+def _euler_step(f, x, h):
+    """The one-stage explicit step x + h f(x) that ``rk5.EULER`` tabulates."""
+    return x + h * f(x)
+
+
+@pytest.mark.parametrize(
+    "tableau,step", [(rk5.EULER, _euler_step), (rk5.RK5, rk5_step)], ids=["euler", "rk5"]
+)
+def test_rk5_vjp_matches_central_differences(tableau, step):
+    # a nonlinear per-row field of two evaluations, sin(y) + a y^2, over per-row
+    # step lengths; the stage inputs recorded during the step give the callback
+    # each evaluation's derivative, and the adjoint matches d/dm sum(g * step(m))
+    rng = np.random.default_rng(21)
+    m, a = rng.uniform(-1.0, 1.0, (5, 1)), rng.uniform(-0.5, 0.5, (5, 1))
+    h, g, acc = rng.uniform(0.2, 0.7, (5, 1)), rng.standard_normal((5, 1)), rng.standard_normal((5, 1))
+
+    def field(y):
+        return np.sin(y) + a * y * y
+
+    ys, calls = [], []
+
+    def recording(y):
+        ys.append(y)
+        return field(y)
+
+    step(recording, m, h)
+    assert len(ys) == len(tableau[1])
+
+    def stage_vjp(s, kbar):
+        calls.append(s)
+        return [kbar * np.cos(ys[s]), kbar * (2.0 * a * ys[s])]
+
+    got = rk5.rk5_vjp(h, g, stage_vjp, acc, tableau)
+    assert calls == list(reversed(range(len(ys))))
+    eps = 1e-6
+    want = np.empty_like(m)
+    for r in range(m.shape[0]):
+        e = np.zeros_like(m)
+        e[r] = eps
+        want[r] = (np.sum(g * step(field, m + e, h)) - np.sum(g * step(field, m - e, h))) / (2.0 * eps)
+    np.testing.assert_allclose(got, acc + want, rtol=1e-7, atol=1e-9)

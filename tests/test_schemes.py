@@ -244,6 +244,19 @@ def test_nv_per_path_lam_equals_scalar_rows(heston, lam):
         assert out_m[rows].tobytes() == want_m.tobytes()
 
 
+@pytest.mark.parametrize(
+    "lam",
+    [0, 0.5, np.array([0.0, 1.0, 0.5]), np.array([1.0, -2.0, -1.0]), np.array([1.0, np.nan, -1.0])],
+    ids=["scalar-0", "scalar-half", "zero-and-half", "minus-two", "nan"],
+)
+def test_nv_refuses_signs_other_than_plus_or_minus_one(heston, lam):
+    # a scalar sign and a per-path one are held to the same rule: no entry is
+    # rounded to the nearer order, every one must be exactly +1 or -1
+    x = np.tile(heston.x0, (3, 1))
+    with pytest.raises(InvalidParameterError, match="lam"):
+        sch.nv_step(heston, x, 0.25, np.zeros((3, heston.d)), lam)
+
+
 def _worst_gradient_error(model, scheme, tag, steps):
     """Worst relative gap between loss_and_grads and central differences on 10 random weights."""
     p = mn.uniform_partition(1.0, steps)
