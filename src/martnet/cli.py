@@ -5,11 +5,10 @@ import os
 import sys
 
 from .atomic import atomic_open
-from .config import build_model, load_config, resolve_config, snapshot_text
+from .config import BSM_DEFAULTS, build_model, load_config, resolve_config, snapshot_text
 from .convergence import run_convergence
 from .dual import MartingaleNetConfig, train
 from .errors import MartnetError, UsageError
-from .fields import make_bsm_model
 from .mlp import init_mlp, save_checkpoint
 from .oracles import DEFAULT_TREE_STEPS, binomial_american_put, bs_european_put
 from .report import write_loss_csv, write_report
@@ -41,11 +40,11 @@ def _build_parser():
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("oracle", help="reference prices for spot checks")
-    p.add_argument("--S0", type=float, default=100.0)
-    p.add_argument("--K", type=float, default=100.0)
-    p.add_argument("--sigma", type=float, default=0.32)
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--r", type=float, default=0.0)
+    p.add_argument("--S0", type=float, default=BSM_DEFAULTS["S0"])
+    p.add_argument("--K", type=float, default=BSM_DEFAULTS["K"])
+    p.add_argument("--sigma", type=float, default=BSM_DEFAULTS["sigma"])
+    p.add_argument("--T", type=float, default=BSM_DEFAULTS["T"])
+    p.add_argument("--r", type=float, default=BSM_DEFAULTS["mu"])
     p.add_argument("--steps", type=int, default=DEFAULT_TREE_STEPS)
     p.set_defaults(func=_cmd_oracle)
 
@@ -108,7 +107,7 @@ def _cmd_converge(args):
             counts = [int(tok) for tok in args.steps.split(",") if tok.strip()]
         except ValueError:
             raise UsageError(f"bad step list: {args.steps!r}")
-    model = make_bsm_model(100.0, 0.0, 0.32)
+    model = build_model(BSM_DEFAULTS)
     rows = run_convergence(
         model, args.scheme, counts, args.points, seed=args.seed, protocol=args.protocol
     )

@@ -23,11 +23,10 @@ not depend on how many are asked for. A rung steps its running state
 through the scheme's kernel and keeps only the terminal state.
 
 The rungs of a ladder run concurrently. The draws are made first, in row
-blocks shared by the calling thread and a pool (see ``qmc``). Then the
-rungs go to ``parallel.run_shared``, longest first: the longest runs on the
-calling thread, the others on a thread pool with one worker fewer than
-min(rungs, cores), and the caller takes queued rungs from the shortest end
-once its own is done; with one core or one rung no thread is started.
+blocks on a thread pool (see ``qmc``). Then the rungs go to
+``parallel.run_shared``, longest first, so the pool of min(rungs, cores)
+threads starts on the longest while the caller waits; with one core or one
+rung no thread is started.
 Numpy's elementwise ufuncs release the GIL on arrays this size, so rungs
 overlap. The bits do not depend on the thread count: each rung does the
 same arithmetic, in the same order, on arrays of its own, reading but never
@@ -65,10 +64,10 @@ def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="au
     Returns a list of ConvergenceRow, one per step count, each carrying the
     common least-squares slope (None when the ladder has a single rung).
 
-    The rungs run through ``parallel.run_shared``, longest first on the
-    calling thread, so the errors are bit for bit those of a serial ladder
-    whatever the core count. An exception in any rung is re-raised here,
-    and rungs not yet started are cancelled.
+    The rungs run through ``parallel.run_shared``, longest first, and the
+    errors are bit for bit those of a serial ladder whatever the core
+    count. An exception in any rung is re-raised here, and rungs not yet
+    started are cancelled.
     """
     if getattr(model, "name", None) != "bsm":
         raise UsageError("convergence study supports the lognormal model only")

@@ -1,23 +1,21 @@
 """One thread-pool helper, shared by the weak-order ladders and the QMC draws.
 
 ``run_shared(fn, items)`` calls ``fn`` on every item and returns the results
-in item order. The calling thread runs the first item while a pool of
-min(items, cores) - 1 threads takes the others from the front of the queue;
-then the caller takes queued items from the back, one at a time, until none
-is left, and waits for the rest. With one core or one item no thread is
-started.
+in item order. The caller submits every item, in order, to a pool of
+min(items, cores) threads and waits; with one core or one item no thread is
+started and the items run on the caller.
 
-An exception in any item is re-raised on the caller as the same object.
-The caller checks for one before each item it takes from the queue, and
-then cancels every item still queued. The pool is shut down and joined
-before ``run_shared`` returns or raises, so no thread outlives the call.
+The caller takes the items as they finish. The first exception it meets is
+re-raised as the same object, once every item still queued is cancelled and
+the running ones have ended. The pool is shut down and joined before
+``run_shared`` returns or raises, so no thread outlives the call.
 
 Which thread runs an item never changes its result as long as ``fn`` writes
 only to storage of its own item.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 
 
 def cores():
@@ -28,28 +26,18 @@ def cores():
         return os.cpu_count() or 1
 
 
-def _raise_failed(futures):
-    for f in futures:
-        if f.done() and not f.cancelled() and f.exception() is not None:
-            raise f.exception()
-
-
 def run_shared(fn, items):
-    """``[fn(item) for item in items]``, with the caller and a pool sharing the work."""
+    """``[fn(item) for item in items]``, on a pool the caller waits on."""
     items = list(items)
-    workers = min(len(items), cores()) - 1
-    if workers < 1:
+    workers = min(len(items), cores())
+    if workers < 2:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(fn, item) for item in items]
         try:
-            futures = [pool.submit(fn, item) for item in items[1:]]
-            done = {0: fn(items[0])}
-            for i in range(len(futures), 0, -1):
-                _raise_failed(futures)
-                if not futures[i - 1].cancel():  # a worker has it, and every item before it
-                    break
-                done[i] = fn(items[i])
-            return [done[i] if i in done else futures[i - 1].result() for i in range(len(items))]
+            for f in as_completed(futures):
+                f.result()
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
+    return [f.result() for f in futures]

@@ -29,8 +29,8 @@ open unit interval raises instead of returning an infinity.
 ``draws_for`` allocates its output arrays once and fills them in blocks of
 2^13 points: each block gets its points, quantiles (or cubature values) and
 signs, and only the current block is held as uint32 rows and float points.
-The blocks are shared by the calling thread and min(blocks, cores) - 1
-pool threads (``parallel.run_shared``); ``ndtri`` and the XOR and multiply
+The blocks run on a pool of min(blocks, cores) threads that the caller
+waits on (``parallel.run_shared``); ``ndtri`` and the XOR and multiply
 passes release the GIL. A draw of one block starts no thread. Every block
 does the arithmetic a whole-range draw does on its rows, so the bits do not
 depend on the block size or the thread count.
@@ -237,8 +237,8 @@ def draws_for(scheme, d, steps, batch, seed=None):
     (``schemes.SCHEMES``) lays them out; a sign coordinate is thresholded
     at 1/2 (see ``DrawBlock``).
 
-    The outputs are allocated once and filled in blocks of 2^13 points,
-    shared between the caller and a thread pool (``parallel.run_shared``).
+    The outputs are allocated once and filled in blocks of 2^13 points on
+    a thread pool the caller waits on (``parallel.run_shared``).
     The seed is an int or a ``SeedSequence`` (a generator is refused):
     each block draws the same shift from it.
     """

@@ -1,6 +1,7 @@
 """Run reporting: loss-CSV reading, plateau summary, text and SVG output."""
 
 import csv
+import math
 import os
 from xml.sax.saxutils import escape
 
@@ -11,7 +12,11 @@ from .errors import UsageError
 
 
 def read_loss_csv(path):
-    """Read an iteration,loss,wall_ms[,...] CSV; returns three numpy arrays."""
+    """Read an iteration,loss,wall_ms[,...] CSV; returns three numpy arrays.
+
+    A row whose loss or wall time is NaN or infinite is a UsageError naming
+    the file and line, as is any row that does not parse.
+    """
     iterations, losses, wall = [], [], []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -23,11 +28,14 @@ def read_loss_csv(path):
                 if not row:
                     continue
                 try:
-                    iterations.append(int(row[0]))
-                    losses.append(float(row[1]))
-                    wall.append(float(row[2]))
+                    iteration, loss, ms = int(row[0]), float(row[1]), float(row[2])
                 except (ValueError, IndexError):
                     raise UsageError(f"{path}, line {reader.line_num}: expected iteration,loss,wall_ms, got {row}")
+                if not (math.isfinite(loss) and math.isfinite(ms)):
+                    raise UsageError(f"{path}, line {reader.line_num}: loss and wall_ms must be finite, got {row}")
+                iterations.append(iteration)
+                losses.append(loss)
+                wall.append(ms)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"{path} is not a CSV text file: {exc}")
     except OSError as exc:

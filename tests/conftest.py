@@ -1,4 +1,5 @@
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 import martnet as mn
+import martnet.parallel
 from martnet.autodiff import Tensor
 from martnet.mlp import MlpParams, DEPTH, HIDDEN
 from martnet.rk5 import flow
@@ -14,6 +16,14 @@ from martnet.rk5 import flow
 # a failing run prints the blob that reproduces its example.
 settings.register_profile("martnet", deadline=None, print_blob=True)
 settings.load_profile("martnet")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail any test that leaves more or fewer threads running than it found."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before, f"threads left running: {threading.enumerate()}"
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +65,24 @@ def force_cores(monkeypatch, n):
     """Make the process report ``n`` usable CPUs for the monkeypatch's lifetime."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def pool_shutting_down(monkeypatch):
+    """An event set once ``run_shared``'s pool has begun to shut down.
+
+    A shutdown that cancels the queued items does so before the event is set,
+    so an item that waits on it holds its thread until nothing queued can start.
+    """
+    event = threading.Event()
+
+    class Pool(martnet.parallel.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            event.set()
+            super().shutdown(wait=wait)
+
+    monkeypatch.setattr(martnet.parallel, "ThreadPoolExecutor", Pool)
+    return event
 
 
 def flow_substeps(field, t, x, total_time, substeps):

@@ -243,6 +243,9 @@ _BAD_LOSS_CSVS = {
     "non-numeric": b"iteration,loss,wall_ms\n1,2.5,3.0\n2,oops,3.0\n",
     "short-row": b"iteration,loss,wall_ms\n1,2.5,3.0\n2,2.5\n",
     "not-utf8": b"iteration,loss,wall_ms\n1,2.5,\xff\xfe\n",
+    "nan-loss": b"iteration,loss,wall_ms\n1,2.5,3.0\n2,nan,3.0\n",
+    "inf-loss": b"iteration,loss,wall_ms\n1,2.5,3.0\n2,-inf,3.0\n",
+    "inf-wall": b"iteration,loss,wall_ms\n1,2.5,3.0\n2,2.5,inf\n",
 }
 
 
@@ -256,8 +259,9 @@ def test_report_bad_run_directory(tmp_path, capsys, case):
     assert main(["report", "--run", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(run_dir) in err
-    if case in ("non-numeric", "short-row"):
+    if case not in ("not-utf8", "missing-dir"):
         assert "line 3" in err
+    assert not (run_dir / "report.svg").exists()
 
 
 def test_train_unwritable_run_directory(tmp_path, capsys):

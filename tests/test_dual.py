@@ -346,21 +346,35 @@ def _node_case(request, model_name, scheme, tag, steps, bridge):
     return model, cfg, nets, draws, uniforms
 
 
+def _gradient_bytes(entry, bridge, model, cfg, nets, draws, uniforms):
+    """The bytes of the loss and of every gradient array that ``entry`` returns."""
+    value, grads = entry(cfg, nets, model, draws, bridge=bridge, uniforms=uniforms)
+    return np.float64(value).tobytes(), [g.tobytes() for per_net in grads for g in per_net]
+
+
 @pytest.mark.parametrize("bridge", [False, True])
 @pytest.mark.parametrize("model_name,scheme,tag,steps", _NODE_CASES)
 def test_one_node_tape_matches_op_by_op_bitwise(request, model_name, scheme, tag, steps, bridge):
     # the gradient chain (the loss's, the centering's and the pass's vector-Jacobian
     # products) gives the loss and every gradient array of the tape that records each
     # operation of the pass, the centering and the loss
-    model, cfg, nets, draws, uniforms = _node_case(request, model_name, scheme, tag, steps, bridge)
+    case = _node_case(request, model_name, scheme, tag, steps, bridge)
     if tag == "nv":
-        assert 0 < np.count_nonzero(draws.lam > 0) < draws.lam.size  # both diffusion orders run
+        lam = case[3].lam
+        assert 0 < np.count_nonzero(lam > 0) < lam.size  # both diffusion orders run
+    assert _gradient_bytes(loss_and_grads, bridge, *case) == _gradient_bytes(tape_reference.loss_and_grads, bridge, *case)
 
-    def run(entry):
-        value, grads = entry(cfg, nets, model, draws, bridge=bridge, uniforms=uniforms)
-        return np.float64(value).tobytes(), [g.tobytes() for per_net in grads for g in per_net]
 
-    assert run(loss_and_grads) == run(tape_reference.loss_and_grads)
+@pytest.mark.parametrize("bridge", [False, True])
+def test_one_path_row_set_matches_op_by_op_bitwise(request, bridge):
+    # a step whose sign puts exactly one path on one side runs that row set's
+    # networks on a single row (the gemv branch of mlp._hidden_layers), and its
+    # backward gathers and scatters that one row
+    case = _node_case(request, "heston", "nvnet", "nv", 4, bridge)
+    lam = case[3].lam
+    lam[:, 0] = -1.0
+    lam[5, 0] = 1.0
+    assert _gradient_bytes(loss_and_grads, bridge, *case) == _gradient_bytes(tape_reference.loss_and_grads, bridge, *case)
 
 
 @pytest.mark.parametrize("bridge", [False, True])

@@ -26,7 +26,7 @@ from martnet.errors import (
     UnsupportedDimensionError,
 )
 
-from conftest import force_cores, traced_peak_bytes
+from conftest import force_cores, pool_shutting_down, traced_peak_bytes
 
 
 def test_first_sobol_coordinates():
@@ -236,28 +236,37 @@ def test_generator_seed_refused(make):
 
 
 def test_worker_block_error_reaches_caller(monkeypatch):
-    # The caller's block waits until a worker has started one; every worker
-    # block raises. The caller must see that very object, and no thread may
-    # outlive the call.
+    # Every block runs on a pool thread. At two cores block 1 raises once
+    # block 0 has started, and every other block holds its thread until the
+    # pool is shutting down. The caller must see that very object, block 3
+    # (queued behind the one the freed thread may take) must never start, and
+    # no thread may outlive the call.
     boom = NumericError("block failed")
     caller = threading.current_thread()
-    worker_started = threading.Event()
+    started = []
+    first_started = threading.Event()
     real_points = martnet.qmc.sobol_points
-
-    def points(*args, **kwargs):
-        if threading.current_thread() is not caller:
-            worker_started.set()
-            raise boom
-        worker_started.wait(10)
-        return real_points(*args, **kwargs)
-
     force_cores(monkeypatch, 2)
+    shutting_down = pool_shutting_down(monkeypatch)
+
+    def points(*args, start=0, **kwargs):
+        assert threading.current_thread() is not caller
+        block = start // _BLOCK
+        started.append(block)
+        if block == 1:
+            first_started.wait(10)
+            raise boom
+        if block == 0:
+            first_started.set()
+        shutting_down.wait(10)
+        return real_points(*args, start=start, **kwargs)
+
     monkeypatch.setattr(martnet.qmc, "sobol_points", points)
     threads = threading.active_count()
     with pytest.raises(NumericError) as info:
         draws_for("em", 1, 2, 4 * _BLOCK, seed=1)
     assert info.value is boom
-    assert worker_started.is_set()
+    assert sorted(started) in ([0, 1], [0, 1, 2])
     assert threading.active_count() == threads
 
 

@@ -10,7 +10,7 @@ import pytest
 import martnet as mn
 from martnet import cli
 from martnet import schemes as sch
-from martnet.config import resolve_config
+from martnet.config import BSM_DEFAULTS, resolve_config
 from martnet.dual import MartingaleNetConfig, _bridge_uniforms, loss_and_grads, loss_value
 from martnet.mlp import init_mlp, param_arrays, rebuild_params
 from martnet.qmc import SQRT3, dims_for, draws_for
@@ -335,13 +335,18 @@ def test_scheme_record_matches_draws_and_simulate(heston, tag, steps):
             sch.simulate(heston, tag, p, draws, net=_closed_form_net)
 
 
-def _parser_choices(command, dest):
+def _parser_action(command, dest):
     sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return tuple(next(a.choices for a in sub.choices[command]._actions if a.dest == dest))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def _parser_choices(command, dest):
+    return tuple(_parser_action(command, dest).choices)
 
 
 def test_cli_choices_and_defaults_read_the_tables(monkeypatch):
-    # the CLI's choices and the train and converge defaults come from the tables
+    # the CLI's choices, the train and converge defaults and the desk BSM
+    # parameters of converge and oracle come from the tables
     assert _parser_choices("converge", "scheme") == tuple(sch.SCHEMES)
     assert _parser_choices("train", "net") == tuple(sch.NETS)
     for name, family in sch.NETS.items():
@@ -350,13 +355,22 @@ def test_cli_choices_and_defaults_read_the_tables(monkeypatch):
     ladders = []
 
     def record_ladder(model, scheme, counts, *args, **kwargs):
-        ladders.append(tuple(counts))
+        ladders.append((model, tuple(counts)))
         return []
 
     monkeypatch.setattr(cli, "run_convergence", record_ladder)
+    # values unlike the shipped ones, so a literal copy of those would fail
+    desk = {"S0": 90.0, "mu": 0.01, "sigma": 0.25, "K": 95.0, "T": 1.5}
+    for key, value in desk.items():
+        monkeypatch.setitem(BSM_DEFAULTS, key, value)
     for tag, record in sch.SCHEMES.items():
         assert cli.main(["converge", "--scheme", tag]) == 0
-        assert ladders[-1] == record.ladder
+        model, ladder = ladders[-1]
+        assert ladder == record.ladder
+        assert {k: float(model.params[k]) for k in ("S0", "mu", "sigma")} == {k: desk[k] for k in ("S0", "mu", "sigma")}
+        assert float(model.payoff.strike) == desk["K"]
+    oracle = {dest: _parser_action("oracle", dest).default for dest in ("S0", "K", "sigma", "T", "r")}
+    assert oracle == {"S0": 90.0, "K": 95.0, "sigma": 0.25, "T": 1.5, "r": 0.01}
 
 
 @pytest.mark.parametrize("tag", sorted(sch.SCHEMES))
