@@ -17,14 +17,18 @@ Networks read the encoded input (t/T, x/x0, m * (1/K)), followed by a column
 of ones for their packed layers, and their output is scaled by K. A pass
 packs each network once (``mlp.pack``) and runs the plain kernel once.
 
+The loss side runs in row blocks of ``LOSS_BLOCK`` elements: D = Z - M is
+formed block by block in the payoff's buffer and the bridge one block at a
+time, so D is the one (batch, steps + 1) array it makes.
+
 The gradient is an explicit chain of three vector-Jacobian products, the
 last operation's first: the loss's, which keeps only each path's argmax
 and, with the bridge, a - b and the root there; the centering's,
-g + sum(-g, axis 0) / batch; and the pass's. The pass's is one walk back
-over flow records, each an explicit Runge-Kutta step of the martingale
-(its tableau, duration, field weights, row set and encoded inputs)
-replayed through the discrete Runge-Kutta adjoint ``rk5.rk5_vjp``. Under
-``nvnet``/``nnet`` the records are the RK5 flows the pass ran. Under
+g + sum(-g, axis 0) / batch in g's buffer; and the pass's. The pass's is
+one walk back over flow records, each an explicit Runge-Kutta step of the
+martingale (its tableau, duration, field weights, row set and encoded
+inputs) replayed through the discrete Runge-Kutta adjoint ``rk5.rk5_vjp``.
+Under ``nvnet``/``nnet`` the records are the RK5 flows the pass ran. Under
 ``resnet-em`` each Euler step is a one-stage flow, rebuilt last step first
 from the states, the knots and the draws the pass keeps.
 ``mlp.mlp_vjp`` adds each network's parameter gradients into plain arrays.
@@ -55,6 +59,8 @@ from .rk5 import flow  # noqa: F401
 
 PILOT_PATHS = 10
 SIGMA_FLOOR = 1e-8
+# Elements of a (batch, steps + 1) array in one row block of the loss.
+LOSS_BLOCK = 2**14
 # Spawn-key tag of the evaluation streams. Training keys its digital shift by
 # the integer seed + iteration and its bridge uniforms by [seed, iteration,
 # 0xB21D9E]; an evaluation key pads the seed to four words and appends
@@ -86,6 +92,8 @@ class MartingaleNetConfig:
             raise InvalidParameterError("d_M must be >= 1")
         if self.batch < 1:
             raise InvalidParameterError("batch must be >= 1")
+        if self.partition.steps < 1:
+            raise InvalidParameterError("the partition must have at least one step")
 
 
 @dataclass(frozen=True)
@@ -162,9 +170,40 @@ def center(mprime):
     return out
 
 
+def _row_blocks(batch, width):
+    """Consecutive row slices covering range(batch), each of at most LOSS_BLOCK // width rows (one at least)."""
+    rows = max(1, LOSS_BLOCK // width)
+    return [slice(lo, min(lo + rows, batch)) for lo in range(0, batch, rows)]
+
+
+def _center_from(Z, knots):
+    """Z - center(knots) in Z's buffer, a row block at a time; returns the residual.
+
+    The residual is the largest per-time |batch mean| of the centered knots.
+    Their column sums are carried from block to block in row order, the
+    order of numpy's axis-0 sum, so it has the bits of
+    ``np.abs(center(knots).mean(axis=0)).max()`` without that array.
+    """
+    mu = knots.mean(axis=0, keepdims=True)
+    blocks = _row_blocks(*knots.shape)
+    buf = np.zeros((blocks[0].stop + 1, knots.shape[1]))  # row 0 carries the column sums
+    for blk in blocks:
+        part = buf[: blk.stop - blk.start + 1]
+        np.subtract(knots[blk], mu, out=part[1:])
+        Z[blk] -= part[1:]
+        buf[0] = part.sum(axis=0)
+    return float(np.abs(buf[0] / knots.shape[0]).max())
+
+
 def _center_vjp(g):
-    """The centering's vector-Jacobian product g + sum(-g, axis 0) / batch, in g's buffer."""
-    g += (-g).sum(axis=0, keepdims=True) / g.shape[0]
+    """The centering's vector-Jacobian product g + sum(-g, axis 0) / batch, in g's buffer.
+
+    The column sum is taken of g itself, with no negated copy: a nonzero sum
+    rounds the same either sign, and 0.0 - sum turns a zero sum into +0.0,
+    the sign numpy gives every zero sum, so the bits are those of the sum of
+    -g.
+    """
+    g += (0.0 - g.sum(axis=0, keepdims=True)) / g.shape[0]
     return g
 
 
@@ -189,32 +228,41 @@ def rogers_loss(Z, M, bridge=False, sigma=None, uniforms=None, deltas=None):
 def _rogers_and_vjp(D, bridge, sigma, uniforms, deltas):
     """(loss, vjp) of ``rogers_loss`` on D = Z - M, a float array the caller gives up.
 
+    With the bridge, G and its root are formed one row block at a time
+    (``LOSS_BLOCK``), and each row keeps only its argmax, its supremum and
+    the root there; D is the one (batch, steps + 1) array the loss reads.
+
     vjp() returns d loss / d M, a fresh array that is zero outside each
     path's argmax's one or two grid columns, formed with the float
     operations of the same loss taped op by op. It keeps only each path's
-    argmax and, with the bridge, a - b and the root there, so D and the
-    bridge's buffers are freed with the loss. Where the root is 0 (a = b at
-    u = 0) it takes the symmetric subgradient, half to each endpoint.
+    argmax and, with the bridge, a - b and the root there, so D is freed
+    with the loss. Where the root is 0 (a = b at u = 0) it takes the
+    symmetric subgradient, half to each endpoint.
     """
+    batch, steps = D.shape[0], D.shape[1] - 1
+    rows = np.arange(batch)
     if bridge:
         if sigma is None or uniforms is None or deltas is None:
             raise InvalidParameterError("bridge=True needs sigma, uniforms and deltas")
-        batch, steps = D.shape[0], D.shape[1] - 1
         sigma, uniforms = _bridge_inputs(sigma, uniforms)
         deltas = np.asarray(deltas, dtype=np.float64)
         if sigma.shape != (steps,) or deltas.shape != (steps,):
             raise ShapeError(f"bridge sigma and deltas must be shaped ({steps},)")
         if uniforms.shape != (batch, steps):
             raise ShapeError(f"bridge uniforms must be shaped ({batch}, {steps})")
-        G, root = _bridge_g(D[:, :-1], D[:, 1:], sigma * sigma * deltas, uniforms)
+        var_dt = sigma * sigma * deltas
+        idx, sup, root = np.empty(batch, dtype=np.intp), np.empty(batch), np.empty(batch)
+        for blk in _row_blocks(batch, D.shape[1]):
+            G, R = _bridge_g(D[blk, :-1], D[blk, 1:], var_dt, uniforms[blk])
+            at = rows[: blk.stop - blk.start]
+            idx[blk] = i = np.argmax(G, axis=1)
+            sup[blk], root[blk] = G[at, i], R[at, i]
+        diff = D[rows, idx] - D[rows, idx + 1]
     else:
-        G = D
-    rows = np.arange(G.shape[0])
-    idx = np.argmax(G, axis=1)
-    loss = float(G[rows, idx].mean())
+        idx = np.argmax(D, axis=1)
+        sup = D[rows, idx]
+    loss = float(sup.mean())
     shape = D.shape
-    if bridge:
-        diff, root = D[rows, idx] - D[rows, idx + 1], root[rows, idx]
 
     def vjp():
         gd = np.zeros(shape)  # d loss / d D; M receives its negative
@@ -422,27 +470,25 @@ def _check_bridge_batch(bridge, batch):
 def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, need_grad):
     """(loss, centering residual, backward) of one batch.
 
-    The residual is the largest per-time |batch mean| of the centered M. Z and
-    M's values are read for it and for the pilot sigma, then D = Z - M is
-    formed in Z's buffer and M is given up before the loss fills its
-    buffers. With ``need_grad``, backward() returns the gradient lists
-    congruent to each network's ``param_arrays``: the loss's, the
-    centering's and the pass's vector-Jacobian products in turn. It holds
-    what the pass's backward reads until it is dropped. Otherwise backward
-    is None.
+    The residual is the largest per-time |batch mean| of the centered M.
+    D = Z - (M' - mean M') is formed in the payoff's buffer a row block at a
+    time (``_center_from``), the pilot sigma reads D's first ``PILOT_PATHS``
+    rows and the bridge runs by row blocks too, so past the pass D is the
+    one (batch, steps + 1) array the loss makes. With ``need_grad``,
+    backward() returns the gradient lists congruent to each network's
+    ``param_arrays``: the loss's, the centering's and the pass's
+    vector-Jacobian products in turn. It holds what the pass's backward
+    reads until it is dropped. Otherwise backward is None.
     """
     states, knots, pass_vjp = _simulate_coupled(config, nets, model, draws, need_grad)
-    Z = payoff_eval(model.payoff, states)
-    Z *= np.exp(-model.params.get("mu", 0.0) * config.partition.times)  # exactly 1.0 at mu = 0
-    M = center(knots)
+    D = payoff_eval(model.payoff, states)
+    D *= np.exp(-model.params.get("mu", 0.0) * config.partition.times)  # exactly 1.0 at mu = 0
+    resid = _center_from(D, knots)
     del states, knots  # past this point only pass_vjp holds what its backward reads
-    resid = float(np.abs(M.mean(axis=0)).max())
     if bridge and sigma_hat is None:
-        sigma_hat = estimate_sigma(Z[:PILOT_PATHS] - M[:PILOT_PATHS], config.partition.deltas)
-    Z -= M  # Z's buffer holds D
-    del M
-    loss, loss_vjp = _rogers_and_vjp(Z, bridge, sigma_hat, uniforms, config.partition.deltas)
-    del Z
+        sigma_hat = estimate_sigma(D[:PILOT_PATHS], config.partition.deltas)
+    loss, loss_vjp = _rogers_and_vjp(D, bridge, sigma_hat, uniforms, config.partition.deltas)
+    del D
     if not need_grad:
         return loss, resid, None
 
@@ -540,6 +586,7 @@ def train(
             if out_dir:
                 save_checkpoint(os.path.join(out_dir, f"diagnostic_iter{it:05d}.ckpt"), current)
             raise NumericError(f"training loss non-finite at iteration {it}")
+        del uniforms  # the loss keeps none of them: free them before the backward's arrays
         grads = backward()
         del backward  # it holds this pass's states, knots and draws: drop them before the next forward
         state, all_arrays = adam_update(state, all_arrays, [g for per_net in grads for g in per_net])

@@ -44,9 +44,11 @@ class Payoff:
 
 
 def payoff_eval(p, x):
-    """Evaluate the payoff at states shaped (..., N)."""
+    """Evaluate the payoff at states shaped (..., N); K - S is clamped at 0 in its own buffer."""
     x = np.asarray(x, dtype=np.float64)
-    return np.maximum(p.strike - x[..., 0], 0.0)
+    z = np.subtract(p.strike, x[..., 0], out=np.empty(x.shape[:-1]))
+    np.maximum(z, 0.0, out=z)
+    return z if z.ndim else z[()]  # a scalar for one state
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ from .errors import UsageError
 def read_loss_csv(path):
     """Read an iteration,loss,wall_ms[,...] CSV; returns three numpy arrays.
 
-    A row whose loss or wall time is NaN or infinite is a UsageError naming
-    the file and line, as is any row that does not parse.
+    A row whose loss or wall time is NaN or infinite, whose wall time is
+    negative or whose iteration does not exceed the previous row's is a
+    UsageError naming the file and line, as is any row that does not parse.
     """
     iterations, losses, wall = [], [], []
     try:
@@ -33,6 +34,12 @@ def read_loss_csv(path):
                     raise UsageError(f"{path}, line {reader.line_num}: expected iteration,loss,wall_ms, got {row}")
                 if not (math.isfinite(loss) and math.isfinite(ms)):
                     raise UsageError(f"{path}, line {reader.line_num}: loss and wall_ms must be finite, got {row}")
+                if ms < 0.0:
+                    raise UsageError(f"{path}, line {reader.line_num}: wall_ms must be >= 0, got {row}")
+                if iterations and iteration <= iterations[-1]:
+                    raise UsageError(
+                        f"{path}, line {reader.line_num}: iterations must increase, got {iteration} after {iterations[-1]}"
+                    )
                 iterations.append(iteration)
                 losses.append(loss)
                 wall.append(ms)

@@ -246,6 +246,9 @@ _BAD_LOSS_CSVS = {
     "nan-loss": b"iteration,loss,wall_ms\n1,2.5,3.0\n2,nan,3.0\n",
     "inf-loss": b"iteration,loss,wall_ms\n1,2.5,3.0\n2,-inf,3.0\n",
     "inf-wall": b"iteration,loss,wall_ms\n1,2.5,3.0\n2,2.5,inf\n",
+    "negative-wall": b"iteration,loss,wall_ms\n1,2.5,3.0\n2,2.5,-5.0\n",
+    "repeated-iteration": b"iteration,loss,wall_ms\n1,2.5,3.0\n1,2.0,3.0\n",
+    "decreasing-iteration": b"iteration,loss,wall_ms\n2,2.5,3.0\n1,2.0,3.0\n",
 }
 
 

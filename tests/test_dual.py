@@ -171,6 +171,19 @@ def test_center_mean_zero():
     assert np.max(np.abs(out.mean(axis=0))) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (128, 301), (8192, 5), (70000, 2)])
+def test_blocked_centering_matches_center_bitwise(shape):
+    # D = Z - center(knots) formed by row blocks, and the residual from column sums
+    # carried across the blocks, keep the bits of the whole-array centering
+    rng = np.random.default_rng(shape[0])
+    knots = 20.0 * rng.standard_normal(shape) + rng.uniform(-5.0, 5.0, shape[1])
+    Z = np.abs(rng.standard_normal(shape))
+    D = Z.copy()
+    resid = dual._center_from(D, knots)
+    assert D.tobytes() == (Z - center(knots)).tobytes()
+    assert np.float64(resid).tobytes() == np.float64(np.abs(center(knots).mean(axis=0)).max()).tobytes()
+
+
 def test_center_taped():
     # the centering's vector-Jacobian product is the centering of the cotangent
     rng = np.random.default_rng(1)
@@ -322,6 +335,7 @@ def test_property_loss_node_matches_ops_bitwise(batch, steps, seed, bridge):
 
 _NODE_CASES = [
     ("bsm", "resnet-em", "em", 64),
+    ("bsm", "resnet-em", "em", 300),  # the loss's row blocks: 54, 54 and 20 of the 128 paths
     ("heston", "resnet-em", "em", 32),
     ("bsm", "nvnet", "nv", 4),
     ("heston", "nvnet", "nv", 4),
@@ -330,10 +344,20 @@ _NODE_CASES = [
 ]
 
 
+_NODE_BATCH = 128
+
+
+def test_node_cases_span_row_blocks():
+    # the bit tests below reach the loss's block loop: one case takes three row
+    # blocks or more, the last one partial
+    blocks = [dual._row_blocks(_NODE_BATCH, steps + 1) for *_, steps in _NODE_CASES]
+    assert any(len(b) >= 3 and b[-1].stop - b[-1].start < b[0].stop for b in blocks)
+
+
 def _node_case(request, model_name, scheme, tag, steps, bridge):
     """Config, nets with nonzero outputs, draws and uniforms of one _NODE_CASES case."""
     model = request.getfixturevalue(model_name)
-    batch = 128
+    batch = _NODE_BATCH
     cfg = MartingaleNetConfig(scheme=scheme, d_M=model.d, partition=mn.uniform_partition(1.0, steps), batch=batch)
     rng = np.random.default_rng(7)
     nets = [init_mlp(model.N + 2, 1, seed=j) for j in range(model.d)]
@@ -464,6 +488,27 @@ def test_loss_gives_up_z_and_m_once_d_exists(bsm):
     peak(64)  # warm-up: first-call allocations stay out of the slope
     per_step = (peak(128) - peak(64)) / 64
     assert per_step < 5.5 * batch * 8, f"the loss holds {per_step / (batch * 8):.1f} x batch x 8 B per step"
+
+
+def test_loss_blocks_hold_no_second_batch_by_steps_array(bsm):
+    # with row blocks far smaller than batch x steps, the centered M, the payoff's
+    # K - S and the bridge's G and root are never whole arrays: past the states and
+    # knots the pass keeps, the loss holds D alone (the gradient takes its place),
+    # under 4.0 (batch,) arrays per step (5.0 when the bridge fills whole arrays)
+    batch = 256
+    assert len(dual._row_blocks(batch, 257)) > 4
+    net = init_mlp(bsm.N + 2, 1, seed=3)
+
+    def peak(steps):
+        part = mn.uniform_partition(1.0, steps)
+        cfg = MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=part, batch=batch)
+        draws = draws_for("em", 1, steps, batch, seed=4)
+        uniforms = np.random.default_rng(5).random((batch, steps))
+        return traced_peak_bytes(lambda: loss_and_grads(cfg, [net], bsm, draws, bridge=True, uniforms=uniforms))
+
+    peak(256)  # warm-up: first-call allocations stay out of the slope
+    per_step = (peak(512) - peak(256)) / 256
+    assert per_step < 4.0 * batch * 8, f"the loss holds {per_step / (batch * 8):.2f} x batch x 8 B per step"
 
 
 # -- provisional martingale paths ---------------------------------------------
@@ -698,6 +743,22 @@ def test_bridge_needs_two_paths(bsm):
         evaluate_loss(cfg, mlps, bsm, batch=1, seed=0, bridge=True)
     assert np.isfinite(train(cfg, mlps, 2, bsm, seed=0, bridge=False).losses).all()
     assert np.isfinite(evaluate_loss(cfg, mlps, bsm, batch=1, seed=0, bridge=False))
+
+
+@pytest.mark.parametrize("entry", ["evaluate_loss", "loss_value", "loss_and_grads", "train"])
+def test_zero_step_partition_is_refused(bsm, entry):
+    # a partition without a step has no interval for the loss's supremum: refused by
+    # name when the config is built, not by np.argmax of an empty row
+    mlps = [init_mlp(bsm.N + 2, 1, seed=0)]
+    draws = draws_for("em", 1, 0, 8, seed=0)
+    calls = {
+        "evaluate_loss": lambda cfg: evaluate_loss(cfg, mlps, bsm, batch=8, seed=0),
+        "loss_value": lambda cfg: loss_value(cfg, mlps, bsm, draws, uniforms=np.zeros((8, 0))),
+        "loss_and_grads": lambda cfg: loss_and_grads(cfg, mlps, bsm, draws, uniforms=np.zeros((8, 0))),
+        "train": lambda cfg: train(cfg, mlps, 1, bsm, seed=0),
+    }
+    with pytest.raises(InvalidParameterError, match="at least one step"):
+        calls[entry](MartingaleNetConfig(scheme="resnet-em", d_M=1, partition=mn.uniform_partition(1.0, 0), batch=8))
 
 
 @pytest.mark.parametrize("entry", ["draws_for", "train", "evaluate_loss"])
