@@ -12,15 +12,19 @@ paired
     driving draws. Common draws cancel the integration error, leaving the
     scheme's own defect, so coarse ladders resolve cleanly. The exact
     reference exponent is each path's summed Brownian weight, the scheme
-    record's ``weight``.
+    record's ``weight``: a running sum over the steps k = 0, 1, ..., written
+    as a loop over step columns, so its bits do not depend on how the draws
+    are laid out in memory.
 
 A ladder draws once, at its top rung, and every rung runs on the first
 ``steps`` steps of that block. Those are exactly the draws the rung would
 make alone: coordinates are allocated per step, unscrambled Sobol'
 dimensions do not depend on how many follow, and the digital shift's
 per-dimension masks come from one generator stream whose first k values do
-not depend on how many are asked for. A rung steps its running state
-through the scheme's kernel and keeps only the terminal state.
+not depend on how many are asked for. The draws are stored step-major,
+so each step of a prefix view is still a unit-stride column. A rung steps
+its running state through the scheme's kernel and keeps only the terminal
+state.
 
 The rungs of a ladder run concurrently. The draws are made first, in row
 blocks on a thread pool (see ``qmc``). Then the rungs go to

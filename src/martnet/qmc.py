@@ -16,7 +16,10 @@ j XOR ((k << 1) ^ k) << (m - 1), so row r is T[j] ^ base_k, where T holds
 the first 2^m unshifted rows and base_k is the shift row XOR the directions
 of the bits of ((k << 1) ^ k) << (m - 1). ``sobol_points`` therefore
 returns any run of points, starting anywhere, from at most two blocks,
-and builds each by reflected doubling up to the last row it needs.
+and builds each by reflected doubling up to the last row it needs. The
+table is built dimension-major, a (dim, rows) array: the doubling is the
+same XOR taken along the other axis, so each coordinate's points come out
+contiguous and a step-major consumer reads them without a gather.
 
 The generalisation is a digital shift: every point is a 30-bit integer
 times 2^-30, and the shift XORs those integers with a per-dimension mask
@@ -26,9 +29,10 @@ inside the unit cube (every coordinate an odd multiple of 2^-31).
 The inverse normal CDF is scipy's ``ndtri``, guarded so that u outside the
 open unit interval raises instead of returning an infinity.
 
-``draws_for`` allocates its output arrays once and fills them in blocks of
-2^13 points: each block gets its points, quantiles (or cubature values) and
-signs, and only the current block is held as uint32 rows and float points.
+``draws_for`` allocates its output arrays once, step-major, and fills them
+in blocks of 2^13 points: each block gets its points, quantiles (or
+cubature values) and signs, and only the current block is held as uint32
+rows and float points.
 The blocks run on a pool of min(blocks, cores) threads that the caller
 waits on (``parallel.run_shared``); ``ndtri`` and the XOR and multiply
 passes release the GIL. A draw of one block starts no thread. Every block
@@ -42,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
+from numpy.random import SeedSequence
 from scipy.special import ndtri
 
 from .errors import (
@@ -71,6 +76,14 @@ _directions = np.empty((0, _BITS), dtype=np.uint32)
 @dataclass(frozen=True)
 class DrawBlock:
     """Draws shaped [batch, steps, d] plus the extras the scheme's record declares.
+
+    The shapes are logical. ``draws_for`` stores each array step-major, as
+    the transpose of a C-contiguous (steps, d, batch) buffer ((steps,
+    batch) for lam), so the per-step slices ``eta[:, k]``, ``xi[:, k]`` and
+    ``lam[:, k]`` that the kernels read are unit-stride columns. Code that
+    indexes the arrays logically sees no difference; a reduction over the
+    steps should fix its order (``schemes`` sums over k = 0, 1, ...), since
+    numpy's sum order follows the memory layout.
 
     eta (and xi) hold standard normals, or under ``cubature`` the discrete
     third-order cubature values {-sqrt(3), 0, +sqrt(3)} with masses
@@ -134,19 +147,19 @@ def _direction_numbers(dim):
 
 
 def _gray_rows(directions, first, count):
-    """Rows 0 .. count - 1 of an aligned Gray-code block whose row 0 is ``first``.
+    """Rows 0 .. count - 1 of an aligned Gray-code block whose row 0 is ``first``, dimension-major.
 
-    Reflected doubling: row 2^b + j is row 2^b - 1 - j with bit b's
-    direction XORed in.
+    Returns a (dim, count) table: column r is row r. Reflected doubling:
+    row 2^b + j is row 2^b - 1 - j with bit b's direction XORed in.
     """
-    rows = np.empty((count, directions.shape[0]), dtype=np.uint32)
-    rows[0] = first
+    rows = np.empty((directions.shape[0], count), dtype=np.uint32)
+    rows[:, 0] = first
     half = 1
     for b in range(_BITS):
         if half >= count:
             break
         span = min(half, count - half)
-        np.bitwise_xor(rows[half - span : half][::-1], directions[:, b], out=rows[half : half + span])
+        np.bitwise_xor(rows[:, half - span : half][:, ::-1], directions[:, b : b + 1], out=rows[:, half : half + span])
         half *= 2
     return rows
 
@@ -166,6 +179,12 @@ def sobol_points(dim, n, scramble_seed=None, start=0):
     start : int, optional
         Index of the first point returned; ``start + n`` is at most 2^30 - 1.
         Point 0 is the first after the skipped origin.
+
+    Returns
+    -------
+    numpy.ndarray
+        (n, dim) float64, the transpose of a C-contiguous (dim, n) buffer:
+        each coordinate's points are contiguous, and ``.T`` is a free view.
     """
     if dim < 1 or dim > _MAXDIM:
         raise UnsupportedDimensionError(f"sobol dimension {dim} outside [1, {_MAXDIM}]")
@@ -174,7 +193,7 @@ def sobol_points(dim, n, scramble_seed=None, start=0):
     if start < 0 or start > _MAXN - n:
         raise InvalidParameterError(f"start {start} outside [0, {_MAXN - n}] for {n} points")
     if n == 0:
-        return np.empty((0, dim))
+        return np.empty((dim, 0)).T
     # Row r holds 2 k_r + 1 for shifted points, 2 k_r unshifted, with k_r the
     # point's 30-bit integer: one exact product by 2^-31 then gives k_r + 1/2
     # or k_r in units of 2^-30. Row 0 is the origin, so point p is row p + 1.
@@ -189,15 +208,15 @@ def sobol_points(dim, n, scramble_seed=None, start=0):
     # started from base_k instead of 0 yields T ^ base_k, XOR being linear.
     m = int(max(n - 1, 1)).bit_length()
     first, stop = start + 1, start + n + 1
-    out = np.empty((n, dim))
+    out = np.empty((dim, n))
     for k in range(first >> m, ((stop - 1) >> m) + 1):
         code = ((k << 1) ^ k) << (m - 1)
         bits = [b for b in range(_BITS) if code >> b & 1]
         base = shift ^ np.bitwise_xor.reduce(directions[:, bits], axis=1)
         lo, hi = max(first, k << m), min(stop, (k + 1) << m)
         rows = _gray_rows(directions, base, hi - (k << m))
-        np.multiply(rows[lo - (k << m) :], 2.0 ** -(_BITS + 1), out=out[lo - first : hi - first])
-    return out
+        np.multiply(rows[:, lo - (k << m) :], 2.0 ** -(_BITS + 1), out=out[:, lo - first : hi - first])
+    return out.T
 
 
 def inv_normal_cdf(u, out=None):
@@ -219,8 +238,17 @@ def _cubature_map(u, out):
 
 
 def check_seed(seed):
-    """Refuse a negative int seed, which numpy's seeding rejects with a bare ValueError."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    """Refuse any seed but None, an integer >= 0 or a ``SeedSequence``, naming it.
+
+    numpy's seeding would refuse the others with a bare ValueError or
+    TypeError. A generator is refused too: its state would give every draw
+    block, in thread order, its own shift.
+    """
+    if seed is None or isinstance(seed, SeedSequence):
+        return
+    if not isinstance(seed, (int, np.integer)):
+        raise InvalidParameterError(f"seed must be None, an integer >= 0 or a SeedSequence, got {seed!r}")
+    if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
 
 
@@ -235,25 +263,26 @@ def draws_for(scheme, d, steps, batch, seed=None):
 
     Coordinates are allocated per step as the scheme's record
     (``schemes.SCHEMES``) lays them out; a sign coordinate is thresholded
-    at 1/2 (see ``DrawBlock``).
+    at 1/2 (see ``DrawBlock``). The arrays are stored step-major, so
+    ``eta[:, k]`` is a unit-stride column.
 
     The outputs are allocated once and filled in blocks of 2^13 points on
     a thread pool the caller waits on (``parallel.run_shared``).
-    The seed is an int or a ``SeedSequence`` (a generator is refused):
+    The seed is None, an int >= 0 or a ``SeedSequence`` (see ``check_seed``):
     each block draws the same shift from it.
     """
+    if d < 1:
+        raise InvalidParameterError(f"d must be >= 1, got {d}")
     if batch < 1:
         raise InvalidParameterError("batch must be >= 1")
     if steps < 0:
         raise InvalidParameterError("steps must be >= 0")
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        # a stateful seed would give each block, in thread order, its own shift
-        raise InvalidParameterError("draws_for needs an int or SeedSequence seed, not a generator")
     check_seed(seed)
     s = get_scheme(scheme)
-    eta = np.empty((batch, steps, d))
-    xi = np.empty((batch, steps, d)) if s.normals == 2 else None
-    lam = np.empty((batch, steps)) if s.sign else None
+    # step-major storage: the transposes of (steps, d, batch) and (steps, batch) buffers
+    eta = np.empty((steps, d, batch)).transpose(2, 0, 1)
+    xi = np.empty((steps, d, batch)).transpose(2, 0, 1) if s.normals == 2 else None
+    lam = np.empty((steps, batch)).T if s.sign else None
     if steps == 0:
         return DrawBlock(eta=eta, xi=xi, lam=lam)
 
@@ -264,12 +293,13 @@ def draws_for(scheme, d, steps, batch, seed=None):
 
     def fill(lo):
         hi = min(lo + _BLOCK, batch)
-        u = sobol_points(dim, hi - lo, seed, start=lo).reshape(hi - lo, steps, -1)
-        transform(u[:, :, :d], out=eta[lo:hi])
+        # (steps, coordinates per step, points), C-contiguous like the buffers
+        u = sobol_points(dim, hi - lo, seed, start=lo).T.reshape(steps, -1, hi - lo)
+        transform(u[:, :d], out=eta[lo:hi].transpose(1, 2, 0))
         if xi is not None:
-            transform(u[:, :, d : 2 * d], out=xi[lo:hi])
+            transform(u[:, d : 2 * d], out=xi[lo:hi].transpose(1, 2, 0))
         if lam is not None:
-            lam[lo:hi] = np.where(u[:, :, s.normals * d] < 0.5, -1.0, 1.0)
+            lam[lo:hi] = np.where(u[:, s.normals * d] < 0.5, -1.0, 1.0).T
 
     run_shared(fill, range(0, batch, _BLOCK))
     return DrawBlock(eta=eta, xi=xi, lam=lam)

@@ -194,8 +194,20 @@ def nn_step(model, x, dt, eta_row, xi_row, t=0.0, m=None, net=None):
     return _joint_flow(f_first, t, state, 1.0, net, w_first)
 
 
+def _step_sum(cols):
+    """Each row's running sum over the steps k = 0, 1, ... of a (batch, steps) array.
+
+    The order is fixed here, so the bits do not depend on the array's memory layout.
+    """
+    w = np.zeros(cols.shape[0])
+    for k in range(cols.shape[1]):
+        w += cols[:, k]
+    return w
+
+
 def _nn_weight(d):
-    return (np.sqrt(NN_R11) * d.eta[:, :, 0] + nn_zeta(d.eta, d.xi)[:, :, 0]).sum(axis=1)
+    eta, xi = d.eta[:, :, 0], d.xi[:, :, 0]
+    return _step_sum(np.sqrt(NN_R11) * eta + nn_zeta(eta, xi))
 
 
 @dataclass(frozen=True)
@@ -208,7 +220,7 @@ class Scheme:
     cubature: bool = False  # the normal coordinates map to cubature values, not normal quantiles
     martingale: bool = True  # the kernel carries a martingale state
     flows: bool = True  # the kernel is made of RK5 flows
-    weight: object = lambda d: d.eta[:, :, 0].sum(axis=1)  # each path's Brownian weight (paired protocol)
+    weight: object = lambda d: _step_sum(d.eta[:, :, 0])  # each path's Brownian weight (paired protocol)
     protocol: str = "paired"  # the convergence study's default protocol
     ladder: tuple = (1, 2, 4, 8)  # and its default step counts
 

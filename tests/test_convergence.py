@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import martnet as mn
 import martnet.convergence
 from martnet.errors import NumericError, UsageError
-from martnet.qmc import draws_for
-from martnet.schemes import SCHEMES, simulate, uniform_partition
+from martnet.qmc import DrawBlock, draws_for
+from martnet.schemes import NN_R11, SCHEMES, nn_zeta, simulate, uniform_partition
 
 from conftest import force_cores as _force_cores, pool_shutting_down
 
@@ -143,6 +143,42 @@ def test_draws_are_prefix_stable(scheme, d, seed, top, data):
         else:
             assert b.shape == a[:, :s].shape
             assert b.tobytes() == np.ascontiguousarray(a[:, :s]).tobytes()
+
+
+@pytest.mark.parametrize("scheme,steps", [("em", 64), ("cub3", 8), ("nv", 8), ("nn", 8)])
+def test_paired_weight_is_a_running_sum_over_steps(scheme, steps):
+    # the weight's bits follow the code's summation order, not the draws' memory layout
+    block = draws_for(scheme, 1, steps, 1000, seed=3)
+    c_ordered = DrawBlock(*(a if a is None else np.ascontiguousarray(a) for a in (block.eta, block.xi, block.lam)))
+    weight = SCHEMES[scheme].weight
+    got = weight(block)
+    assert got.tobytes() == weight(c_ordered).tobytes()
+    increments = block.eta[:, :, 0]
+    if scheme == "nn":
+        increments = np.sqrt(NN_R11) * increments + nn_zeta(block.eta[:, :, 0], block.xi[:, :, 0])
+    expected = np.zeros(1000)
+    for k in range(steps):
+        expected += increments[:, k]
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scheme", sorted(LADDERS))
+def test_rungs_read_unit_stride_columns(bsm, monkeypatch, scheme):
+    # every rung's prefix view keeps the draws' step-major layout
+    seen = []
+    real_kernel = martnet.convergence.step_kernel
+
+    def kernel(model, tag, draws, *args):
+        seen.append(draws)
+        return real_kernel(model, tag, draws, *args)
+
+    monkeypatch.setattr(martnet.convergence, "step_kernel", kernel)
+    mn.run_convergence(bsm, scheme, LADDERS[scheme], 2**13 + 77, seed=1, protocol="paired")
+    assert sorted(d.eta.shape[1] for d in seen) == LADDERS[scheme]
+    for draws in seen:
+        for a in (draws.eta, draws.xi, draws.lam):
+            if a is not None:
+                assert all(a[:, k].strides[0] == 8 for k in range(a.shape[1]))
 
 
 @pytest.mark.parametrize(

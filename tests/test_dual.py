@@ -782,6 +782,21 @@ def test_negative_seed_is_refused_by_name(bsm, tmp_path, monkeypatch, entry):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("seed", [1.5, "abc"])
+@pytest.mark.parametrize("entry", ["draws_for", "train", "evaluate_loss"])
+def test_non_integer_seed_is_refused_by_name(bsm, tmp_path, entry, seed):
+    cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=mn.uniform_partition(1.0, 2), batch=8)
+    mlps = [init_mlp(bsm.N + 2, 1, seed=0)]
+    calls = {
+        "draws_for": lambda: draws_for("nv", 1, 2, 8, seed=seed),
+        "train": lambda: train(cfg, mlps, 2, bsm, seed=seed, out_dir=tmp_path, checkpoint_every=1),
+        "evaluate_loss": lambda: evaluate_loss(cfg, mlps, bsm, batch=8, seed=seed),
+    }
+    with pytest.raises(InvalidParameterError, match=f"integer >= 0 or a SeedSequence, got {seed!r}"):
+        calls[entry]()
+    assert not any(tmp_path.iterdir())
+
+
 def test_train_smoke_and_residuals(bsm):
     p = mn.uniform_partition(1.0, 4)
     cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=128)

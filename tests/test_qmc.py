@@ -220,6 +220,25 @@ def test_draw_blocks_same_bytes_at_any_core_count(monkeypatch, scheme):
         assert got[0][2] == np.where(u[:, :, d] < 0.5, -1.0, 1.0).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scheme", ["em", "cub3", "nv", "nn"])
+def test_every_step_is_a_unit_stride_column(scheme, d):
+    # draws are stored step-major, so a kernel's per-step read is contiguous
+    steps = 3
+    block = draws_for(scheme, d, steps, _BLOCK + 77, seed=2)  # two draw blocks
+    arrays = [a for a in (block.eta, block.xi, block.lam) if a is not None]
+    for a in arrays:
+        for k in range(steps):
+            assert a[:, k].strides[0] == 8, (a.shape, k)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("scheme", ["em", "nv"])
+def test_dimension_below_one_is_refused_by_name(scheme, d):
+    with pytest.raises(InvalidParameterError, match=f"d must be >= 1, got {d}"):
+        draws_for(scheme, d, 4, 8)
+
+
 def test_one_block_draw_starts_no_thread(monkeypatch):
     def refuse(thread):
         raise AssertionError("a one-block draw started a thread")
