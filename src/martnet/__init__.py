@@ -12,10 +12,8 @@ not exported here.
 
 from .convergence import ConvergenceRow, run_convergence
 from .dual import (
-    BridgeParams,
     MartingaleNetConfig,
     TrainResult,
-    bridge_sup,
     center,
     estimate_sigma,
     evaluate_loss,
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
-    "BridgeParams",
     "ConvergenceRow",
     "DomainError",
     "InvalidParameterError",
@@ -88,7 +85,6 @@ __all__ = [
     "WriteError",
     "adam_update",
     "binomial_american_put",
-    "bridge_sup",
     "bs_european_put",
     "center",
     "cub3_step",

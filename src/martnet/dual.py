@@ -43,6 +43,7 @@ from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.random import SeedSequence
 
 from .errors import InvalidParameterError, NumericError, ShapeError
 from .fields import payoff_eval
@@ -96,16 +97,6 @@ class MartingaleNetConfig:
             raise InvalidParameterError("the partition must have at least one step")
 
 
-@dataclass(frozen=True)
-class BridgeParams:
-    """Endpoints, volatility and step length of one pinned-bridge interval."""
-
-    a: object
-    b: object
-    sigma: object
-    dt: object
-
-
 def _bridge_g(a, b, var_dt, u):
     """G(u) = (a + b + sqrt((a-b)^2 - 2 sigma^2 dt log(1-u))) / 2, with the root.
 
@@ -136,13 +127,6 @@ def _bridge_inputs(sigma, u):
     if np.any(u < 0.0) or np.any(u >= 1.0):
         raise InvalidParameterError("bridge uniform must lie in [0, 1)")
     return sigma, u
-
-
-def bridge_sup(bp, u):
-    """Sample the supremum of the bridge pinned at (a, b) over one step."""
-    sigma, u = _bridge_inputs(bp.sigma, u)
-    g, _ = _bridge_g(bp.a, bp.b, sigma * sigma * np.asarray(bp.dt), u)
-    return g[()]  # a scalar for scalar inputs
 
 
 def estimate_sigma(pilot, deltas):
@@ -301,7 +285,7 @@ def _encoder(model, partition):
     sx = np.abs(np.asarray(model.x0, dtype=np.float64))
     sx = np.where(sx > 0, sx, 1.0)[:, None]
     sm = float(model.payoff.strike)
-    T = partition.T if partition.T > 0 else 1.0
+    T = partition.T
 
     def encode(t, X, m):
         xt = np.empty((X.shape[1] + 3, X.shape[0]))
@@ -467,6 +451,17 @@ def _check_bridge_batch(bridge, batch):
         )
 
 
+def _check_key_seed(seed, none_ok):
+    """``check_seed``, then refuse by name a ``SeedSequence``, and None unless ``none_ok``.
+
+    Training adds the iteration to its seed and evaluation pads its seed
+    into a spawn key, so both need an integer.
+    """
+    check_seed(seed)
+    if isinstance(seed, SeedSequence) or (seed is None and not none_ok):
+        raise InvalidParameterError(f"seed must be {'None or ' * none_ok}an integer >= 0, got {seed!r}")
+
+
 def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, need_grad):
     """(loss, centering residual, backward) of one batch.
 
@@ -495,11 +490,8 @@ def _loss_core(config, nets, model, draws, bridge, uniforms, sigma_hat, need_gra
     def backward():
         g = _center_vjp(loss_vjp())
         grads = [[None] * len(param_arrays(p)) for p in nets]
-        pass_vjp(g, grads)
-        return [
-            [np.zeros_like(a) if ga is None else ga for ga, a in zip(per_net, param_arrays(p))]
-            for per_net, p in zip(grads, nets)
-        ]
+        pass_vjp(g, grads)  # every network runs at least once a step, so every entry is filled
+        return grads
 
     return loss, resid, backward
 
@@ -526,7 +518,7 @@ def evaluate_loss(config, mlps, model, batch=5000, seed=0, bridge=True):
     evaluation, so no seed makes them repeat a training iteration's.
     """
     _check_bridge_batch(bridge, batch)
-    check_seed(seed)
+    _check_key_seed(seed, none_ok=True)
     n = config.partition.steps
     shift_key, bridge_key = np.random.SeedSequence(seed, spawn_key=(_EVAL_TAG,)).spawn(2)
     draws = draws_for(NET_CONFIGS[config.scheme].scheme, model.d, n, batch, seed=shift_key)
@@ -568,7 +560,7 @@ def train(
         raise InvalidParameterError("iterations must be >= 1")
     _validate_setup(config, mlps, model)
     _check_bridge_batch(bridge, config.batch)
-    check_seed(seed)
+    _check_key_seed(seed, none_ok=False)
     current = list(mlps)
     counts = [len(param_arrays(p)) for p in current]
     all_arrays = [a for p in current for a in param_arrays(p)]

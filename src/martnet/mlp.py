@@ -12,9 +12,9 @@ h @ w + b). ``mlp_forward`` is the forward pass and ``mlp_vjp`` the one
 reverse pass: it recomputes the hidden layers from the input with the
 forward's packs, adds the parameter gradients into plain arrays and
 returns the input's gradient, the form in which every Runge-Kutta stage of
-``dual``'s explicit gradient chain calls it. ``mlp_forward_t``, one
-evaluation as one ``autodiff`` tape node over its own ``mlp_vjp``, serves
-the tests' op-by-op reference tape only.
+``dual``'s explicit gradient chain calls it. ``mlp_forward_t``, the
+network on one input as one ``autodiff`` tape node over its own
+``mlp_vjp``, serves the tests' op-by-op reference tape only.
 """
 
 import math
@@ -25,7 +25,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .autodiff import Tensor
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 HIDDEN = 32
 DEPTH = 3
@@ -92,7 +92,7 @@ def pack(params):
     return PackedMlp(blocks=blocks, proj=params.proj)
 
 
-def _hidden_layers(blocks, a, check=False):
+def _hidden_layers(blocks, a):
     """Yield relu(h @ w + b) layer by layer, each a view of a fresh array.
 
     ``a`` is the input h followed by a column of ones, and each layer is one
@@ -103,17 +103,14 @@ def _hidden_layers(blocks, a, check=False):
     ``h @ w + b``. A single row goes through gemv instead, which sums a
     packed row in another order, so one row runs h @ w + b on the block.
     """
-    for i, block in enumerate(blocks):
+    for block in blocks:
         if a.shape[0] == 1:
             z = a[:, :-1] @ block[:-1]
             z += block[-1]
         else:
             z = a @ block
         a = np.maximum(z, 0.0, out=z)
-        h = a[:, :-1]
-        if check and not np.all(np.isfinite(h)):
-            raise NumericError(f"mlp layer {i + 1} produced non-finite values")
-        yield h
+        yield a[:, :-1]
 
 
 def mlp_forward(params, x):
@@ -137,42 +134,33 @@ def mlp_forward(params, x):
     return out[0] if single else out
 
 
-def mlp_forward_t(tensors, x, m, scale, check=False):
-    """Taped ``net([x, m * (1 / scale)]) * scale`` as one tape node.
+def mlp_forward_t(tensors, x):
+    """The network on one input as one tape node.
 
-    ``tensors`` is an MlpParams of leaf Tensors. ``x`` is a constant ndarray
-    and ``m``, a Tensor or an ndarray of values in the output's units, fills
-    the input's last columns; a Tensor ``m`` is the only input that
-    receives a gradient. The node keeps ``x`` and ``m`` by reference, so the
-    caller must not write to either afterwards; its backward rebuilds the
-    input and recomputes the hidden layers with the forward's arithmetic,
-    so the gradients have the bits of a tape that stores every layer, and
-    of one that tapes the encoding and the scaling as nodes of their own.
+    ``tensors`` is an MlpParams of leaf Tensors and ``x``, a Tensor or a
+    constant ndarray, is the input; a Tensor ``x`` receives the whole input
+    gradient. The node keeps ``x`` by reference, so the caller must not
+    write to it afterwards. Its backward rebuilds the input and recomputes
+    the hidden layers with the forward's arithmetic (``mlp_vjp``), so the
+    gradients have the bits of a tape that stores every layer.
     """
-    taped_m = isinstance(m, Tensor)
     leaves = param_arrays(tensors)
+    xs = x.data if isinstance(x, Tensor) else x
 
     def encoded():
-        ms = (m.data if taped_m else m) * (1.0 / scale)
-        return np.concatenate([x, ms, np.ones((x.shape[0], 1))], axis=1)
+        return np.concatenate([xs, np.ones((xs.shape[0], 1))], axis=1)
 
     packed = pack(rebuild_params(tensors, [a.data for a in leaves]))
-    for h in _hidden_layers(packed.blocks, encoded(), check):
-        pass
-    out = h @ packed.proj
-    if check and not np.all(np.isfinite(out)):
-        raise NumericError("mlp projection produced non-finite values")
-    out *= scale
 
     def backward(g):
         grads = [None] * len(leaves)
-        gh = mlp_vjp(packed, encoded(), g * scale, grads)
+        gx = mlp_vjp(packed, encoded(), g, grads)
         for leaf, ga in zip(leaves, grads):
             leaf._accumulate(ga)
-        if taped_m:
-            m._accumulate(gh[:, x.shape[1] :] * (1.0 / scale))
+        if isinstance(x, Tensor):
+            x._accumulate(gx)
 
-    return Tensor._node(out, (m, *leaves), backward)
+    return Tensor._node(mlp_forward(packed, encoded()), (x, *leaves), backward)
 
 
 def mlp_vjp(packed, xd, g, grads):

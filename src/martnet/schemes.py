@@ -102,12 +102,20 @@ def _joint_flow(field, t, state, h, net, weights=None, rows=None):
     return flow(field, t, state, h)
 
 
+def _check_martingale(kernel, m, net):
+    """Refuse a martingale state without its networks, or networks without the state, naming the kernel."""
+    if (m is None) != (net is None):
+        missing = "m" if m is None else "net"
+        raise InvalidParameterError(f"{kernel}: the martingale needs both m and net, and {missing} is missing")
+
+
 def em_step(model, x, dt, eta_row, t=0.0, m=None, net=None):
     """One Euler step x + dt * V~_0(x) + sqrt(dt) sum_i V_i(x) eta^i.
 
     The martingale advances by sqrt(dt) sum_i eta^i net(i, t, x, m) at the
     pre-step state.
     """
+    _check_martingale("em_step", m, net)
     out = x + dt * model.ito_field.eval(t, x)
     sdt = np.sqrt(dt)
     acc = None
@@ -144,6 +152,7 @@ def nv_step(model, x, dt, eta_row, lam, t=0.0, m=None, net=None):
     """
     if not np.all(np.abs(lam) == 1.0):
         raise InvalidParameterError("lam must be +1 or -1 on every path")
+    _check_martingale("nv_step", m, net)
     v0 = model.stratonovich_fields[0]
     tau = np.sqrt(dt) * eta_row
     x = flow(v0, t, x, dt / 2.0)
@@ -185,6 +194,7 @@ def nn_step(model, x, dt, eta_row, xi_row, t=0.0, m=None, net=None):
     c1*dt*V_0 + sqrt(R11*dt) sum eta^i V_i. The martingale's field carries
     the same diffusion weights and no drift.
     """
+    _check_martingale("nn_step", m, net)
     sdt = np.sqrt(dt)
     w_second = sdt * nn_zeta(eta_row, xi_row)
     w_first = np.sqrt(NN_R11) * sdt * eta_row

@@ -8,6 +8,7 @@ from hypothesis import settings
 
 import martnet as mn
 import martnet.parallel
+from martnet import dual
 from martnet.autodiff import Tensor
 from martnet.mlp import MlpParams, DEPTH, HIDDEN
 from martnet.rk5 import flow
@@ -49,6 +50,12 @@ def constant_output_mlp(in_dim, value):
         fan_in = HIDDEN
     proj = np.full((HIDDEN, 1), value / HIDDEN)
     return MlpParams(layers=layers, proj=proj, seed=0)
+
+
+def bridge_sup(a, b, sigma, dt, u):
+    """A supremum sample of the bridge pinned at (a, b) over a step dt, as the loss forms it: G(u)."""
+    sigma, u = dual._bridge_inputs(sigma, u)
+    return dual._bridge_g(a, b, sigma * sigma * np.asarray(dt), u)[0][()]  # a scalar for scalar inputs
 
 
 def traced_peak_bytes(fn):

@@ -114,17 +114,6 @@ def mlp_ops(net, x):
     return matmul(h, net.proj)
 
 
-def mlp_node(net, x, check=False):
-    """The network as one node over a whole input, constant or a Tensor.
-
-    At scale 1, m * (1 / 1) and the gradient times 1 keep every bit, so a
-    Tensor input is ``m`` beside an empty constant block.
-    """
-    if isinstance(x, Tensor):
-        return mlp_forward_t(net, x.data[:, :0], x, 1.0, check=check)
-    return mlp_forward_t(net, x[:, :-1], x[:, -1:], 1.0, check=check)
-
-
 def bind_nets(nets, model, partition):
     """dual._bind_nets' evaluation taped as separate nodes.
 
@@ -134,7 +123,7 @@ def bind_nets(nets, model, partition):
     sx = np.abs(np.asarray(model.x0, dtype=np.float64))
     sx = np.where(sx > 0, sx, 1.0)[None, :]
     sm = float(model.payoff.strike)
-    T = partition.T if partition.T > 0 else 1.0
+    T = partition.T
 
     def net_fn(j, t, X, m):
         tcol = np.full((X.shape[0], 1), t / T)
@@ -144,7 +133,7 @@ def bind_nets(nets, model, partition):
             inp = concat_cols([cp, ms])
         else:
             inp = np.concatenate([cp, ms], axis=1)
-        return mlp_node(nets[j], inp, check=True) * sm
+        return mlp_forward_t(nets[j], inp) * sm
 
     return net_fn
 

@@ -16,8 +16,6 @@ from scipy.integrate import quad
 import martnet as mn
 from martnet.dual import (
     MartingaleNetConfig,
-    BridgeParams,
-    bridge_sup,
     loss_value,
     loss_and_grads,
     train,
@@ -28,7 +26,7 @@ from martnet.oracles import binomial_american_put
 from martnet.qmc import draws_for
 from martnet.report import plateau_iteration
 
-from conftest import flow_substeps
+from conftest import bridge_sup, flow_substeps
 
 pytestmark = pytest.mark.slow
 
@@ -128,16 +126,15 @@ def test_bridge_sampler_distribution():
     def density(y):
         return (2.0 * (2.0 * y - a - b) / var) * math.exp(-2.0 * (y - a) * (y - b) / var)
 
-    bp = BridgeParams(a=a, b=b, sigma=sigma, dt=dt)
     worst = 0.0
     for p in np.arange(0.1, 0.95, 0.1):
-        g = bridge_sup(bp, float(p))
+        g = bridge_sup(a, b, sigma, dt, float(p))
         val, _ = quad(density, lo, g, epsabs=1e-12, epsrel=1e-12)
         worst = max(worst, abs(val - p))
     assert worst < 1e-8
 
     u = np.random.default_rng(0).random(100000)
-    samples = np.sort(np.asarray(bridge_sup(bp, u)))
+    samples = np.sort(np.asarray(bridge_sup(a, b, sigma, dt, u)))
     cdf = 1.0 - np.exp(-2.0 * (samples - a) * (samples - b) / var)
     n = samples.size
     ecdf_hi = np.arange(1, n + 1) / n

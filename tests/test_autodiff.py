@@ -199,8 +199,7 @@ def test_property_getitem_index_array(rows, cols, seed):
 @settings(max_examples=25)
 @given(**_cases)
 def test_property_mlp_node(rows, cols, seed):
-    # the one-node network evaluation, in its taped input column m and in every parameter;
-    # scale is a power of two, so m * (1 / scale) reads x's last column exactly
+    # the one-node network evaluation, in its taped input and in every parameter
     rng = np.random.default_rng(seed)
     widths = [cols, 3, 3, 3]
     layers = [(rng.standard_normal(wh), rng.standard_normal(wh[1])) for wh in zip(widths, widths[1:])]
@@ -218,11 +217,9 @@ def test_property_mlp_node(rows, cols, seed):
         """The network with array k replaced by the Tensor t, the rest constant leaves."""
         return rebuild_params(net, [t if i == k else Tensor(a) for i, a in enumerate(arrays)])
 
-    scale = 4.0
-    const, m = x[:, :-1], x[:, -1:] * scale
-    check_op(lambda t: mean(mlp_forward_t(with_leaf(None, t), const, m=t, scale=scale) * w), m)
+    check_op(lambda t: mean(mlp_forward_t(with_leaf(None, t), t) * w), x)
     for k, a in enumerate(arrays):
-        check_op(lambda t: mean(mlp_forward_t(with_leaf(k, t), const, m=m, scale=scale) * w), a)
+        check_op(lambda t: mean(mlp_forward_t(with_leaf(k, t), x) * w), a)
 
 
 @settings(max_examples=25)

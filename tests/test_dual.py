@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -11,8 +12,6 @@ from martnet.autodiff import Tensor
 from martnet.dual import (
     _simulate_coupled,
     MartingaleNetConfig,
-    BridgeParams,
-    bridge_sup,
     estimate_sigma,
     center,
     rogers_loss,
@@ -28,7 +27,7 @@ from martnet.schemes import NN_R11, NN_R12, NN_R22
 from martnet.oracles import binomial_american_put
 from martnet.errors import InvalidParameterError, NumericError, ShapeError
 
-from conftest import constant_output_mlp, count_tensors, traced_peak_bytes
+from conftest import bridge_sup, constant_output_mlp, count_tensors, traced_peak_bytes
 import tape_reference
 from tape_reference import mean, square
 
@@ -55,22 +54,18 @@ def test_config_validation(bsm):
 
 
 def test_bridge_u_zero_is_endpoint_max():
-    bp = BridgeParams(a=3.0, b=5.0, sigma=2.0, dt=0.25)
-    assert bridge_sup(bp, 0.0) == 5.0
-    bp2 = BridgeParams(a=-1.0, b=-4.0, sigma=2.0, dt=0.25)
-    assert bridge_sup(bp2, 0.0) == -1.0
+    assert bridge_sup(3.0, 5.0, 2.0, 0.25, 0.0) == 5.0
+    assert bridge_sup(-1.0, -4.0, 2.0, 0.25, 0.0) == -1.0
 
 
 def test_bridge_exponential_tail_value():
-    bp = BridgeParams(a=0.0, b=0.0, sigma=1.0, dt=1.0)
     u = 1.0 - math.exp(-2.0)
-    assert abs(bridge_sup(bp, u) - 1.0) < 1e-12
+    assert abs(bridge_sup(0.0, 0.0, 1.0, 1.0, u) - 1.0) < 1e-12
 
 
 def test_bridge_monotone_in_u():
-    bp = BridgeParams(a=1.0, b=2.5, sigma=3.0, dt=0.1)
     us = np.linspace(0.0, 0.999, 200)
-    vals = np.array([bridge_sup(bp, u) for u in us])
+    vals = np.array([bridge_sup(1.0, 2.5, 3.0, 0.1, u) for u in us])
     assert np.all(np.diff(vals) >= 0.0)
     assert np.all(vals >= 2.5)  # sup dominates both endpoints
 
@@ -90,17 +85,16 @@ _EPS = np.finfo(np.float64).eps
 @settings(max_examples=200)
 @given(**_bridge_cases)
 def test_property_bridge_sup_inverts_its_cdf(a, b, sigma, dt, u, v):
-    # G = bridge_sup(bp, u) solves 1 - exp(-2 (G - a)(G - b) / (sigma^2 dt)) = u. G is a
+    # G = bridge_sup(a, b, sigma, dt, u) solves 1 - exp(-2 (G - a)(G - b) / (sigma^2 dt)) = u. G is a
     # double, so a bound must allow its rounding at the inputs' scale, `delta`: it
     # moves the exponent by 2 (|2G - a - b| delta + delta^2) / (sigma^2 dt), which
     # outgrows 1e-12 u once sigma sqrt(dt) << |a - b|. The sum a + b + root leaves G
     # short of max(a, b) by rounding, and by up to |a - b| / 2 < 2^-511 where
     # (a - b)^2 underflows.
-    bp = BridgeParams(a=a, b=b, sigma=sigma, dt=dt)
-    g = float(bridge_sup(bp, u))
+    g = float(bridge_sup(a, b, sigma, dt, u))
     assert g >= max(a, b) - 2.0 * _EPS * max(abs(a), abs(b)) - 2.0**-511
     lo, hi = sorted((u, v))
-    assert bridge_sup(bp, lo) <= bridge_sup(bp, hi)
+    assert bridge_sup(a, b, sigma, dt, lo) <= bridge_sup(a, b, sigma, dt, hi)
     var_dt = sigma * sigma * dt
     back = -np.expm1(-2.0 * (g - a) * (g - b) / var_dt)
     delta = 4.0 * _EPS * max(abs(a), abs(b), abs(g))
@@ -110,9 +104,9 @@ def test_property_bridge_sup_inverts_its_cdf(a, b, sigma, dt, u, v):
 
 def test_bridge_parameter_errors():
     with pytest.raises(InvalidParameterError):
-        bridge_sup(BridgeParams(a=0.0, b=0.0, sigma=0.0, dt=0.1), 0.5)
+        bridge_sup(0.0, 0.0, 0.0, 0.1, 0.5)
     with pytest.raises(InvalidParameterError):
-        bridge_sup(BridgeParams(a=0.0, b=0.0, sigma=1.0, dt=0.1), 1.0)
+        bridge_sup(0.0, 0.0, 1.0, 0.1, 1.0)
 
 
 # -- sigma estimate ------------------------------------------------------------
@@ -793,6 +787,34 @@ def test_non_integer_seed_is_refused_by_name(bsm, tmp_path, entry, seed):
         "evaluate_loss": lambda: evaluate_loss(cfg, mlps, bsm, batch=8, seed=seed),
     }
     with pytest.raises(InvalidParameterError, match=f"integer >= 0 or a SeedSequence, got {seed!r}"):
+        calls[entry]()
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "entry, seed, kinds",
+    [
+        ("train", None, "an integer >= 0"),
+        ("train", np.random.SeedSequence(1), "an integer >= 0"),
+        ("evaluate_loss", np.random.SeedSequence(1), "None or an integer >= 0"),
+    ],
+    ids=["train-None", "train-SeedSequence", "evaluate_loss-SeedSequence"],
+)
+def test_seed_dual_cannot_key_is_refused_by_name(bsm, tmp_path, monkeypatch, entry, seed, kinds):
+    # check_seed accepts these; training adds the iteration to its seed and evaluation
+    # pads its seed into a spawn key, so both refuse them by name before any draw or file
+    cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=mn.uniform_partition(1.0, 2), batch=8)
+    mlps = [init_mlp(bsm.N + 2, 1, seed=0)]
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("draws were made")
+
+    monkeypatch.setattr(dual, "draws_for", no_draws)
+    calls = {
+        "train": lambda: train(cfg, mlps, 2, bsm, seed=seed, out_dir=tmp_path, checkpoint_every=1),
+        "evaluate_loss": lambda: evaluate_loss(cfg, mlps, bsm, batch=8, seed=seed),
+    }
+    with pytest.raises(InvalidParameterError, match=re.escape(f"seed must be {kinds}, got {seed!r}")):
         calls[entry]()
     assert not any(tmp_path.iterdir())
 

@@ -20,9 +20,9 @@ from martnet.mlp import (
     DEPTH,
     HIDDEN,
 )
-from martnet.errors import NumericError, ShapeError
+from martnet.errors import ShapeError
 
-from tape_reference import concat_cols, grad, mean, mlp_ops, params_to_tensors, square
+from tape_reference import grad, mean, mlp_ops, params_to_tensors, square
 
 
 def test_architecture_dimensions():
@@ -108,7 +108,7 @@ def test_taped_forward_matches_plain():
     p = init_mlp(3, 2, seed=6)
     p.proj[:] = np.random.default_rng(6).standard_normal(p.proj.shape) * 0.1
     x = np.random.default_rng(7).standard_normal((5, 3))
-    t_out = mlp_forward_t(params_to_tensors(p), x[:, :-1], x[:, -1:], 1.0)
+    t_out = mlp_forward_t(params_to_tensors(p), x)
     np.testing.assert_allclose(t_out.data, mlp_forward(p, x), rtol=1e-13)
 
 
@@ -125,31 +125,21 @@ def _random_net(in_dim, seed):
 @pytest.mark.parametrize("batch", [1, 5, 513])
 @pytest.mark.parametrize("x_taped", [True, False])
 def test_taped_node_matches_tensor_ops_bitwise(batch, x_taped):
-    # one node per evaluation against the same net composed from Tensor ops:
-    # the encoding m * (1 / scale), the concatenation, the layers and the scaling
+    # one node per evaluation against the same net composed from Tensor ops,
+    # on a taped input and on a constant one
     p = _random_net(3, seed=batch)
     rng = np.random.default_rng(batch + 1)
-    x = rng.standard_normal((batch, 2))
-    m = 100.0 * rng.standard_normal((batch, 1))
-    scale = 100.0
+    x = rng.standard_normal((batch, 3))
     cot = rng.standard_normal((batch, 2))
 
     def run(forward):
         ts = params_to_tensors(p)
-        mt = Tensor(m, requires_grad=True)
-        out = forward(ts, x, mt if x_taped else m)
+        xt = Tensor(x, requires_grad=True)
+        out = forward(ts, xt if x_taped else x)
         mean(out * cot).backward()
-        return out.data, [a.grad for a in param_arrays(ts)], mt.grad
+        return out.data, [a.grad for a in param_arrays(ts)], xt.grad
 
-    def node(ts, xin, min_):
-        return mlp_forward_t(ts, xin, m=min_, scale=scale)
-
-    def reference(ts, xin, min_):
-        ms = min_ * (1.0 / scale)
-        inp = concat_cols([xin, ms]) if isinstance(ms, Tensor) else np.concatenate([xin, ms], axis=1)
-        return mlp_ops(ts, inp) * scale
-
-    got, want = run(node), run(reference)
+    got, want = run(mlp_forward_t), run(mlp_ops)
     assert got[0].tobytes() == want[0].tobytes()
     for g, w in zip(got[1], want[1]):
         assert g.tobytes() == w.tobytes()
@@ -161,26 +151,9 @@ def test_taped_node_matches_tensor_ops_bitwise(batch, x_taped):
 
 def test_taped_forward_is_one_tape_node():
     ts = params_to_tensors(_random_net(3, seed=2))
-    m = Tensor(np.ones((4, 1)), requires_grad=True)
-    out = mlp_forward_t(ts, np.ones((4, 2)), m=m, scale=3.0)
-    assert out._parents == (m, *param_arrays(ts))
-
-
-@pytest.mark.parametrize("where", ["layer", "projection"])
-def test_taped_forward_non_finite_checks(where):
-    p = _random_net(3, seed=4)
-    x = np.ones((2, 3))
-    if where == "layer":
-        p.layers[1][0][0, 0] = np.inf
-        message = "mlp layer 2 produced non-finite values"
-    else:
-        p.proj[:] = 1e308  # every hidden unit is positive, so the sum overflows
-        x = np.full((2, 3), 1e3)
-        for w, _ in p.layers:
-            w[:] = np.abs(w)
-        message = "mlp projection produced non-finite values"
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=message):
-        mlp_forward_t(params_to_tensors(p), x[:, :-1], x[:, -1:], 1.0, check=True)
+    x = Tensor(np.ones((4, 3)), requires_grad=True)
+    out = mlp_forward_t(ts, x)
+    assert out._parents == (x, *param_arrays(ts))
 
 
 def test_grad_quadratic():

@@ -257,6 +257,27 @@ def test_nv_refuses_signs_other_than_plus_or_minus_one(heston, lam):
         sch.nv_step(heston, x, 0.25, np.zeros((3, heston.d)), lam)
 
 
+@pytest.mark.parametrize("given", ["m", "net"])
+@pytest.mark.parametrize("kernel", ["em", "nv", "nn", "nv-heston-split"])
+def test_half_given_martingale_is_refused_by_name(bsm, heston, kernel, given):
+    # m without net, or net without m, is refused naming the kernel and the missing argument
+    model = heston if kernel == "nv-heston-split" else bsm
+    x = np.tile(model.x0, (3, 1))
+    eta = np.zeros((3, model.d))
+    extra = {
+        "em": (),
+        "nv": (np.ones(3),),
+        "nn": (np.zeros((3, model.d)),),
+        "nv-heston-split": (np.array([1.0, -1.0, 1.0]),),
+    }[kernel]
+    step = {"em": sch.em_step, "nn": sch.nn_step}.get(kernel, sch.nv_step)
+    half = {"m": np.zeros((3, 1))} if given == "m" else {"net": _closed_form_net}
+    missing = "net" if given == "m" else "m"
+    name = step.__name__
+    with pytest.raises(InvalidParameterError, match=f"{name}: .* {missing} is missing"):
+        step(model, x, 0.25, eta, *extra, t=0.0, **half)
+
+
 def _worst_gradient_error(model, scheme, tag, steps):
     """Worst relative gap between loss_and_grads and central differences on 10 random weights."""
     p = mn.uniform_partition(1.0, steps)
