@@ -60,6 +60,7 @@ from .schemes import (
     nv_step,
     simulate,
     uniform_partition,
+    with_martingale,
 )
 
 __version__ = "0.1.0"
@@ -111,4 +112,5 @@ __all__ = [
     "sobol_points",
     "train",
     "uniform_partition",
+    "with_martingale",
 ]

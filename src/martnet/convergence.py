@@ -108,7 +108,7 @@ def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="au
         times, deltas = part.times, part.deltas
         x = np.full((qmc_points, model.N), model.x0)
         for k in range(steps):
-            x = step(x, None, k, float(times[k]), float(deltas[k]))
+            x = step(x, k, float(times[k]), float(deltas[k]))
         terminal = x[:, 0]
         price = float(np.maximum(strike - terminal, 0.0).mean())
         if proto == "direct":

@@ -3,12 +3,12 @@ Brownian-bridge supremum correction, the dual loss and its gradient, and
 the training loop.
 
 The martingale candidate M is driven by mlp-backed fields V^M_j(t, X_t, M_t)
-as one more state component of the asset's step kernel: one kernel table
-(``schemes.simulate``) serves plain and coupled simulation, and one pass of
-it advances (X, M) with the same Brownian draws. Its Stratonovich drift is
-zero, so under ``nv``/``nn`` M carries an O(1) Ito drift (``em``'s M is an
-exact discrete martingale); per-time centering removes only that drift's
-unconditional mean (ROADMAP item 4). Losses are the batch mean of per-path
+as the last column of the joint state (``schemes.with_martingale``): one
+kernel table (``schemes.simulate``) serves plain and coupled simulation, and
+one pass of it advances (X, M) with the same Brownian draws. Its
+Stratonovich drift is zero, so under ``nv``/``nn`` M carries an O(1) Ito
+drift (``em``'s M is an exact discrete martingale); per-time centering
+removes only that drift's unconditional mean (ROADMAP item 4). Losses are the batch mean of per-path
 suprema of Z - M, optionally refined by sampling the within-interval
 supremum of a pinned bridge with volatility estimated from pilot paths.
 The payoff is discounted at the model's rate mu, Z_k = exp(-mu t_k)(K - S_k)^+.
@@ -28,9 +28,10 @@ g + sum(-g, axis 0) / batch in g's buffer; and the pass's. The pass's is
 one walk back over flow records, each an explicit Runge-Kutta step of the
 martingale (its tableau, duration, field weights, row set and encoded
 inputs) replayed through the discrete Runge-Kutta adjoint ``rk5.rk5_vjp``.
-Under ``nvnet``/``nnet`` the records are the RK5 flows the pass ran. Under
-``resnet-em`` each Euler step is a one-stage flow, rebuilt last step first
-from the states, the knots and the draws the pass keeps.
+Under ``nvnet``/``nnet`` the records are the RK5 flows the pass ran, made
+by the kernels' ``record`` callback. Under ``resnet-em`` each Euler step is
+a one-stage flow, rebuilt last step first from the states and the draws
+the pass keeps.
 ``mlp.mlp_vjp`` adds each network's parameter gradients into plain arrays.
 The chain gives the bits of the same loss taped op by op, the tests'
 reference.
@@ -45,13 +46,13 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.random import SeedSequence
 
-from .errors import InvalidParameterError, NumericError, ShapeError
+from .errors import InvalidParameterError, NumericError, ShapeError, check_count
 from .fields import payoff_eval
 from .mlp import mlp_forward, mlp_vjp, pack, param_arrays, rebuild_params, save_checkpoint
 from .mlp import AdamState, adam_update, init_adam  # noqa: F401  (re-exported for callers)
 from .qmc import check_seed, draws_for
 from .rk5 import EULER, RK5, rk5_vjp
-from .schemes import NET_CONFIGS, SCHEMES, simulate
+from .schemes import NET_CONFIGS, SCHEMES, simulate, with_martingale
 
 # Not called here: the benchmark's layer tracer rebinds martnet.dual.flow and
 # martnet.dual.mlp_forward_t and fails at import when a name is missing.
@@ -89,10 +90,8 @@ class MartingaleNetConfig:
     def __post_init__(self):
         if self.scheme not in NET_CONFIGS:
             raise InvalidParameterError(f"unknown martingale scheme: {self.scheme!r}")
-        if self.d_M < 1:
-            raise InvalidParameterError("d_M must be >= 1")
-        if self.batch < 1:
-            raise InvalidParameterError("batch must be >= 1")
+        check_count("d_M", self.d_M, 1)
+        check_count("batch", self.batch, 1)
         if self.partition.steps < 1:
             raise InvalidParameterError("the partition must have at least one step")
 
@@ -279,7 +278,7 @@ def _encoder(model, partition):
     The trailing column of ones is what ``mlp.pack``'s blocks read: each
     layer's bias rides its GEMM. encode fills one fresh (n, N + 3) array in
     place, column-major, so each column is one contiguous write; BLAS reads
-    either order with the same sums, and this array is what a recording net
+    either order with the same sums, and this array is what a flow record
     keeps for the backward.
     """
     sx = np.abs(np.asarray(model.x0, dtype=np.float64))
@@ -301,10 +300,8 @@ def _encoder(model, partition):
 def _bind_nets(packs, model, partition, flows=None):
     """Callable net(j, t, x, m) = V^M_j(t, x, m): packed network j on the encoded input, times K.
 
-    Given a list ``flows`` it is a recording net (see ``schemes``): its
-    ``begin_flow`` appends a record (t, h, weights, rows, evals, tableau)
-    for each joint RK5 flow, and each evaluation appends (j, encoded input)
-    to the last record's evals.
+    Given a list ``flows`` of flow records, each evaluation appends
+    (j, encoded input) to the last record's evals.
     """
     encode, sm = _encoder(model, partition)
 
@@ -314,10 +311,6 @@ def _bind_nets(packs, model, partition, flows=None):
             flows[-1].evals.append((j, xd))
         return mlp_forward(packs[j], xd) * sm
 
-    if flows is not None:
-        net_fn.begin_flow = lambda t, h, weights, rows: flows.append(
-            SimpleNamespace(t=t, h=h, weights=weights, rows=rows, evals=[], tableau=RK5)
-        )
     return net_fn
 
 
@@ -337,8 +330,8 @@ def _recorded_steps(flows):
     return steps.__getitem__
 
 
-def _em_steps(config, model, draws, states, knots):
-    """The ``resnet-em`` pass by step, as one-stage flow records rebuilt from its states, knots and draws.
+def _em_steps(config, model, draws, states):
+    """The ``resnet-em`` pass by step, as one-stage flow records rebuilt from its joint states and draws.
 
     M_{k+1} = M_k + sum_i sqrt(dt_k) eta_{k,i} net_i(t_k, X_k, M_k) is the
     one-stage explicit Runge-Kutta step m + h k_0 (``rk5.EULER``) with h = 1,
@@ -350,7 +343,7 @@ def _em_steps(config, model, draws, states, knots):
     times, deltas, eta = config.partition.times, config.partition.deltas, draws.eta
 
     def steps(k):
-        xd = encode(float(times[k]), states[:, k, :], knots[:, k : k + 1])
+        xd = encode(float(times[k]), states[:, k, :-1], states[:, k, -1:])
         weights = np.sqrt(float(deltas[k])) * eta[:, k]
         evals = [(i, xd) for i in range(eta.shape[2])]
         return [(None, [SimpleNamespace(h=1.0, weights=weights, evals=evals, tableau=EULER)])]
@@ -370,8 +363,13 @@ def _flow_backward(packs, steps, n, sm):
     into ``grads[j]`` and gives the stage input its input gradient's m
     column / K. A row set's cotangent is gathered from its step's output and
     scattered into its input the way ``merge_rows`` and the tape's row
-    gather do. Step 0's input cotangent is formed and discarded: M_0 = 0 is
-    a constant.
+    gather do, after the knot's own cotangent. ``nv`` records a row set on
+    every step, all rows when it does not split: its half drift flows pass
+    M through unchanged, so the step's input takes the knot's cotangent and
+    the diffusion flows' as two terms. A step recorded without a row set
+    (``nn``, ``em``) starts its input's cotangent from the knot's own (the
+    ``acc`` of ``rk5_vjp``). Step 0's input cotangent is formed and
+    discarded: M_0 = 0 is a constant.
     """
 
     def backward(g, grads):
@@ -406,26 +404,32 @@ def _flow_backward(packs, steps, n, sm):
 
 
 def _simulate_coupled(config, nets, model, draws, need_grad):
-    """Asset paths, provisional martingale knots M'_{t_k} and the pass's backward, in one pass.
+    """Joint (X, M) paths, provisional martingale knots M'_{t_k} and the pass's backward, in one pass.
 
-    The martingale rides the configured scheme's kernel as one more state
-    component, so both see the same draws and the same within-step asset
-    trajectory; returns (states, knots, backward) with the knots a
-    (batch, steps + 1) array. The kernel runs once on arrays; with
-    ``need_grad`` backward is the pass's vector-Jacobian product
-    (``_flow_backward``), which under ``resnet-em`` keeps the states, the
-    knots and the draws and rebuilds each step's one-stage flow record from
-    them (``_em_steps``), and under ``nvnet``/``nnet`` keeps one record per
-    joint RK5 flow and no state (``_recorded_steps``); otherwise it is None.
+    The martingale rides the configured scheme's kernel as the last state
+    column (``with_martingale``), so both see the same draws and the same
+    within-step asset trajectory; returns (states, knots, backward) with
+    states (batch, steps + 1, N + 1) and the knots their last column. The
+    kernel runs once on arrays; with ``need_grad`` backward is the pass's
+    vector-Jacobian product (``_flow_backward``), which under ``resnet-em``
+    keeps the states and the draws and rebuilds each step's one-stage flow
+    record from them (``_em_steps``), and under ``nvnet``/``nnet`` keeps one
+    record per flow that evaluates the networks and no state
+    (``_recorded_steps``); otherwise it is None.
     """
     tag = NET_CONFIGS[config.scheme].scheme
     flows = [] if need_grad and SCHEMES[tag].flows else None
     packs = [pack(p) for p in nets]  # the weights hold for the pass and its backward
-    net = _bind_nets(packs, model, config.partition, flows)
-    states, knots = simulate(model, tag, config.partition, draws, net=net)
+    joint = with_martingale(model, _bind_nets(packs, model, config.partition, flows))
+
+    def record(t, h, weights, rows):
+        flows.append(SimpleNamespace(t=t, h=h, weights=weights, rows=rows, evals=[], tableau=RK5))
+
+    states = simulate(joint, tag, config.partition, draws, record=None if flows is None else record)
+    knots = states[:, :, -1]
     if not need_grad:
         return states, knots, None
-    steps = _em_steps(config, model, draws, states, knots) if flows is None else _recorded_steps(flows)
+    steps = _em_steps(config, model, draws, states) if flows is None else _recorded_steps(flows)
     return states, knots, _flow_backward(packs, steps, config.partition.steps, float(model.payoff.strike))
 
 
@@ -517,6 +521,7 @@ def evaluate_loss(config, mlps, model, batch=5000, seed=0, bridge=True):
     The digital shift and the bridge uniforms come from keys tagged for
     evaluation, so no seed makes them repeat a training iteration's.
     """
+    check_count("batch", batch, 1)
     _check_bridge_batch(bridge, batch)
     _check_key_seed(seed, none_ok=True)
     n = config.partition.steps
@@ -556,8 +561,7 @@ def train(
     loss curve; a non-finite loss aborts with a diagnostic checkpoint when
     out_dir is given.
     """
-    if iterations < 1:
-        raise InvalidParameterError("iterations must be >= 1")
+    check_count("iterations", iterations, 1)
     _validate_setup(config, mlps, model)
     _check_bridge_batch(bridge, config.batch)
     _check_key_seed(seed, none_ok=False)
@@ -580,7 +584,7 @@ def train(
             raise NumericError(f"training loss non-finite at iteration {it}")
         del uniforms  # the loss keeps none of them: free them before the backward's arrays
         grads = backward()
-        del backward  # it holds this pass's states, knots and draws: drop them before the next forward
+        del backward  # it holds this pass's states and draws: drop them before the next forward
         state, all_arrays = adam_update(state, all_arrays, [g for per_net in grads for g in per_net])
         pos = 0
         for idx, cnt in enumerate(counts):

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the one size check the modules share."""
+
+import numbers
 
 
 class MartnetError(Exception):
@@ -35,3 +37,11 @@ class UsageError(MartnetError, ValueError):
 
 class WriteError(MartnetError, OSError):
     """A file could not be written; the message names it."""
+
+
+def check_count(name, value, least):
+    """Refuse by name a ``value`` that is not an integer >= ``least``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidParameterError(f"{name} must be >= {least}, got {value}")

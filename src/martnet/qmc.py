@@ -54,6 +54,7 @@ from .errors import (
     InvalidParameterError,
     MartnetError,
     UnsupportedDimensionError,
+    check_count,
 )
 from .parallel import run_shared
 from .schemes import get_scheme
@@ -271,12 +272,9 @@ def draws_for(scheme, d, steps, batch, seed=None):
     The seed is None, an int >= 0 or a ``SeedSequence`` (see ``check_seed``):
     each block draws the same shift from it.
     """
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
-    if batch < 1:
-        raise InvalidParameterError("batch must be >= 1")
-    if steps < 0:
-        raise InvalidParameterError("steps must be >= 0")
+    check_count("d", d, 1)
+    check_count("batch", batch, 1)
+    check_count("steps", steps, 0)
     check_seed(seed)
     s = get_scheme(scheme)
     # step-major storage: the transposes of (steps, d, batch) and (steps, batch) buffers

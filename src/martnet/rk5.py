@@ -4,13 +4,10 @@ Used to realise the frozen-field flows exp(V)x that the splitting schemes
 compose, one RK5 step per flow. The step kernel is generic over the state
 container: plain ndarrays (possibly batched), and the autodiff Tensors of
 the tests' reference tape, and the step length may be a per-path column so
-a whole batch of flows with different durations integrates in one call. A
-joint state is a tuple of parts, for example (X, m) with the martingale
-beside the asset; its field returns one derivative per part and the stages
-combine the parts one by one. ``rk5_vjp`` runs a tableau's stages backwards
-for the martingale part of a recorded step, the discrete Runge-Kutta
-adjoint of ``dual``'s gradient chain: ``RK5`` for a flow, ``EULER`` for an
-Euler step.
+a whole batch of flows with different durations integrates in one call.
+``rk5_vjp`` runs a tableau's stages backwards for the martingale column of
+a recorded step, the discrete Runge-Kutta adjoint of ``dual``'s gradient
+chain: ``RK5`` for a flow, ``EULER`` for an Euler step.
 """
 
 import numpy as np
@@ -36,17 +33,8 @@ EULER = (((),), (1.0,))  # the one-stage explicit step m + h k_0
 
 
 def _finite(z):
-    if isinstance(z, tuple):
-        return all(_finite(part) for part in z)
     data = z.data if isinstance(z, Tensor) else z
     return np.all(np.isfinite(data))
-
-
-def _axpy(y, c, z):
-    """y + c * z, part by part for a joint state."""
-    if isinstance(y, tuple):
-        return tuple(a + c * b for a, b in zip(y, z))
-    return y + c * z
 
 
 def rk5_step(f, x, h):
@@ -56,9 +44,8 @@ def rk5_step(f, x, h):
     ----------
     f : callable
         Maps a state to its derivative; time is already bound.
-    x : ndarray, Tensor, or a tuple of them
-        State, shaped (..., N) or scalar-like; a tuple is a joint state and
-        ``f`` then returns a tuple of congruent derivatives.
+    x : ndarray or Tensor
+        State, shaped (..., N) or scalar-like.
     h : float or ndarray
         Step length; may be negative, and may be a (batch, 1) column to
         advance each row by its own duration.
@@ -72,7 +59,7 @@ def rk5_step(f, x, h):
         y = x
         for j, aij in enumerate(A[i]):
             if aij != 0.0:
-                y = _axpy(y, h * aij, stages[j])
+                y = y + (h * aij) * stages[j]
         z = f(y)
         if not _finite(z):
             raise NumericError(f"rk5 stage {i + 1} produced non-finite values")
@@ -80,15 +67,15 @@ def rk5_step(f, x, h):
     out = x
     for j, bj in enumerate(B):
         if bj != 0.0:
-            out = _axpy(out, h * bj, stages[j])
+            out = out + (h * bj) * stages[j]
     return out
 
 
 def rk5_vjp(h, g, stage_vjp, acc=None, tableau=RK5):
-    """The cotangent of one explicit Runge-Kutta step's input part, given its output's cotangent ``g``.
+    """The cotangent of one explicit Runge-Kutta step's input column, given its output's cotangent ``g``.
 
-    The step, by default ``rk5_step``, applies the tableau (a, b) to one part
-    m of a state: stage inputs y_s = m + sum_{l<s} h a_sl k_l and output
+    The step, by default ``rk5_step``, applies the tableau (a, b) to one
+    column m of a state: stage inputs y_s = m + sum_{l<s} h a_sl k_l and output
     m + sum_s h b_s k_s. ``stage_vjp(s, kbar)`` is called for the last stage
     s down to 0 with the stage's cotangent
     kbar_s = g h b_s + sum_{l>s} ybar_l h a_ls (l descending), and returns
@@ -127,8 +114,8 @@ def flow(field, t_eval, x, total_time):
         Evaluated as ``field.eval(t_eval, z)`` (or ``field(t_eval, z)``).
     t_eval : float
         Time label passed through to the field.
-    x : ndarray, Tensor, or a tuple of them
-        Starting state; a tuple is a joint state (see ``rk5_step``).
+    x : ndarray or Tensor
+        Starting state.
     total_time : float or ndarray
         Flow duration, possibly per-path (batch, 1).
     """

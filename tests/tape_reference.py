@@ -10,14 +10,16 @@ check every op against finite differences and the package's chain against
 ``loss_and_grads`` here bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from martnet.autodiff import Tensor, _data, _unbroadcast
 from martnet.dual import PILOT_PATHS, estimate_sigma
 from martnet.errors import ShapeError
-from martnet.fields import payoff_eval
+from martnet.fields import VectorField, payoff_eval
 from martnet.mlp import MlpParams, mlp_forward_t, param_arrays
-from martnet.schemes import NET_CONFIGS, step_kernel
+from martnet.schemes import NET_CONFIGS, _append_column, step_kernel
 
 
 def sub(a, b):
@@ -138,26 +140,56 @@ def bind_nets(nets, model, partition):
     return net_fn
 
 
+def joint_model(model, net):
+    """schemes.with_martingale on the tape: each diffusion field j is a concat_cols node.
+
+    Its blocks are V_j at the state's constant X columns and net(j, t, x, m) at
+    its M column, a row slice node of the state; V_0 and the Ito field give M
+    the constant 0.
+    """
+    n = model.N
+
+    def zero_m(field):
+        return VectorField(lambda t, z: _append_column(field.eval(t, _data(z)[:, :n]), 0.0))
+
+    def driven(field, j):
+        def ev(t, z):
+            x = _data(z)[:, :n]
+            return concat_cols([field.eval(t, x), net(j, t, x, z[:, n:])])
+
+        return VectorField(ev)
+
+    v0, *diffusions = model.stratonovich_fields
+    return replace(
+        model,
+        N=n + 1,
+        stratonovich_fields=(zero_m(v0),) + tuple(driven(v, j) for j, v in enumerate(diffusions)),
+        x0=np.append(model.x0, 0.0),
+        ito_field=zero_m(model.ito_field),
+    )
+
+
 def simulate_coupled(config, nets, model, draws):
     """dual._simulate_coupled on the generic tape under every scheme.
 
-    The scheme's kernel advances M one taped step at a time, each network
-    evaluation built from separate nodes (``bind_nets``), so every stage
-    combination, product, sum and row gather of the pass is a node of its
-    own instead of one node for the pass. Returns (states, cols) with cols
-    the (batch, 1) knots M_{t_0} (an ndarray), M_{t_1}, ..., M_{t_n}.
+    The scheme's kernel advances the joint state (X, M), a Tensor, one taped
+    step at a time, each network evaluation built from separate nodes
+    (``bind_nets``), so every stage combination, product, sum and row gather
+    of the pass is a node of its own instead of one node for the pass.
+    Returns (states, cols) with states the asset paths and cols the (batch, 1)
+    knots M_{t_0} (an ndarray), M_{t_1}, ..., M_{t_n}.
     """
-    net = bind_nets(nets, model, config.partition)
-    step = step_kernel(model, NET_CONFIGS[config.scheme].scheme, draws, net=net)
+    joint = joint_model(model, bind_nets(nets, model, config.partition))
+    step = step_kernel(joint, NET_CONFIGS[config.scheme].scheme, draws)
     part = config.partition
-    x = np.full((draws.eta.shape[0], model.N), model.x0)
-    states = np.empty((x.shape[0], part.steps + 1, model.N))
-    states[:, 0, :] = x
-    cols = [np.zeros((x.shape[0], 1))]
+    z = np.full((draws.eta.shape[0], joint.N), joint.x0)
+    states = np.empty((z.shape[0], part.steps + 1, model.N))
+    states[:, 0, :] = z[:, :-1]
+    cols = [z[:, -1:]]
     for k in range(part.steps):
-        x, m = step(x, cols[-1], k, float(part.times[k]), float(part.deltas[k]))
-        cols.append(m)
-        states[:, k + 1, :] = x
+        z = step(z, k, float(part.times[k]), float(part.deltas[k]))
+        cols.append(z[:, -1:])
+        states[:, k + 1, :] = z.data[:, :-1]
     return states, cols
 
 

@@ -48,6 +48,9 @@ def test_config_validation(bsm):
         MartingaleNetConfig(scheme="nvnet", d_M=0, partition=p, batch=8)
     with pytest.raises(InvalidParameterError):
         MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=0)
+    for batch in (2.5, True):
+        with pytest.raises(InvalidParameterError, match=f"batch must be an integer, got {batch!r}"):
+            MartingaleNetConfig(scheme="nvnet", d_M=1, partition=p, batch=batch)
 
 
 # -- bridge ------------------------------------------------------------------
@@ -567,7 +570,9 @@ def test_coupled_pass_assets_match_plain(heston, scheme, tag, need_grad):
         net.proj[:] = 0.05 * rng.standard_normal(net.proj.shape)
     draws = draws_for(tag, 2, 4, 64, seed=13)
     states, knots, backward = _simulate_coupled(cfg, nets, heston, draws, need_grad)
-    np.testing.assert_array_equal(states, mn.simulate(heston, tag, p, draws))
+    assert states.shape == (64, 5, heston.N + 1)
+    assert states[:, :, :-1].tobytes() == mn.simulate(heston, tag, p, draws).tobytes()
+    assert knots.tobytes() == np.ascontiguousarray(states[:, :, -1]).tobytes()
     assert knots.shape == (64, 5) and np.abs(knots[:, -1]).max() > 0.0
     assert (backward is not None) == need_grad
 
@@ -787,6 +792,23 @@ def test_non_integer_seed_is_refused_by_name(bsm, tmp_path, entry, seed):
         "evaluate_loss": lambda: evaluate_loss(cfg, mlps, bsm, batch=8, seed=seed),
     }
     with pytest.raises(InvalidParameterError, match=f"integer >= 0 or a SeedSequence, got {seed!r}"):
+        calls[entry]()
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "entry, name, value",
+    [("train", "iterations", 2.5), ("train", "iterations", True), ("evaluate_loss", "batch", 10.5)],
+)
+def test_non_integer_size_is_refused_by_name(bsm, tmp_path, entry, name, value):
+    # a size that is not an integer is refused naming it, not by numpy's bare TypeError
+    cfg = MartingaleNetConfig(scheme="nvnet", d_M=1, partition=mn.uniform_partition(1.0, 2), batch=8)
+    mlps = [init_mlp(bsm.N + 2, 1, seed=0)]
+    calls = {
+        "train": lambda: train(cfg, mlps, value, bsm, seed=0, out_dir=tmp_path, checkpoint_every=1),
+        "evaluate_loss": lambda: evaluate_loss(cfg, mlps, bsm, batch=value, seed=0),
+    }
+    with pytest.raises(InvalidParameterError, match=f"{name} must be an integer, got {value!r}"):
         calls[entry]()
     assert not any(tmp_path.iterdir())
 

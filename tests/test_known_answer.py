@@ -3,8 +3,9 @@
 At r = 0 the American put is the European put P, so M_t = P(t, S_t) - P(0, S0)
 is an optimal dual martingale and sup_k (Z_k - M_k) = P(0, S0) on every path
 (Rogers 2002). Its field is V^M(t, x) = sigma x dP/dS(t, x) in closed form.
-Passed as the ``net`` of ``schemes.simulate`` on BSM (100, 100, 0.32, 1), it
-checks the coupled pass, the centering and the grid dual value against
+Passed as the ``net`` of ``schemes.with_martingale`` on BSM
+(100, 100, 0.32, 1), whose paths carry M as their last column, it checks the
+coupled pass, the centering and the grid dual value against
 P0 = bs_european_put(100, 100, 0.32, 1, 0) with no network and no training.
 Each value is the mean and standard error over digital shifts 1000-1007 of
 8,192 paths.
@@ -52,8 +53,8 @@ def dual_values(tag, steps):
     raw, centered = [], []
     for seed in SHIFTS:
         draws = draws_for(tag, 1, steps, PATHS, seed=seed)
-        states, knots = mn.simulate(model, tag, part, draws, net=put_integrand)
-        Z = payoff_eval(model.payoff, states)
+        states = mn.simulate(mn.with_martingale(model, put_integrand), tag, part, draws)
+        Z, knots = payoff_eval(model.payoff, states), states[:, :, -1]
         raw.append((Z - knots).max(axis=1).mean())
         centered.append((Z - center(knots)).max(axis=1).mean())
     return _mean_and_stderr(raw), _mean_and_stderr(centered)

@@ -26,6 +26,17 @@ def test_partition_basics():
         sch.Partition(times=np.array([0.0, 0.5, 0.4, 1.0]))
     with pytest.raises(InvalidParameterError):
         sch.Partition(times=np.array([0.1, 0.5, 1.0]))
+    # a non-finite time, T or a non-integer step count is refused naming the value
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InvalidParameterError, match="finite, got .*(inf|nan)"):
+            mn.Partition(np.array([0.0, bad]))
+        with pytest.raises(InvalidParameterError, match=f"finite T >= 0, got {bad}"):
+            mn.uniform_partition(bad, 4)
+    for steps in (2.5, True, "4"):
+        with pytest.raises(InvalidParameterError, match=f"steps must be an integer, got {steps!r}"):
+            mn.uniform_partition(1.0, steps)
+    with pytest.raises(InvalidParameterError, match="steps must be >= 0, got -1"):
+        mn.uniform_partition(1.0, -1)
     # step sizes telescope to T, so only rounding could make them sum to anything else
     assert mn.uniform_partition(9187.314623108636, 41).steps == 41
 
@@ -198,25 +209,24 @@ def _closed_form_net(j, t, x, m):
 @pytest.mark.parametrize(
     "scheme, tag, coupled",
     [("em", "em", False), ("cub3", "cub3", False), ("nv", "nv", False), ("nn", "nn", False),
-     ("em", "em", True), ("nv", "nv", True), ("nn", "nn", True)],
+     ("em", "em", True), ("cub3", "cub3", True), ("nv", "nv", True), ("nn", "nn", True)],
 )
 @pytest.mark.parametrize("name", ["bsm", "heston"])
 def test_simulate_knots_are_kernel_steps(request, name, scheme, tag, coupled):
-    # the running state carried between steps gives each knot the kernel's bits
+    # the running state carried between steps gives each knot the kernel's bits;
+    # coupled, the martingale is the state's last column and every kernel carries it
     model = request.getfixturevalue(name)
+    if coupled:
+        model = sch.with_martingale(model, _closed_form_net)
     p = mn.uniform_partition(1.0, 5)
     draws = draws_for(tag, model.d, 5, 257, seed=4)
-    net = _closed_form_net if coupled else None
-    out = sch.simulate(model, scheme, p, draws, net=net)
-    states, knots = out if coupled else (out, None)
-    step = sch.step_kernel(model, scheme, draws, net=net)
+    states = sch.simulate(model, scheme, p, draws)
+    step = sch.step_kernel(model, scheme, draws)
     for k in range(5):
-        m = knots[:, k : k + 1] if coupled else None
-        got = step(states[:, k, :], m, k, float(p.times[k]), float(p.deltas[k]))
-        want_x, want_m = got if coupled else (got, None)
-        assert states[:, k + 1, :].tobytes() == np.ascontiguousarray(want_x).tobytes()
-        if coupled:
-            assert knots[:, k + 1 : k + 2].tobytes() == want_m.tobytes()
+        want = step(states[:, k, :], k, float(p.times[k]), float(p.deltas[k]))
+        assert states[:, k + 1, :].tobytes() == np.ascontiguousarray(want).tobytes()
+    if coupled:
+        assert np.abs(states[:, -1, -1]).max() > 0.0
 
 
 @pytest.mark.parametrize(
@@ -225,23 +235,20 @@ def test_simulate_knots_are_kernel_steps(request, name, scheme, tag, coupled):
     ids=["all-plus", "all-minus", "mixed", "batch-1"],
 )
 def test_nv_per_path_lam_equals_scalar_rows(heston, lam):
-    # each path flows only the order its sign selects, bit for bit as if alone
+    # each path flows only the order its sign selects, bit for bit as if alone,
+    # the martingale column included
     rng = np.random.default_rng(12)
     nb = lam.size
     x = heston.x0 * (1.0 + 0.2 * rng.standard_normal((nb, heston.N)) ** 2)
     eta = rng.standard_normal((nb, heston.d))
-    m = rng.standard_normal((nb, 1))
-    out_x = sch.nv_step(heston, x, 0.25, eta, lam, t=0.5)
-    out_xm, out_m = sch.nv_step(heston, x, 0.25, eta, lam, t=0.5, m=m, net=_closed_form_net)
-    for r in range(nb):
-        rows = slice(r, r + 1)
-        want_x = sch.nv_step(heston, x[rows], 0.25, eta[rows], int(lam[r]), t=0.5)
-        assert out_x[rows].tobytes() == want_x.tobytes()
-        want_xm, want_m = sch.nv_step(
-            heston, x[rows], 0.25, eta[rows], int(lam[r]), t=0.5, m=m[rows], net=_closed_form_net
-        )
-        assert out_xm[rows].tobytes() == want_xm.tobytes()
-        assert out_m[rows].tobytes() == want_m.tobytes()
+    xm = np.concatenate([x, rng.standard_normal((nb, 1))], axis=1)
+    joint = sch.with_martingale(heston, _closed_form_net)
+    for model, state in ((heston, x), (joint, xm)):
+        out = sch.nv_step(model, state, 0.25, eta, lam, t=0.5)
+        for r in range(nb):
+            rows = slice(r, r + 1)
+            want = sch.nv_step(model, state[rows], 0.25, eta[rows], int(lam[r]), t=0.5)
+            assert out[rows].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -255,27 +262,6 @@ def test_nv_refuses_signs_other_than_plus_or_minus_one(heston, lam):
     x = np.tile(heston.x0, (3, 1))
     with pytest.raises(InvalidParameterError, match="lam"):
         sch.nv_step(heston, x, 0.25, np.zeros((3, heston.d)), lam)
-
-
-@pytest.mark.parametrize("given", ["m", "net"])
-@pytest.mark.parametrize("kernel", ["em", "nv", "nn", "nv-heston-split"])
-def test_half_given_martingale_is_refused_by_name(bsm, heston, kernel, given):
-    # m without net, or net without m, is refused naming the kernel and the missing argument
-    model = heston if kernel == "nv-heston-split" else bsm
-    x = np.tile(model.x0, (3, 1))
-    eta = np.zeros((3, model.d))
-    extra = {
-        "em": (),
-        "nv": (np.ones(3),),
-        "nn": (np.zeros((3, model.d)),),
-        "nv-heston-split": (np.array([1.0, -1.0, 1.0]),),
-    }[kernel]
-    step = {"em": sch.em_step, "nn": sch.nn_step}.get(kernel, sch.nv_step)
-    half = {"m": np.zeros((3, 1))} if given == "m" else {"net": _closed_form_net}
-    missing = "net" if given == "m" else "m"
-    name = step.__name__
-    with pytest.raises(InvalidParameterError, match=f"{name}: .* {missing} is missing"):
-        step(model, x, 0.25, eta, *extra, t=0.0, **half)
 
 
 def _worst_gradient_error(model, scheme, tag, steps):
@@ -348,12 +334,9 @@ def test_scheme_record_matches_draws_and_simulate(heston, tag, steps):
     assert dims_for(tag, heston.d, steps) == (record.normals * heston.d + record.sign) * steps
     p = mn.uniform_partition(1.0, steps)
     assert sch.simulate(heston, tag, p, draws).shape == (batch, steps + 1, heston.N)
-    if record.martingale:
-        _, knots = sch.simulate(heston, tag, p, draws, net=_closed_form_net)
-        assert knots.shape == (batch, steps + 1)
-    else:
-        with pytest.raises(InvalidParameterError, match="martingale"):
-            sch.simulate(heston, tag, p, draws, net=_closed_form_net)
+    joint = sch.simulate(sch.with_martingale(heston, _closed_form_net), tag, p, draws)
+    assert joint.shape == (batch, steps + 1, heston.N + 1)
+    assert joint[:, :, :-1].tobytes() == np.ascontiguousarray(sch.simulate(heston, tag, p, draws)).tobytes()
 
 
 def _parser_action(command, dest):
