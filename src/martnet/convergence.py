@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import InvalidParameterError, UsageError, check_count
 from .oracles import bs_european_put
 from .parallel import run_shared
 from .qmc import DrawBlock, draws_for
@@ -77,13 +77,15 @@ def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="au
         raise UsageError("convergence study supports the lognormal model only")
     if scheme not in SCHEMES:
         raise UsageError(f"unknown scheme for convergence study: {scheme!r}")
-    counts = [int(c) for c in step_counts]
-    if not counts or any(c < 1 for c in counts):
-        raise UsageError("step counts must be positive")
-    if sorted(set(counts)) != counts:
-        raise UsageError("step counts must be strictly ascending")
-    if qmc_points < 1:
-        raise UsageError("the point count must be >= 1")
+    counts = list(step_counts)
+    try:
+        for c in counts:
+            check_count("a step count", c, 1)
+        check_count("qmc_points", qmc_points, 1)
+    except InvalidParameterError as exc:
+        raise UsageError(str(exc)) from None
+    if not counts or sorted(set(counts)) != counts:
+        raise UsageError("step counts must be a non-empty, strictly ascending list")
     if protocol not in ("auto", "direct", "paired"):
         raise UsageError(f"unknown protocol: {protocol!r}")
     if isinstance(seed, (int, np.integer)) and seed < 0:
@@ -126,4 +128,4 @@ def run_convergence(model, scheme, step_counts, qmc_points, seed=0, protocol="au
     slope = None
     if len(counts) >= 2:
         slope = float(np.polyfit(np.log2(counts), np.log2(errs), 1)[0])
-    return [ConvergenceRow(steps=c, abs_err=e, slope=slope) for c, e in zip(counts, errs)]
+    return [ConvergenceRow(steps=int(c), abs_err=e, slope=slope) for c, e in zip(counts, errs)]

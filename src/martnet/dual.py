@@ -300,34 +300,18 @@ def _encoder(model, partition):
 def _bind_nets(packs, model, partition, flows=None):
     """Callable net(j, t, x, m) = V^M_j(t, x, m): packed network j on the encoded input, times K.
 
-    Given a list ``flows`` of flow records, each evaluation appends
-    (j, encoded input) to the last record's evals.
+    Given ``flows``, the pass's flow records as one list per step, each
+    evaluation appends (j, encoded input) to the last record's evals.
     """
     encode, sm = _encoder(model, partition)
 
     def net_fn(j, t, X, m):
         xd = encode(t, X, m)
         if flows is not None:
-            flows[-1].evals.append((j, xd))
+            flows[-1][-1].evals.append((j, xd))
         return mlp_forward(packs[j], xd) * sm
 
     return net_fn
-
-
-def _recorded_steps(flows):
-    """An ``nvnet``/``nnet`` pass's flow records by step: steps(k) is step k's row sets.
-
-    A step's flows share t_k. Its row sets, each (rows, [flow, ...]), and
-    each set's flows come in the forward's order.
-    """
-    steps = []
-    for i, f in enumerate(flows):
-        if i == 0 or f.t != flows[i - 1].t:
-            steps.append([])
-        if not steps[-1] or steps[-1][-1][0] is not f.rows:
-            steps[-1].append((f.rows, []))
-        steps[-1][-1][1].append(f)
-    return steps.__getitem__
 
 
 def _em_steps(config, model, draws, states):
@@ -346,30 +330,26 @@ def _em_steps(config, model, draws, states):
         xd = encode(float(times[k]), states[:, k, :-1], states[:, k, -1:])
         weights = np.sqrt(float(deltas[k])) * eta[:, k]
         evals = [(i, xd) for i in range(eta.shape[2])]
-        return [(None, [SimpleNamespace(h=1.0, weights=weights, evals=evals, tableau=EULER)])]
+        return [SimpleNamespace(h=1.0, weights=weights, rows=None, evals=evals, tableau=EULER)]
 
     return steps
 
 
 def _flow_backward(packs, steps, n, sm):
-    """Backward of a pass of ``n`` steps, from its flow records: ``steps(k)`` is step k's row sets.
+    """Backward of a pass of ``n`` steps, from its flow records: ``steps(k)`` is step k's flows in the forward's order.
 
-    backward(g, grads) takes the knots' cotangent g and replays the steps
-    last first; within a step it takes the row sets in the forward's order
-    and each one's flows last first, the order of the tape that records one
-    node per evaluation. Per flow, ``rk5_vjp`` walks the flow's tableau
-    backwards and hands each stage its cotangent kbar, and one ``mlp_vjp``
-    per evaluation is fed kbar * w * K, adds network j's parameter gradients
-    into ``grads[j]`` and gives the stage input its input gradient's m
-    column / K. A row set's cotangent is gathered from its step's output and
-    scattered into its input the way ``merge_rows`` and the tape's row
-    gather do, after the knot's own cotangent. ``nv`` records a row set on
-    every step, all rows when it does not split: its half drift flows pass
-    M through unchanged, so the step's input takes the knot's cotangent and
-    the diffusion flows' as two terms. A step recorded without a row set
-    (``nn``, ``em``) starts its input's cotangent from the knot's own (the
-    ``acc`` of ``rk5_vjp``). Step 0's input cotangent is formed and
-    discarded: M_0 = 0 is a constant.
+    backward(g, grads) takes the knots' cotangent g and walks the flows the
+    pass ran backwards: the steps last first, and each step's flows last
+    first, the order of the tape that records one node per evaluation. Per
+    flow, ``rk5_vjp`` walks the flow's tableau backwards and hands each
+    stage its cotangent kbar, and one ``mlp_vjp`` per evaluation is fed
+    kbar * w * K, adds network j's parameter gradients into ``grads[j]``
+    and gives the stage input its input gradient's m column / K. A flow
+    that evaluates no network (``nv``'s half drift flows) passes M's
+    cotangent through, and a flow on a row set reads and writes only those
+    rows' cotangents. A step's first flow, which runs on all rows, adds the
+    knot's own cotangent (the ``acc`` of ``rk5_vjp``). Step 0's input
+    cotangent is formed and discarded: M_0 = 0 is a constant.
     """
 
     def backward(g, grads):
@@ -382,23 +362,16 @@ def _flow_backward(packs, steps, n, sm):
                 parts.append(gh[:, -1:] * (1.0 / sm))
             return parts
 
-        def replay(seg, gout, acc):
-            for i, f in reversed(list(enumerate(seg))):
-                gout = rk5_vjp(f.h, gout, partial(stage_vjp, f), acc if i == 0 else None, f.tableau)
-            return gout
-
-        gbar = g[:, -1:]
+        gbar = g[:, -1:].copy()
         for k in reversed(range(n)):
-            step = steps(k)
-            if step[0][0] is None:
-                gbar = replay(step[0][1], gbar, g[:, k : k + 1])
-                continue
-            ins = [(rows, replay(seg, gbar[rows], None)) for rows, seg in step]
-            gbar = g[:, k : k + 1].copy()
-            for rows, gin in ins:
-                gx = np.zeros(gbar.shape)
-                np.add.at(gx, rows, gin)
-                gbar += gx
+            for i, f in reversed(list(enumerate(steps(k)))):
+                acc = g[:, k : k + 1] if i == 0 else None
+                if not f.evals:
+                    gbar = gbar if acc is None else acc + gbar
+                elif f.rows is None:
+                    gbar = rk5_vjp(f.h, gbar, partial(stage_vjp, f), acc, f.tableau)
+                else:
+                    gbar[f.rows] = rk5_vjp(f.h, gbar[f.rows], partial(stage_vjp, f), None, f.tableau)
 
     return backward
 
@@ -414,22 +387,24 @@ def _simulate_coupled(config, nets, model, draws, need_grad):
     vector-Jacobian product (``_flow_backward``), which under ``resnet-em``
     keeps the states and the draws and rebuilds each step's one-stage flow
     record from them (``_em_steps``), and under ``nvnet``/``nnet`` keeps one
-    record per flow that evaluates the networks and no state
-    (``_recorded_steps``); otherwise it is None.
+    record per flow the kernel ran, in a list per step, and no state;
+    otherwise it is None.
     """
     tag = NET_CONFIGS[config.scheme].scheme
-    flows = [] if need_grad and SCHEMES[tag].flows else None
+    flows = [] if need_grad and SCHEMES[tag].records else None
     packs = [pack(p) for p in nets]  # the weights hold for the pass and its backward
     joint = with_martingale(model, _bind_nets(packs, model, config.partition, flows))
 
     def record(t, h, weights, rows):
-        flows.append(SimpleNamespace(t=t, h=h, weights=weights, rows=rows, evals=[], tableau=RK5))
+        if not flows or flows[-1][0].t != t:
+            flows.append([])
+        flows[-1].append(SimpleNamespace(t=t, h=h, weights=weights, rows=rows, evals=[], tableau=RK5))
 
     states = simulate(joint, tag, config.partition, draws, record=None if flows is None else record)
     knots = states[:, :, -1]
     if not need_grad:
         return states, knots, None
-    steps = _em_steps(config, model, draws, states) if flows is None else _recorded_steps(flows)
+    steps = _em_steps(config, model, draws, states) if flows is None else flows.__getitem__
     return states, knots, _flow_backward(packs, steps, config.partition.steps, float(model.payoff.strike))
 
 

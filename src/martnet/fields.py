@@ -71,12 +71,21 @@ class ModelSpec:
     name: str = ""
 
 
+def _check_finite(where, params):
+    """Refuse by name any parameter that is not finite: a NaN passes every bound check."""
+    bad = {k: v for k, v in params.items() if not np.isfinite(v)}
+    if bad:
+        raise InvalidParameterError(f"{where} requires finite parameters, got {bad}")
+
+
 def make_bsm_model(S0, mu, sigma, strike=100.0):
     """Geometric Brownian motion in Stratonovich form.
 
     V_0 I(y) = (mu - sigma^2/2) y and V_1 I(y) = sigma y; the Stratonovich
     drift already carries the -sigma^2/2 so that the Ito drift is mu y.
     """
+    params = {"S0": float(S0), "mu": float(mu), "sigma": float(sigma), "strike": float(strike)}
+    _check_finite("make_bsm_model", params)
     if sigma <= 0 or S0 <= 0:
         raise InvalidParameterError("make_bsm_model requires sigma > 0 and S0 > 0")
     c0 = mu - 0.5 * sigma * sigma
@@ -91,7 +100,7 @@ def make_bsm_model(S0, mu, sigma, strike=100.0):
         x0=np.array([float(S0)]),
         payoff=Payoff(strike=float(strike)),
         ito_field=lin(mu),
-        params={"S0": float(S0), "mu": float(mu), "sigma": float(sigma), "strike": float(strike)},
+        params=params,
         name="bsm",
     )
 
@@ -103,6 +112,17 @@ def make_heston_model(S0, U0, mu, theta, alpha, rho, beta, strike=100.0):
     drift comes out as (mu y1, alpha (theta - y2)). Square roots clamp
     negative variance to zero.
     """
+    params = {
+        "S0": float(S0),
+        "U0": float(U0),
+        "mu": float(mu),
+        "theta": float(theta),
+        "alpha": float(alpha),
+        "rho": float(rho),
+        "beta": float(beta),
+        "strike": float(strike),
+    }
+    _check_finite("make_heston_model", params)
     if U0 <= 0 or beta <= 0 or alpha <= 0 or theta <= 0 or S0 <= 0:
         raise InvalidParameterError("make_heston_model requires positive S0, U0, theta, alpha, beta")
     if abs(rho) >= 1:
@@ -145,16 +165,7 @@ def make_heston_model(S0, U0, mu, theta, alpha, rho, beta, strike=100.0):
         x0=np.array([float(S0), float(U0)]),
         payoff=Payoff(strike=float(strike)),
         ito_field=VectorField(ito_eval),
-        params={
-            "S0": float(S0),
-            "U0": float(U0),
-            "mu": float(mu),
-            "theta": float(theta),
-            "alpha": float(alpha),
-            "rho": float(rho),
-            "beta": float(beta),
-            "strike": float(strike),
-        },
+        params=params,
         name="heston",
     )
 

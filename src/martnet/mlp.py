@@ -25,7 +25,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .autodiff import Tensor
-from .errors import ShapeError
+from .errors import ShapeError, check_count
 
 HIDDEN = 32
 DEPTH = 3
@@ -50,6 +50,8 @@ def init_mlp(in_dim, out_dim=1, seed=0):
     The projection starts at zero so a freshly built martingale field is
     identically zero and the first loss evaluation reads the raw payoff.
     """
+    check_count("in_dim", in_dim, 1)
+    check_count("out_dim", out_dim, 1)
     rng = np.random.default_rng(seed)
     layers = []
     fan_in = in_dim

@@ -193,6 +193,9 @@ def sobol_points(dim, n, scramble_seed=None, start=0):
         raise InvalidParameterError(f"point count {n} outside [0, {_MAXN}]")
     if start < 0 or start > _MAXN - n:
         raise InvalidParameterError(f"start {start} outside [0, {_MAXN - n}] for {n} points")
+    for name, value, least in (("dim", dim, 1), ("n", n, 0), ("start", start, 0)):
+        check_count(name, value, least)  # in range, but a bool or a float such as 2.5 is no count
+    check_seed(scramble_seed)
     if n == 0:
         return np.empty((dim, 0)).T
     # Row r holds 2 k_r + 1 for shifted points, 2 k_r unshifted, with k_r the

@@ -11,8 +11,8 @@ column, so ``simulate`` on it advances both in a single pass with the same
 draws. The flow-reversal kernel splits a batch by each path's sign, so every
 path, and every network evaluation on it, flows through the one diffusion
 order its sign selects. The flow-reversal and two-family kernels take a
-``record`` callback, told each diffusion-carrying flow's time, duration,
-field weights and row set before the flow runs.
+``record`` callback, told each flow's time, duration, field weights and
+row set before the flow runs.
 """
 
 from dataclasses import dataclass, replace
@@ -152,26 +152,29 @@ def nv_step(model, x, dt, eta_row, lam, t=0.0, record=None):
     down to V_1, then the half drift flow; lam = -1 reverses the diffusion
     order. lam may be a per-path array for batched states: with more than
     one diffusion field the rows are split by sign and each path flows
-    through the order its sign selects only. ``record(t, h, None, rows)``,
-    if given, is called before each diffusion flow with its duration and
-    its row set: the rows of one sign, or all rows when the step does not
-    split.
+    through the order its sign selects only; the lam = -1 rows run first.
+    ``record(t, h, None, rows)``, if given, is called before every flow with
+    its duration and its row set: None for all rows, or the rows of one
+    sign when the step splits.
     """
     if not np.all(np.abs(lam) == 1.0):
         raise InvalidParameterError("lam must be +1 or -1 on every path")
     v0 = model.stratonovich_fields[0]
     tau = np.sqrt(dt) * eta_row
+    if record:
+        record(t, dt / 2.0, None, None)
     x = flow(v0, t, x, dt / 2.0)
     pos = np.asarray(lam) > 0
     if model.d == 1 or pos.all() or not pos.any():
         # a single diffusion field makes both orders coincide; one sign needs no split
-        rows = np.arange(x.shape[0]) if record else None
-        x = _nv_diffusions(model, x, tau, model.d == 1 or bool(pos.all()), t, record, rows)
+        x = _nv_diffusions(model, x, tau, model.d == 1 or bool(pos.all()), t, record, None)
     else:
         ia, ib = np.flatnonzero(pos), np.flatnonzero(~pos)
-        a = _nv_diffusions(model, x[ia], tau[ia], True, t, record, ia)
         b = _nv_diffusions(model, x[ib], tau[ib], False, t, record, ib)
+        a = _nv_diffusions(model, x[ia], tau[ia], True, t, record, ia)
         x = merge_rows(ia, a, ib, b)
+    if record:
+        record(t, dt / 2.0, None, None)
     return flow(v0, t, x, dt / 2.0)
 
 
@@ -231,17 +234,17 @@ class Scheme:
     normals: int = 1  # normal coordinates per step and Brownian dimension: eta, then xi
     sign: bool = False  # one sign coordinate per step after the normals: lam
     cubature: bool = False  # the normal coordinates map to cubature values, not normal quantiles
-    flows: bool = True  # the kernel is made of RK5 flows
+    records: bool = False  # the kernel takes a ``record`` callback (see ``step_kernel``)
     weight: object = lambda d: _step_sum(d.eta[:, :, 0])  # each path's Brownian weight (paired protocol)
     protocol: str = "paired"  # the convergence study's default protocol
     ladder: tuple = (1, 2, 4, 8)  # and its default step counts
 
 
 SCHEMES = {
-    "em": Scheme(em_step, flows=False, protocol="direct", ladder=(8, 16, 32, 64)),
+    "em": Scheme(em_step, protocol="direct", ladder=(8, 16, 32, 64)),
     "cub3": Scheme(cub3_step, cubature=True),
-    "nv": Scheme(nv_step, sign=True),
-    "nn": Scheme(nn_step, normals=2, weight=_nn_weight),
+    "nv": Scheme(nv_step, sign=True, records=True),
+    "nn": Scheme(nn_step, normals=2, weight=_nn_weight, records=True),
 }
 
 
@@ -272,9 +275,11 @@ def step_kernel(model, scheme, draws, record=None):
     """The scheme's one-step map step(x, k, t, dt) over step k of ``draws``.
 
     ``record`` is passed on to a kernel that records its flows (``nv_step``,
-    ``nn_step``); the others take none, and given one raise TypeError.
+    ``nn_step``); for any other scheme it raises InvalidParameterError.
     """
     s = get_scheme(scheme)
+    if record is not None and not s.records:
+        raise InvalidParameterError(f"scheme {scheme!r} records no flows: it takes no record callback")
     # eta, then the extras the record declares, in the step's argument order
     rows = [draws.eta] + [draws.lam] * s.sign + [draws.xi] * (s.normals - 1)
     kw = {} if record is None else {"record": record}

@@ -182,19 +182,22 @@ def test_rungs_read_unit_stride_columns(bsm, monkeypatch, scheme):
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs,match",
     [
-        {"scheme": "euler"},
-        {"step_counts": [2, 1]},
-        {"step_counts": [1, 1]},
-        {"protocol": "exact"},
-        {"qmc_points": 0},
+        ({"scheme": "euler"}, "unknown scheme"),
+        ({"step_counts": [2, 1]}, "ascending"),
+        ({"step_counts": [1, 1]}, "ascending"),
+        ({"protocol": "exact"}, "unknown protocol"),
+        ({"qmc_points": 0}, "qmc_points must be >= 1"),
+        ({"step_counts": [2.5, 4]}, "step count must be an integer, got 2.5"),
+        ({"step_counts": [True, 4]}, "step count must be an integer, got True"),
+        ({"qmc_points": 2.5}, "qmc_points must be an integer, got 2.5"),
     ],
-    ids=["unknown-scheme", "descending", "repeated", "bad-protocol", "points-0"],
+    ids=["unknown-scheme", "descending", "repeated", "bad-protocol", "points-0", "steps-float", "steps-bool", "points-float"],
 )
-def test_usage_errors(bsm, kwargs):
+def test_usage_errors(bsm, kwargs, match):
     args = {"model": bsm, "scheme": "nv", "step_counts": [1, 2], "qmc_points": 64, **kwargs}
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=match):
         mn.run_convergence(**args)
 
 

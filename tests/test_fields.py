@@ -56,6 +56,13 @@ def test_parameter_validation():
         mn.make_heston_model(100.0, 0.32, 0.0, 0.25, 3.0, 1.0, 0.4)
     with pytest.raises(InvalidParameterError):
         mn.make_heston_model(100.0, -0.1, 0.0, 0.25, 3.0, 0.3, 0.4)
+    # a NaN compares False against every bound, so only a finiteness check catches it
+    with pytest.raises(InvalidParameterError, match="sigma"):
+        mn.make_bsm_model(100.0, 0.0, float("nan"))
+    with pytest.raises(InvalidParameterError, match="S0"):
+        mn.make_bsm_model(float("inf"), 0.0, 0.3)
+    with pytest.raises(InvalidParameterError, match="rho"):
+        mn.make_heston_model(100.0, 0.32, 0.0, 0.25, 3.0, float("nan"), 0.4)
 
 
 def test_ito_drift_bsm_analytic():

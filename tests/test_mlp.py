@@ -20,7 +20,7 @@ from martnet.mlp import (
     DEPTH,
     HIDDEN,
 )
-from martnet.errors import ShapeError
+from martnet.errors import InvalidParameterError, ShapeError
 
 from tape_reference import grad, mean, mlp_ops, params_to_tensors, square
 
@@ -33,6 +33,15 @@ def test_architecture_dimensions():
         assert w.shape == (HIDDEN, HIDDEN) and b.shape == (HIDDEN,)
     assert p.proj.shape == (HIDDEN, 2)
     assert p.in_dim == 4
+
+
+@pytest.mark.parametrize(
+    "in_dim,out_dim,match",
+    [(0, 1, "in_dim must be >= 1"), (2.5, 1, "in_dim must be an integer"), (3, 0, "out_dim must be >= 1")],
+)
+def test_init_refuses_bad_widths_by_name(in_dim, out_dim, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        init_mlp(in_dim, out_dim)
 
 
 def test_fresh_net_outputs_zero():

@@ -163,6 +163,23 @@ def test_start_limit():
     assert sobol_points(1, 1, start=2**30 - 2).shape == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "args,kwargs,name",
+    [
+        ((2, 2.5), {}, "n must be an integer"),
+        ((2.5, 4), {}, "dim must be an integer"),
+        ((True, 4), {}, "dim must be an integer"),
+        ((2, 4), {"start": 1.5}, "start must be an integer"),
+        ((2, 4), {"scramble_seed": -1}, "seed must be >= 0"),
+        ((2, 4), {"scramble_seed": 1.5}, "seed must be None, an integer"),
+    ],
+    ids=["n-float", "dim-float", "dim-bool", "start-float", "seed-negative", "seed-float"],
+)
+def test_sizes_and_seeds_refused_by_name(args, kwargs, name):
+    with pytest.raises(InvalidParameterError, match=name):
+        sobol_points(*args, **kwargs)
+
+
 # -- row blocks --------------------------------------------------------------
 
 _BLOCK = 2**13

@@ -264,6 +264,51 @@ def test_nv_refuses_signs_other_than_plus_or_minus_one(heston, lam):
         sch.nv_step(heston, x, 0.25, np.zeros((3, heston.d)), lam)
 
 
+@pytest.mark.parametrize(
+    "name,lam",
+    [("heston", [1.0, -1.0, -1.0, 1.0, -1.0]), ("heston", [-1.0] * 5), ("bsm", [1.0, -1.0, -1.0, 1.0, -1.0])],
+    ids=["split", "unsplit", "bsm"],
+)
+def test_nv_records_every_flow_in_order(request, name, lam):
+    # drift, each diffusion flow on all rows (None) or on one sign's rows, the
+    # lam = -1 rows first, then drift again: the order the backward walks in reverse
+    model = request.getfixturevalue(name)
+    lam = np.array(lam)
+    dt, t = 0.25, 0.5
+    eta = np.random.default_rng(3).standard_normal((lam.size, model.d))
+    calls = []
+    sch.nv_step(model, np.tile(model.x0, (lam.size, 1)), dt, eta, lam, t=t, record=lambda *c: calls.append(c))
+    if name == "heston" and (lam > 0).any():
+        ia, ib = np.flatnonzero(lam > 0), np.flatnonzero(lam < 0)
+        want = [(ib, i) for i in range(model.d)] + [(ia, i) for i in reversed(range(model.d))]
+    else:
+        want = [(None, i) for i in range(model.d)]
+    assert len(calls) == len(want) + 2
+    assert calls[0] == calls[-1] == (t, dt / 2.0, None, None)
+    for (at, h, weights, rows), (want_rows, i) in zip(calls[1:-1], want):
+        assert at == t and weights is None
+        tau = np.sqrt(dt) * eta[:, i : i + 1]
+        if want_rows is None:
+            assert rows is None
+            np.testing.assert_array_equal(h, tau)
+        else:
+            np.testing.assert_array_equal(rows, want_rows)
+            np.testing.assert_array_equal(h, tau[want_rows])
+
+
+def test_nn_records_two_weighted_all_rows_flows(heston):
+    dt, t = 0.25, 0.5
+    rng = np.random.default_rng(4)
+    eta, xi = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+    calls = []
+    sch.nn_step(heston, np.tile(heston.x0, (5, 1)), dt, eta, xi, t=t, record=lambda *c: calls.append(c))
+    sdt = np.sqrt(dt)
+    want = [sdt * sch.nn_zeta(eta, xi), np.sqrt(sch.NN_R11) * sdt * eta]
+    assert [(at, h, rows) for at, h, _, rows in calls] == [(t, 1.0, None)] * 2
+    for (_, _, weights, _), w in zip(calls, want):
+        np.testing.assert_array_equal(weights, w)
+
+
 def _worst_gradient_error(model, scheme, tag, steps):
     """Worst relative gap between loss_and_grads and central differences on 10 random weights."""
     p = mn.uniform_partition(1.0, steps)
@@ -337,6 +382,14 @@ def test_scheme_record_matches_draws_and_simulate(heston, tag, steps):
     joint = sch.simulate(sch.with_martingale(heston, _closed_form_net), tag, p, draws)
     assert joint.shape == (batch, steps + 1, heston.N + 1)
     assert joint[:, :, :-1].tobytes() == np.ascontiguousarray(sch.simulate(heston, tag, p, draws)).tobytes()
+    calls = []
+    if record.records:
+        sch.simulate(heston, tag, p, draws, record=lambda *c: calls.append(c))
+        assert len({c[0] for c in calls}) == steps  # every step records its flows
+    else:
+        with pytest.raises(InvalidParameterError, match=repr(tag)):
+            sch.simulate(heston, tag, p, draws, record=lambda *c: calls.append(c))
+        assert calls == []
 
 
 def _parser_action(command, dest):
